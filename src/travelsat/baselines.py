@@ -5,6 +5,15 @@ problem through a pivoted QR factorization with an explicit rank check that
 names the dependent columns. The GBDT fits squared-loss gradient boosting
 with greedy variance-reduction splits on midpoints between distinct sorted
 values; with subsample = 1 (the default) the fit is fully deterministic.
+
+Split finding is exact greedy over presorted column blocks (the layout of
+XGBoost's exact split finder, Chen & Guestrin 2016, sections 3.1 and 4.1):
+each column is sorted once per fit, stably, and every tree and node keeps
+its rows in that sorted order by filtering its parent's block, so no node
+sorts again. Because a filtered stable order equals a stable sort of the
+node's own rows, the trees, gains and predictions are bit for bit those of
+sorting every column at every node, ties included: the lowest column wins,
+then the smallest threshold.
 """
 
 from __future__ import annotations
@@ -115,56 +124,82 @@ class GbdtModel:
     column_variables: tuple[str, ...] | None = None
 
 
-def _best_split(X: np.ndarray, residual: np.ndarray, min_leaf: int):
-    """Best (gain, feature, threshold) across all columns, or None.
+def _best_split(values: np.ndarray, prefix: np.ndarray, min_leaf: int):
+    """Best (gain, feature, threshold) across all columns of one node, or None.
 
-    Gain is the reduction in sum of squared errors from splitting; computed
-    with prefix sums over each sorted column, all columns at once.
-    Candidate thresholds are midpoints between distinct neighbouring sorted
-    values; both sides must keep at least min_leaf rows. Ties prefer the
-    lowest column index, then the smallest threshold.
+    values is the node's presorted column block: row j holds column j's
+    values in ascending order, ties in ascending row order (what a stable
+    sort of the node's rows would give). prefix holds the cumulative sums of
+    the residuals in the same order. Gain is the reduction in sum of squared
+    errors from splitting after the first s sorted rows; it is computed only
+    at candidates, the left sizes where the sorted value changes and both
+    sides keep at least min_leaf rows, all columns in one pass. The threshold
+    is the midpoint of the two values around the change. Candidates are
+    found in flat C order, so the first maximum resolves ties to the lowest
+    column index, then the smallest threshold. The caller ensures
+    n >= 2 * min_leaf.
     """
-    n, p = X.shape
-    sizes = np.arange(min_leaf, n - min_leaf + 1)
-    if sizes.size == 0:
+    p, n = values.shape
+    width = n - 2 * min_leaf + 1
+    lo = min_leaf - 1
+    # left size s may split sorted positions s - 1 and s; "not >=" rather
+    # than "<" keeps the candidate rule of sorting per node for NaN too
+    changes = ~(values[:, lo:lo + width] >= values[:, lo + 1:lo + 1 + width])
+    flat = np.flatnonzero(changes)
+    if flat.size == 0:
         return None
-    order = np.argsort(X, axis=0, kind="stable")
-    cs = np.take_along_axis(X, order, axis=0)
-    prefix = np.cumsum(residual[order], axis=0)
-    total = prefix[-1, :]
-    left = prefix[sizes - 1, :]
-    gains = (left ** 2 / sizes[:, None]
-             + (total - left) ** 2 / (n - sizes)[:, None]
-             - total ** 2 / n)
-    gains[cs[sizes - 1, :] >= cs[sizes, :]] = -np.inf
-    # transpose so the flat argmax scans column-major: ties resolve to the
-    # lowest column, then the smallest left size (smallest threshold)
-    feature, offset = divmod(int(np.argmax(gains.T)), len(sizes))
-    gain = float(gains[offset, feature])
+    features, offsets = np.divmod(flat, width)
+    sizes = offsets + min_leaf
+    total = prefix[:, -1].take(features)
+    left = prefix.take(features * n + sizes - 1)
+    gains = left ** 2 / sizes + (total - left) ** 2 / (n - sizes) - total ** 2 / n
+    best = int(np.argmax(gains))
+    gain = float(gains[best])
     if gain <= 1e-12 or not np.isfinite(gain):
         return None
-    i = int(sizes[offset])
-    threshold = float((cs[i - 1, feature] + cs[i, feature]) / 2.0)
+    feature, i = int(features[best]), int(sizes[best])
+    threshold = float((values[feature, i - 1] + values[feature, i]) / 2.0)
     return gain, feature, threshold
 
 
-def _build_tree(X: np.ndarray, residual: np.ndarray, depth: int,
+def _filter_block(order: np.ndarray, values: np.ndarray, member: np.ndarray):
+    """The entries of a column block whose row id is marked in member (one
+    bool per row of X), each column keeping its sorted order."""
+    keep = np.flatnonzero(member.take(order))
+    shape = (len(order), -1)
+    return order.take(keep).reshape(shape), values.take(keep).reshape(shape)
+
+
+def _build_tree(X: np.ndarray, rows: np.ndarray, order: np.ndarray,
+                values: np.ndarray, residual: np.ndarray, depth: int,
                 hyper: GbdtHyper, gains_out: np.ndarray) -> _Node:
-    n, p = X.shape
-    if depth == 0 or n < 2 * hyper.min_leaf:
-        return _Node(value=float(np.mean(residual)))
-    best = _best_split(X, residual, hyper.min_leaf)
+    """Grow one tree over rows (ascending ids into X); depth >= 1 and
+    len(rows) >= 2 * min_leaf, so the node may split.
+
+    order and values are the node's presorted column block, (p, len(rows))
+    row ids and their values. A child that may split again receives the
+    block filtered to its rows, never re-sorted, so the sorted order and its
+    tie order carry down the tree. Gains accumulate depth-first, left child
+    before right.
+    """
+    prefix = np.cumsum(residual.take(order), axis=1)
+    best = _best_split(values, prefix, hyper.min_leaf)
     if best is None:
-        return _Node(value=float(np.mean(residual)))
+        return _Node(value=float(np.mean(residual[rows])))
     gain, feature, threshold = best
     gains_out[feature] += gain
-    mask = X[:, feature] <= threshold
-    return _Node(
-        feature=feature,
-        threshold=threshold,
-        left=_build_tree(X[mask], residual[mask], depth - 1, hyper, gains_out),
-        right=_build_tree(X[~mask], residual[~mask], depth - 1, hyper, gains_out),
-    )
+    goes_left = X[:, feature] <= threshold
+    children = []
+    for side in (goes_left, ~goes_left):
+        child_rows = rows[side.take(rows)]
+        if depth == 1 or len(child_rows) < 2 * hyper.min_leaf:
+            child = _Node(value=float(np.mean(residual[child_rows])))
+        else:
+            child = _build_tree(X, child_rows, *_filter_block(order, values, side),
+                                residual, depth - 1, hyper, gains_out)
+        children.append(child)
+    left, right = children
+    return _Node(feature=feature, threshold=threshold, left=left, right=right)
 
 
 def _tree_predict(root: _Node, X: np.ndarray) -> np.ndarray:
@@ -204,14 +239,21 @@ def fit_gbdt(X: np.ndarray, y: np.ndarray, hyper: GbdtHyper | None = None,
     gains = np.zeros(p)
     trees = []
     losses = [float(np.mean((y - prediction) ** 2))]
+    # the column block: each column sorted once, stably, for the whole fit
+    all_order = np.argsort(X.T, axis=1, kind="stable")
+    all_values = np.take_along_axis(X.T, all_order, axis=1)
     for _ in range(hyper.n_trees):
         residual = y - prediction
         if hyper.subsample < 1.0:
             size = max(2 * hyper.min_leaf, int(round(hyper.subsample * n)))
             rows = np.sort(rng.choice(n, size=min(size, n), replace=False))
+            drawn = np.zeros(n, dtype=bool)
+            drawn[rows] = True
+            order, values = _filter_block(all_order, all_values, drawn)
         else:
-            rows = np.arange(n)
-        tree = _build_tree(X[rows], residual[rows], hyper.max_depth, hyper, gains)
+            rows, order, values = np.arange(n), all_order, all_values
+        tree = _build_tree(X, rows, order, values, residual, hyper.max_depth,
+                           hyper, gains)
         trees.append(tree)
         prediction = prediction + hyper.learning_rate * _tree_predict(tree, X)
         losses.append(float(np.mean((y - prediction) ** 2)))

@@ -4,8 +4,9 @@ The HTTP backend speaks the common chat-completions JSON shape. API keys
 come from the environment only (TRAVELSAT_API_KEY, falling back to
 DEEPSEEK_API_KEY); they are never read from config files and never written
 to the cache. Cached responses are content-addressed by a digest of
-(model, temperature, prompt bytes, trial index), one JSON file per digest,
-so a cache directory can be renamed or copied freely.
+(model, temperature, output-token limit, endpoint, prompt bytes, trial
+index), one JSON file per digest, so a cache directory can be renamed or
+copied freely.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import json
 import logging
 import os
 import tempfile
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -117,11 +119,16 @@ class HttpChatBackend:
 
 
 def cache_key(params: LlmParams, prompt: Prompt, trial_index: int) -> str:
-    """Digest identifying one (model, temperature, prompt, trial) request."""
+    """Digest identifying one (model, temperature, output-token limit,
+    endpoint, prompt, trial) request."""
     h = hashlib.sha256()
     h.update(params.model_name.encode("utf-8"))
     h.update(b"\x00")
     h.update(repr(params.temperature).encode("ascii"))
+    h.update(b"\x00")
+    h.update(str(params.max_output_tokens).encode("ascii"))
+    h.update(b"\x00")
+    h.update(params.endpoint.encode("utf-8"))
     h.update(b"\x00")
     h.update(prompt.as_bytes())
     h.update(b"\x00")
@@ -183,6 +190,8 @@ class LlmClient:
         self.retry = retry or RetryPolicy()
         self.max_in_flight = max_in_flight
         self._sleep = sleep
+        # complete_many's pool threads update the counters below
+        self._count_lock = threading.Lock()
         self.transport_calls = 0
         self.cache_hits = 0
         self.cache_misses = 0
@@ -192,7 +201,8 @@ class LlmClient:
         last: Exception | None = None
         for attempt in range(self.retry.max_attempts):
             try:
-                self.transport_calls += 1
+                with self._count_lock:
+                    self.transport_calls += 1
                 return self.backend.complete(prompt, self.params)
             except TransientTransportError as exc:
                 last = exc
@@ -210,9 +220,11 @@ class LlmClient:
         key = cache_key(self.params, prompt, trial_index)
         hit = self.cache.get(key)
         if hit is not None:
-            self.cache_hits += 1
+            with self._count_lock:
+                self.cache_hits += 1
             return hit
-        self.cache_misses += 1
+        with self._count_lock:
+            self.cache_misses += 1
         response = self.complete(prompt)
         self.cache.put(key, response)
         return response

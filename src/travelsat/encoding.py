@@ -115,7 +115,32 @@ def encode(record: RespondentRecord, spec: EncodingSpec) -> np.ndarray:
 
 
 def encode_matrix(records: Dataset | Sequence[RespondentRecord], spec: EncodingSpec) -> np.ndarray:
-    return np.vstack([encode(r, spec) for r in records])
+    """Encode many records at once, one row each, column group by column
+    group; row for row the same bits as encode().
+
+    An unknown categorical code raises the EncodingError encode() would
+    raise first: the earliest offending record, then its earliest group.
+    """
+    records = list(records)
+    table = np.array([[r.values[g.variable] for g in spec.groups] for r in records],
+                     dtype=float).reshape(len(records), len(spec.groups))
+    out = np.zeros((len(records), spec.width))
+    unknown = np.zeros(len(records), dtype=bool)
+    for j, g in enumerate(spec.groups):
+        if g.kind == NUMERIC:
+            if not g.constant:
+                out[:, g.start] = (table[:, j] - g.mean) / g.std
+            continue
+        # int() truncates toward zero; a NaN matches no code, and encode()
+        # below raises for it what the per-record path raises
+        matches = np.trunc(table[:, j])[:, None] == np.array(g.codes, dtype=float)
+        known = matches.any(axis=1)
+        unknown |= ~known
+        rows = np.flatnonzero(known)
+        out[rows, g.start + matches[rows].argmax(axis=1)] = 1.0
+    if unknown.any():
+        encode(records[int(np.argmax(unknown))], spec)
+    return out
 
 
 def design_matrix(

@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.random import default_rng
 
 from travelsat.baselines import (
     FractionResult,
     GbdtHyper,
+    _Node,
+    _tree_predict,
     fit_gbdt,
     fit_ols,
     fraction_sweep,
@@ -192,6 +197,153 @@ def test_gbdt_shape_errors():
         fit_gbdt(np.zeros((4, 2)), np.zeros(4), GbdtHyper(min_leaf=5))
     with pytest.raises(DatasetError):
         fit_gbdt(np.zeros((30, 2)), np.zeros(30), column_variables=("a",))
+
+
+def reference_best_split(X, residual, min_leaf):
+    """Independent split oracle: stable argsort of every column at every
+    node, gains at every left size, non-candidates masked to -inf."""
+    n, p = X.shape
+    sizes = np.arange(min_leaf, n - min_leaf + 1)
+    if sizes.size == 0:
+        return None
+    order = np.argsort(X, axis=0, kind="stable")
+    cs = np.take_along_axis(X, order, axis=0)
+    prefix = np.cumsum(residual[order], axis=0)
+    total = prefix[-1, :]
+    left = prefix[sizes - 1, :]
+    gains = (left ** 2 / sizes[:, None]
+             + (total - left) ** 2 / (n - sizes)[:, None]
+             - total ** 2 / n)
+    gains[cs[sizes - 1, :] >= cs[sizes, :]] = -np.inf
+    feature, offset = divmod(int(np.argmax(gains.T)), len(sizes))
+    gain = float(gains[offset, feature])
+    if gain <= 1e-12 or not np.isfinite(gain):
+        return None
+    i = int(sizes[offset])
+    threshold = float((cs[i - 1, feature] + cs[i, feature]) / 2.0)
+    return gain, feature, threshold
+
+
+def reference_build_tree(X, residual, depth, hyper, gains_out):
+    n, p = X.shape
+    if depth == 0 or n < 2 * hyper.min_leaf:
+        return _Node(value=float(np.mean(residual)))
+    best = reference_best_split(X, residual, hyper.min_leaf)
+    if best is None:
+        return _Node(value=float(np.mean(residual)))
+    gain, feature, threshold = best
+    gains_out[feature] += gain
+    mask = X[:, feature] <= threshold
+    return _Node(
+        feature=feature,
+        threshold=threshold,
+        left=reference_build_tree(X[mask], residual[mask], depth - 1, hyper, gains_out),
+        right=reference_build_tree(X[~mask], residual[~mask], depth - 1, hyper, gains_out),
+    )
+
+
+def reference_fit(X, y, hyper, seed):
+    """(trees, column gains, train losses, predictions) of the boosting
+    loop over the per-node oracle, drawing subsamples as fit_gbdt does."""
+    rng = default_rng(seed)
+    n, p = X.shape
+    prediction = np.full(n, float(np.mean(y)))
+    gains = np.zeros(p)
+    trees = []
+    losses = [float(np.mean((y - prediction) ** 2))]
+    for _ in range(hyper.n_trees):
+        residual = y - prediction
+        if hyper.subsample < 1.0:
+            size = max(2 * hyper.min_leaf, int(round(hyper.subsample * n)))
+            rows = np.sort(rng.choice(n, size=min(size, n), replace=False))
+        else:
+            rows = np.arange(n)
+        tree = reference_build_tree(X[rows], residual[rows], hyper.max_depth,
+                                    hyper, gains)
+        trees.append(tree)
+        prediction = prediction + hyper.learning_rate * _tree_predict(tree, X)
+        losses.append(float(np.mean((y - prediction) ** 2)))
+    return trees, gains, losses, prediction
+
+
+def tree_bits(node):
+    """A tree as nested tuples with every float spelled out exactly."""
+    if node.is_leaf:
+        return float(node.value).hex()
+    return (node.feature, float(node.threshold).hex(),
+            tree_bits(node.left), tree_bits(node.right))
+
+
+def assert_matches_reference(X, y, hyper, seed=0):
+    model = fit_gbdt(X, y, hyper, seed=seed)
+    trees, gains, losses, prediction = reference_fit(X, y, hyper, seed)
+    assert [tree_bits(t) for t in model.trees] == [tree_bits(t) for t in trees]
+    assert model.column_gains.tobytes() == gains.tobytes()
+    assert [v.hex() for v in model.train_losses] == [v.hex() for v in losses]
+    assert predict_gbdt(model, X).tobytes() == prediction.tobytes()
+    return model
+
+
+def tie_heavy_matrix(rng, n):
+    """Numeric and one-hot columns, with a duplicated numeric column and a
+    complementary one-hot pair: equal gains that only the tie-break orders."""
+    numeric = rng.normal(size=(n, 3))
+    onehot = (rng.random(size=(n, 3)) < 0.3).astype(float)
+    X = np.hstack([numeric, numeric[:, [1]], onehot, 1.0 - onehot[:, [0]],
+                   np.round(numeric[:, [2]])])
+    y = numeric[:, 1] + 2.0 * onehot[:, 0] + rng.normal(scale=0.3, size=n)
+    return X, y
+
+
+def test_gbdt_matches_per_node_sort_oracle_on_ties():
+    rng = np.random.default_rng(30)
+    for n in (40, 97, 250):
+        X, y = tie_heavy_matrix(rng, n)
+        model = assert_matches_reference(X, y, GbdtHyper(n_trees=25))
+        # an exact duplicate (column 3 of column 1) ties exactly and never
+        # wins; the complement's gains differ from column 4's by rounding
+        assert model.column_gains[3] == 0.0
+
+
+def test_gbdt_matches_oracle_with_constant_column():
+    rng = np.random.default_rng(31)
+    X = np.hstack([np.full((60, 1), 2.5), rng.normal(size=(60, 2))])
+    y = X[:, 2] + rng.normal(scale=0.1, size=60)
+    model = assert_matches_reference(X, y, GbdtHyper(n_trees=20))
+    assert model.column_gains[0] == 0.0
+
+
+@pytest.mark.parametrize("extra", [0, 1, 2])
+def test_gbdt_matches_oracle_at_minimum_rows(extra):
+    rng = np.random.default_rng(32)
+    hyper = GbdtHyper(n_trees=10, min_leaf=5)
+    n = 2 * hyper.min_leaf + extra
+    X, y = tie_heavy_matrix(rng, n)
+    assert_matches_reference(X, y, hyper)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_gbdt_matches_oracle_with_subsample(seed):
+    rng = np.random.default_rng(33 + seed)
+    X, y = tie_heavy_matrix(rng, 120)
+    assert_matches_reference(X, y, GbdtHyper(n_trees=30, subsample=0.8),
+                             seed=seed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_gbdt_matches_oracle_on_small_integer_matrices(data):
+    n = data.draw(st.integers(4, 30))
+    p = data.draw(st.integers(1, 4))
+    cells = st.lists(st.integers(-2, 2), min_size=n * p, max_size=n * p)
+    X = np.array(data.draw(cells), dtype=float).reshape(n, p)
+    y = np.array(data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)),
+                 dtype=float)
+    min_leaf = data.draw(st.integers(1, n // 2))
+    hyper = GbdtHyper(n_trees=3, max_depth=data.draw(st.integers(1, 3)),
+                      min_leaf=min_leaf,
+                      subsample=data.draw(st.sampled_from([1.0, 0.7])))
+    assert_matches_reference(X, y, hyper, seed=data.draw(st.integers(0, 3)))
 
 
 def test_fraction_sweep_smoke(small_dataset):

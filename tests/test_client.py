@@ -1,4 +1,5 @@
 import json
+import sys
 import threading
 import time
 
@@ -159,6 +160,13 @@ def test_cache_key_sensitivity():
     assert cache_key(other_model, PROMPT, 0) != base
     warmer = LlmParams(temperature=0.8)
     assert cache_key(warmer, PROMPT, 0) != base
+    shorter = LlmParams(max_output_tokens=1024)
+    assert cache_key(shorter, PROMPT, 0) != base
+    elsewhere = LlmParams(endpoint="http://localhost:8000/v1")
+    assert cache_key(elsewhere, PROMPT, 0) != base
+    # a longer request timeout does not change the answer
+    patient = LlmParams(request_timeout=600.0)
+    assert cache_key(patient, PROMPT, 0) == base
     # split point between system and user text matters
     shifted = Prompt(system_text="score travelers ", user_text="Traveler q1")
     assert cache_key(PARAMS, shifted, 0) != base
@@ -200,6 +208,67 @@ def test_complete_many_respects_in_flight_cap():
     out = client.complete_many([(p, 0) for p in prompts])
     assert [r.content for r in out] == [f"u{i}" for i in range(8)]
     assert state["peak"] <= 2
+
+
+class _YieldingCounter:
+    """Counter attribute whose read gives up the interpreter lock, so that an
+    unguarded `+= 1` from two threads can lose an update."""
+
+    def __set_name__(self, owner, name):
+        self.slot = "_" + name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.slot]
+        time.sleep(0)
+        return value
+
+    def __set__(self, obj, value):
+        obj.__dict__[self.slot] = value
+
+
+class ContendedClient(LlmClient):
+    transport_calls = _YieldingCounter()
+    cache_hits = _YieldingCounter()
+    cache_misses = _YieldingCounter()
+
+
+def test_counters_exact_under_concurrency(tmp_path):
+    """Pool threads that interleave mid-call must not lose counter updates."""
+
+    class YieldingBackend:
+        def complete(self, prompt, params):
+            time.sleep(0)  # give up the interpreter lock mid-call
+            return LlmResponse(content=prompt.user_text)
+
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        prompts = [Prompt(system_text="s", user_text=f"u{i}") for i in range(300)]
+        jobs = [(p, 0) for p in prompts]
+        cached = ContendedClient(YieldingBackend(), PARAMS, cache_dir=tmp_path,
+                                 max_in_flight=16)
+        uncached = ContendedClient(YieldingBackend(), PARAMS, max_in_flight=16)
+        results = {}
+
+        def drive():
+            results["cold"] = cached.complete_many(jobs)
+            results["warm"] = cached.complete_many(jobs)
+            for _ in range(3):
+                results["plain"] = uncached.complete_many(jobs)
+
+        worker = threading.Thread(target=drive)
+        worker.start()
+        worker.join(timeout=60)
+        assert not worker.is_alive()
+    finally:
+        sys.setswitchinterval(previous)
+    for name in ("cold", "warm", "plain"):
+        assert [r.content for r in results[name]] == [p.user_text for p in prompts]
+    assert (cached.cache_misses, cached.cache_hits, cached.transport_calls) == (300, 300, 300)
+    assert uncached.transport_calls == 900
+    assert (uncached.cache_misses, uncached.cache_hits) == (0, 0)
 
 
 def test_max_in_flight_validated():

@@ -102,3 +102,55 @@ def test_design_matrix_drops_reference_columns(small_dataset):
     full, full_names, _ = design_matrix(small_dataset, spec, drop_first=False)
     assert full.shape[1] == spec.width
     assert "gender=male" in full_names
+
+
+TWO_CATEGORICALS = VariableSchema(predictors=(
+    Variable("minutes", "travel_characteristics", NUMERIC, unit="minutes"),
+    Variable("mode", "travel_characteristics", CATEGORICAL,
+             categories=((1, "walk"), (2, "bus"), (3, "car"))),
+    Variable("steady", "travel_characteristics", NUMERIC),
+    Variable("pet", "travel_characteristics", CATEGORICAL,
+             categories=((0, "none"), (4, "dog"))),
+))
+
+
+def _records(rows):
+    return [RespondentRecord(f"r{i}", dict(zip(("minutes", "mode", "steady", "pet"), row)), 4.0)
+            for i, row in enumerate(rows)]
+
+
+def per_record_matrix(records, spec):
+    return np.vstack([encode(r, spec) for r in records])
+
+
+def test_encode_matrix_matches_per_record_path(small_dataset, dense_dataset):
+    for dataset in (small_dataset, dense_dataset, _tiny_dataset()):
+        spec = fit_encoding(dataset)
+        X = encode_matrix(dataset, spec)
+        assert X.dtype == np.float64 and X.flags.c_contiguous
+        assert X.tobytes() == per_record_matrix(dataset, spec).tobytes()
+    # fitted on one set and applied to another: values outside the fitted
+    # range, negative zero, non-integral codes that int() truncates
+    spec = fit_encoding(Dataset(schema=TWO_CATEGORICALS, records=tuple(_records(
+        [(1.0, 1, 5.0, 0), (2.5, 3, 5.0, 4), (7.0, 2, 5.0, 0)]))))
+    odd = _records([(-0.0, 2.9, 5.0, 4.5), (1e9, 1, -3.0, 0), (np.nan, 3.0, 5.0, 0.2)])
+    assert encode_matrix(odd, spec).tobytes() == per_record_matrix(odd, spec).tobytes()
+
+
+def test_encode_matrix_reports_first_unknown_code_like_encode():
+    spec = fit_encoding(Dataset(schema=TWO_CATEGORICALS, records=tuple(_records(
+        [(1.0, 1, 5.0, 0), (2.5, 3, 5.0, 4), (7.0, 2, 5.0, 0)]))))
+    # record 1 is the first offender, and its first offending group is
+    # 'mode'; record 2 and the later 'pet' group must not be reported
+    records = _records([(1.0, 1, 5.0, 0), (1.0, 8, 5.0, 9), (1.0, 9, 5.0, 4),
+                        (1.0, 2, 5.0, 7)])
+    with pytest.raises(EncodingError) as expected:
+        per_record_matrix(records, spec)
+    with pytest.raises(EncodingError) as got:
+        encode_matrix(records, spec)
+    assert str(got.value) == str(expected.value)
+    assert str(got.value).startswith("mode: code 8 ")
+    # only a later group offends
+    records = _records([(1.0, 1, 5.0, 0), (1.0, 2, 5.0, 5)])
+    with pytest.raises(EncodingError, match=r"^pet: code 5 not in fitted codes \(0, 4\)$"):
+        encode_matrix(records, spec)
