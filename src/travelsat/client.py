@@ -18,14 +18,19 @@ import os
 import tempfile
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Protocol, Sequence
+from typing import Callable, Iterable, Protocol
 
 import requests
 
-from .errors import CredentialError, TransientTransportError, TransportError
+from .errors import (
+    CredentialError,
+    TransientTransportError,
+    TransportError,
+    TravelSatError,
+)
 from .prompting import Prompt
 
 logger = logging.getLogger(__name__)
@@ -229,14 +234,32 @@ class LlmClient:
         self.cache.put(key, response)
         return response
 
-    def complete_many(self, jobs: Sequence[tuple[Prompt, int]]) -> list[LlmResponse]:
+    def complete_many(self, jobs: Iterable[tuple[Prompt, int]]
+                      ) -> list[LlmResponse | TravelSatError]:
         """Run (prompt, trial_index) jobs concurrently, preserving order.
 
-        At most max_in_flight requests are in flight at a time.
+        At most max_in_flight requests are in flight at a time, across every
+        job of the call. A job is taken from the iterable only as the pool
+        frees up, so no more than 2 * max_in_flight jobs are ever submitted
+        and unfinished: a lazy iterable holds only that many prompts at once.
+        A job that fails with a TravelSatError has that error in its place in
+        the result, and the other jobs still complete; any other exception
+        propagates.
         """
-        if not jobs:
-            return []
+        futures = []
+        pending: set = set()
         with ThreadPoolExecutor(max_workers=self.max_in_flight) as pool:
-            futures = [pool.submit(self.cached_complete, prompt, trial)
-                       for prompt, trial in jobs]
-            return [f.result() for f in futures]
+            for prompt, trial in jobs:
+                if len(pending) >= 2 * self.max_in_flight:
+                    _, pending = wait(pending, return_when=FIRST_COMPLETED)
+                future = pool.submit(self.cached_complete, prompt, trial)
+                futures.append(future)
+                pending.add(future)
+        return [_outcome(f) for f in futures]
+
+
+def _outcome(future: Future) -> LlmResponse | TravelSatError:
+    try:
+        return future.result()
+    except TravelSatError as exc:
+        return exc

@@ -6,6 +6,15 @@ directory: per-trial CSVs, an aggregate CSV, a plain-text summary, a
 reasoning archive, and a provenance record with config and schema hashes.
 With the scripted mock backend, identical configs produce byte-identical
 artifacts run after run.
+
+The LLM runners share one path. Plan: list every trial and its requests
+(support, query batch, cache slot) without rendering a prompt; zero-shot is
+the k = 0 plan over the whole dataset, and similarity support is ranked once
+per split, each k taking a prefix. Execute: send all of a run's requests,
+the importance study's too, through one LlmClient.complete_many call that
+renders each prompt as the pool takes it, and re-send replies that fail to
+parse once, at slot + 1. Evaluate: turn each trial's outcomes into metrics,
+a reasoning archive and table rows.
 """
 
 from __future__ import annotations
@@ -16,7 +25,7 @@ import json
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .baselines import (
     FractionResult,
@@ -26,7 +35,7 @@ from .baselines import (
     importance_gbdt,
 )
 from .client import HttpChatBackend, LlmClient, LlmParams
-from .dataset import Dataset, load_survey, split
+from .dataset import Dataset, RespondentRecord, load_survey, split
 from .encoding import encode_matrix, fit_encoding
 from .errors import DatasetError, ParseError, TravelSatError
 from .evaluation import (
@@ -40,6 +49,7 @@ from .evaluation import (
 from .mock import ScriptedMock
 from .prompting import (
     DEFAULT_BATCH_SIZE,
+    Prompt,
     batched,
     parse_response,
     render_few_shot,
@@ -50,9 +60,11 @@ from .selection import (
     SupportSet,
     empty_support,
     random_support,
+    rank_order,
     rank_support,
     representativeness_report,
     summarize_ks_repeats,
+    top_support,
 )
 from .synthesize import default_marginals, load_marginals, synthesize
 
@@ -184,79 +196,105 @@ def make_client(config: ExperimentConfig, schema: VariableSchema) -> LlmClient:
                      max_in_flight=config.max_in_flight)
 
 
-# -- trial execution -------------------------------------------------------
+# -- plan, execute, evaluate ----------------------------------------------
+
+
+@dataclass(frozen=True)
+class Request:
+    """One prompt to send, not yet rendered: support, query batch, cache slot."""
+
+    support: SupportSet
+    queries: tuple[RespondentRecord, ...]
+    slot: int
+    importance: bool = False
+
+    def render(self, schema: VariableSchema) -> Prompt:
+        if self.support.k > 0:
+            return render_few_shot(self.support, self.queries, schema,
+                                   want_importance=self.importance)
+        return render_zero_shot(self.queries, schema, want_importance=self.importance)
 
 
 @dataclass
 class Trial:
     condition: str
     repeat: int
+    support: SupportSet
+    requests: list[Request]
     status: str = "ok"
     metrics: MetricPair | None = None
     reasoning: str = ""
 
 
-def _archive_name(condition: str, repeat: int) -> str:
-    safe = condition.replace(" ", "_").replace("(", "").replace(")", "")
-    return f"{safe}_rep{repeat}.txt"
+def _plan_trials(config: ExperimentConfig, support_sizes: Sequence[int],
+                 splits: Sequence[tuple[Dataset, Dataset]],
+                 pick: Callable[[Dataset, Dataset, int, int], SupportSet] | None
+                 ) -> list[Trial]:
+    """Every (k, repeat) trial and its requests, k-major; renders nothing.
 
-
-def _score_queries(client: LlmClient, support: SupportSet,
-                   queries: Sequence, schema: VariableSchema,
-                   batch_size: int, trial_base: int) -> tuple[dict[str, float], str]:
-    """Score every query in batches; returns (scores by id, reasoning text).
-
-    A batch whose response fails to parse is retried once under a fresh
-    cache slot; a second failure raises ParseError for the caller to record.
+    splits holds one (train, test) pair per repeat; the test records are the
+    queries, and pick(train, test, k, repeat) chooses support for k > 0.
     """
-    if support.k > 0:
-        overlap = set(support.ids) & {q.record_id for q in queries}
-        assert not overlap, f"support leaked into queries: {sorted(overlap)}"
+    trials = []
+    for k_index, k in enumerate(support_sizes):
+        for repeat, (train, test) in enumerate(splits, start=1):
+            support = pick(train, test, k, repeat) if k else empty_support()
+            slot = (k_index * 1000 + repeat) * 10
+            trials.append(Trial(_condition_label(k), repeat, support, [
+                Request(support, tuple(batch), slot)
+                for batch in batched(test.records, config.batch_size)]))
+    return trials
+
+
+def _execute(client: LlmClient, schema: VariableSchema,
+             requests: Sequence[Request]) -> list:
+    """Send all of a run's requests; per request, (response, parsed) or the
+    TravelSatError that failed it.
+
+    One complete_many call takes every request, rendering each prompt only
+    as the pool takes it. Replies that fail to parse are re-sent once, at
+    slot + 1, in a second call whose outcome is final.
+    """
+    outcomes: list = [None] * len(requests)
+    todo = list(range(len(requests)))
+    for offset in (0, 1):
+        if offset:
+            logger.warning("%d replies failed to parse, re-sending once", len(todo))
+        jobs = ((requests[i].render(schema), requests[i].slot + offset) for i in todo)
+        for i, reply in zip(todo, client.complete_many(jobs)):
+            request = requests[i]
+            if not isinstance(reply, TravelSatError):
+                ids = [q.record_id for q in request.queries]
+                try:
+                    reply = (reply, parse_response(reply.content, ids,
+                                                   want_importance=request.importance))
+                except ParseError as exc:
+                    reply = exc
+            outcomes[i] = reply
+        todo = [i for i in todo if isinstance(outcomes[i], ParseError)]
+        if not todo:
+            break
+    return outcomes
+
+
+def _evaluate_trial(trial: Trial, outcomes: Sequence, labels: dict[str, float]) -> None:
+    """Score one trial from its requests' outcomes; the earliest failed
+    request fails the trial."""
+    failed = next((o for o in outcomes if isinstance(o, TravelSatError)), None)
+    if failed is not None:
+        trial.status = f"failed: {failed}"
+        return
     scores: dict[str, float] = {}
-    reasoning_parts: list[str] = []
-    jobs = []
-    prompts = []
-    for batch in batched(list(queries), batch_size):
-        if support.k > 0:
-            prompt = render_few_shot(support, batch, schema)
-        else:
-            prompt = render_zero_shot(batch, schema)
-        prompts.append((prompt, [q.record_id for q in batch]))
-        jobs.append((prompt, trial_base))
-    responses = client.complete_many(jobs)
-    for (prompt, ids), response in zip(prompts, responses):
-        try:
-            parsed = parse_response(response.content, ids)
-        except ParseError:
-            logger.warning("batch failed to parse, retrying once")
-            response = client.cached_complete(prompt, trial_base + 1)
-            parsed = parse_response(response.content, ids)
+    parts = []
+    for response, parsed in outcomes:
         scores.update(parsed.scores)
         part = ""
         if response.reasoning:
             part += "[reasoning channel]\n" + response.reasoning + "\n"
         part += "[response commentary]\n" + (parsed.reasoning or "(none)")
-        reasoning_parts.append(part)
-    return scores, "\n\n".join(reasoning_parts)
-
-
-def _request_importance(client: LlmClient, support: SupportSet,
-                        probe: Sequence, schema: VariableSchema,
-                        trial_base: int) -> dict[str, float]:
-    if support.k > 0:
-        prompt = render_few_shot(support, probe, schema, want_importance=True)
-    else:
-        prompt = render_zero_shot(probe, schema, want_importance=True)
-    ids = [q.record_id for q in probe]
-    response = client.cached_complete(prompt, trial_base)
-    try:
-        parsed = parse_response(response.content, ids, want_importance=True)
-    except ParseError:
-        logger.warning("importance response failed to parse, retrying once")
-        response = client.cached_complete(prompt, trial_base + 1)
-        parsed = parse_response(response.content, ids, want_importance=True)
-    assert parsed.importances is not None
-    return parsed.importances
+        parts.append(part)
+    trial.metrics = evaluate([labels[i] for i in scores], [scores[i] for i in scores])
+    trial.reasoning = "\n\n".join(parts)
 
 
 # -- artifact writing ------------------------------------------------------
@@ -300,75 +338,37 @@ def _render_table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
                      + [line(row) for row in rows])
 
 
-@dataclass
-class SweepRow:
-    condition: str
-    report: RunReport | None
-    failures: int
-    ks_cell: str | None = None
+def _aggregate(pairs: Sequence[MetricPair]) -> RunReport | None:
+    return aggregate_repeats(pairs) if pairs else None
+
+
+def _aggregate_cells(report: RunReport | None, failures: int) -> list:
+    """repeats_ok, failures, then mean and std of MSE and of MAPE."""
+    if report is None:
+        return [0, failures, "", "", "", ""]
+    cells = [report.repeats, failures]
+    for mean, std in ((report.mse_mean, report.mse_std),
+                      (report.mape_mean, report.mape_std)):
+        # a single repeat has no spread to report; never claim 0
+        cells += [_fmt(mean), "n/a" if std is None else _fmt(std)]
+    return cells
+
+
+def _table_cells(report: RunReport | None) -> list[str]:
+    """The MSE and MAPE cells of a summary table: "mean (std)" or "failed"."""
+    if report is None:
+        return ["failed", "failed"]
+    return [format_cell(report.mse_mean, report.mse_std),
+            format_cell(report.mape_mean, report.mape_std)]
 
 
 def _condition_label(k: int) -> str:
     return "0 (zero-shot)" if k == 0 else str(k)
 
 
-def _write_sweep_artifacts(out: Path, title: str, trials: list[Trial],
-                           rows: list[SweepRow], with_ks: bool,
-                           ks_rows: list[Sequence] | None = None) -> str:
-    _write_csv(out / "report.csv",
-               ["condition", "repeat", "status", "n", "mse", "mape"],
-               [[t.condition, t.repeat, t.status,
-                 t.metrics.n if t.metrics else "",
-                 _fmt(t.metrics.mse if t.metrics else None),
-                 _fmt(t.metrics.mape if t.metrics else None)] for t in trials])
-    agg_header = ["condition", "repeats_ok", "failures",
-                  "mse_mean", "mse_std", "mape_mean", "mape_std"]
-    if with_ks:
-        agg_header.append("ks_flags")
-
-    def std_cell(report: RunReport | None, value: float | None) -> str:
-        if report is None:
-            return ""
-        # a single repeat has no spread to report; never claim 0
-        return "n/a" if value is None else _fmt(value)
-
-    agg_rows = []
-    for row in rows:
-        r = row.report
-        cells = [row.condition,
-                 r.repeats if r else 0, row.failures,
-                 _fmt(r.mse_mean if r else None),
-                 std_cell(r, r.mse_std if r else None),
-                 _fmt(r.mape_mean if r else None),
-                 std_cell(r, r.mape_std if r else None)]
-        if with_ks:
-            cells.append(f"\"{row.ks_cell}\"" if row.ks_cell else "")
-        agg_rows.append(cells)
-    _write_csv(out / "aggregate.csv", agg_header, agg_rows)
-    if ks_rows is not None:
-        _write_csv(out / "ks.csv",
-                   ["condition", "repeat", "variable", "d", "p_value", "stars"],
-                   ks_rows)
-
-    headers = ["k", "MSE", "MAPE"] + (["K-S vs full data"] if with_ks else [])
-    table_rows = []
-    for row in rows:
-        if row.report is None:
-            cells = [row.condition, "failed", "failed"]
-        else:
-            r = row.report
-            cells = [row.condition,
-                     format_cell(r.mse_mean, r.mse_std),
-                     format_cell(r.mape_mean, r.mape_std)]
-        if with_ks:
-            cells.append(row.ks_cell or "")
-        table_rows.append(cells)
-    summary = title + "\n\n" + _render_table(headers, table_rows) + "\n"
-    failures = sum(row.failures for row in rows)
-    if failures:
-        summary += f"\nFailed trials: {failures} (see report.csv)\n"
-    (out / "summary.txt").write_text(summary, encoding="utf-8")
-    return summary
+def _archive_name(condition: str, repeat: int) -> str:
+    safe = condition.replace(" ", "_").replace("(", "").replace(")", "")
+    return f"{safe}_rep{repeat}.txt"
 
 
 def _archive_reasoning(out: Path, trials: list[Trial]) -> None:
@@ -386,110 +386,115 @@ def _archive_reasoning(out: Path, trials: list[Trial]) -> None:
 def _prepare(config: ExperimentConfig):
     dataset = load_dataset(config)
     schema = dataset.schema
+    # looked up at call time, so a caller may substitute its own factory
     client = make_client(config, schema)
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     return dataset, schema, client, out
 
 
-def run_zero_shot(config: ExperimentConfig) -> str:
-    """Score every record in the dataset with no labeled examples."""
-    dataset, schema, client, out = _prepare(config)
-    queries = list(dataset.records)
+def _run_trials(config: ExperimentConfig, experiment: str, title: str,
+                prepared: tuple, trials: list[Trial], with_ks: bool) -> str:
+    """Execute and evaluate a plan's trials, then write the sweep artifacts.
+
+    Trials come k-major, config.repeats per condition. with_ks screens each
+    non-empty support set against the full dataset into ks.csv and a K-S
+    column.
+    """
+    dataset, schema, client, out = prepared
     labels = {r.record_id: r.satisfaction for r in dataset}
-    trials: list[Trial] = []
-    ok: list[MetricPair] = []
-    for repeat in range(1, config.repeats + 1):
-        trial = Trial(condition="0 (zero-shot)", repeat=repeat)
-        try:
-            scores, reasoning = _score_queries(
-                client, empty_support(), queries, schema, config.batch_size,
-                trial_base=repeat * 10)
-            trial.metrics = evaluate([labels[i] for i in scores],
-                                     [scores[i] for i in scores])
-            trial.reasoning = reasoning
-            ok.append(trial.metrics)
-        except (ParseError, TravelSatError) as exc:
-            trial.status = f"failed: {exc}"
-        trials.append(trial)
-    rows = [SweepRow(condition="0 (zero-shot)",
-                     report=aggregate_repeats(ok) if ok else None,
-                     failures=config.repeats - len(ok))]
-    summary = _write_sweep_artifacts(out, "Zero-shot prediction", trials, rows,
-                                     with_ks=False)
+    outcomes = iter(_execute(client, schema, [r for t in trials for r in t.requests]))
+    for trial in trials:
+        _evaluate_trial(trial, [next(outcomes) for _ in trial.requests], labels)
+    agg_rows: list[list] = []
+    table_rows: list[list[str]] = []
+    ks_rows: list[Sequence] = []
+    for group in batched(trials, config.repeats):
+        condition = group[0].condition
+        report = _aggregate([t.metrics for t in group if t.metrics is not None])
+        failures = sum(1 for t in group if t.metrics is None)
+        agg_rows.append([condition, *_aggregate_cells(report, failures)])
+        table_rows.append([condition, *_table_cells(report)])
+        if with_ks:
+            screened = [(t, representativeness_report(t.support, dataset, schema))
+                        for t in group if t.support.k > 0]
+            ks_rows += [[t.condition, t.repeat, r.variable, f"{r.d:.6f}",
+                         f"{r.p_value:.6f}", r.stars]
+                        for t, results in screened for r in results]
+            cell = (summarize_ks_repeats([results for _, results in screened])
+                    if screened else "n/a")
+            agg_rows[-1].append(f"\"{cell}\"")
+            table_rows[-1].append(cell)
+
+    _write_csv(out / "report.csv",
+               ["condition", "repeat", "status", "n", "mse", "mape"],
+               [[t.condition, t.repeat, t.status,
+                 t.metrics.n if t.metrics else "",
+                 _fmt(t.metrics.mse if t.metrics else None),
+                 _fmt(t.metrics.mape if t.metrics else None)] for t in trials])
+    _write_csv(out / "aggregate.csv",
+               ["condition", "repeats_ok", "failures", "mse_mean", "mse_std",
+                "mape_mean", "mape_std"] + (["ks_flags"] if with_ks else []),
+               agg_rows)
+    if with_ks:
+        _write_csv(out / "ks.csv",
+                   ["condition", "repeat", "variable", "d", "p_value", "stars"],
+                   ks_rows)
+    headers = ["k", "MSE", "MAPE"] + (["K-S vs full data"] if with_ks else [])
+    summary = title + "\n\n" + _render_table(headers, table_rows) + "\n"
+    failures = sum(1 for t in trials if t.metrics is None)
+    if failures:
+        summary += f"\nFailed trials: {failures} (see report.csv)\n"
+    (out / "summary.txt").write_text(summary, encoding="utf-8")
     _archive_reasoning(out, trials)
-    _write_provenance(out, config, "zeroshot", schema, dataset)
+    _write_provenance(out, config, experiment, schema, dataset)
     return summary
+
+
+def run_zero_shot(config: ExperimentConfig) -> str:
+    """Score every record in the dataset with no labeled examples: the k = 0
+    plan with the whole dataset as the queries."""
+    prepared = _prepare(config)
+    dataset = prepared[0]
+    # k = 0 never draws support, so the train side of each split is unused
+    trials = _plan_trials(config, (0,), [(dataset, dataset)] * config.repeats, None)
+    return _run_trials(config, "zeroshot", "Zero-shot prediction", prepared,
+                       trials, with_ks=False)
 
 
 def _run_support_sweep(config: ExperimentConfig, selection: str) -> str:
     """Shared few-shot sweep over support sizes.
 
     selection "similarity" ranks support by mean similarity to the query
-    set; "random" draws it uniformly per repeat and adds per-variable K-S
+    set, once per split, taking each k as a prefix of that ranking;
+    "random" draws it uniformly per repeat and adds per-variable K-S
     screening against the full dataset.
     """
-    dataset, schema, client, out = _prepare(config)
-    spec = fit_encoding(dataset)
-    labels = {r.record_id: r.satisfaction for r in dataset}
-    with_ks = selection == "random"
+    prepared = _prepare(config)
+    dataset = prepared[0]
+    if config.vary_split:
+        splits = [split(dataset, config.train_fraction, seed=config.seed + repeat)
+                  for repeat in range(1, config.repeats + 1)]
+    else:
+        splits = [split(dataset, config.train_fraction, seed=config.seed)] * config.repeats
+    if selection == "similarity":
+        spec = fit_encoding(dataset)
+        orders: dict[int, list[int]] = {}
 
-    base_split = split(dataset, config.train_fraction, seed=config.seed)
-    trials: list[Trial] = []
-    rows: list[SweepRow] = []
-    ks_rows: list[Sequence] = []
-    for k_index, k in enumerate(config.support_sizes):
-        condition = _condition_label(k)
-        ok: list[MetricPair] = []
-        per_repeat_ks = []
-        for repeat in range(1, config.repeats + 1):
-            if config.vary_split:
-                train, test = split(dataset, config.train_fraction,
-                                    seed=config.seed + repeat)
-            else:
-                train, test = base_split
-            if k == 0:
-                support = empty_support()
-            elif selection == "similarity":
-                support = rank_support(train, test, spec, k)
-            else:
-                support = random_support(train, k,
-                                         seed=config.seed * 10007 + k * 101 + repeat)
-            if with_ks and support.k > 0:
-                ks_results = representativeness_report(support, dataset, schema)
-                per_repeat_ks.append(ks_results)
-                ks_rows.extend([condition, repeat, r.variable,
-                                f"{r.d:.6f}", f"{r.p_value:.6f}", r.stars]
-                               for r in ks_results)
-            trial = Trial(condition=condition, repeat=repeat)
-            queries = list(test.records)
-            try:
-                scores, reasoning = _score_queries(
-                    client, support, queries, schema, config.batch_size,
-                    trial_base=(k_index * 1000 + repeat) * 10)
-                trial.metrics = evaluate([labels[i] for i in scores],
-                                         [scores[i] for i in scores])
-                trial.reasoning = reasoning
-                ok.append(trial.metrics)
-            except (ParseError, TravelSatError) as exc:
-                trial.status = f"failed: {exc}"
-            trials.append(trial)
-        rows.append(SweepRow(
-            condition=condition,
-            report=aggregate_repeats(ok) if ok else None,
-            failures=config.repeats - len(ok),
-            ks_cell=summarize_ks_repeats(per_repeat_ks) if (with_ks and k > 0) else
-                    ("" if not with_ks else "n/a")))
-    title = ("Few-shot sweep (similarity-ranked support)"
-             if selection == "similarity"
-             else "Few-shot sweep (random support)")
-    summary = _write_sweep_artifacts(out, title, trials, rows, with_ks=with_ks,
-                                     ks_rows=ks_rows if with_ks else None)
-    _archive_reasoning(out, trials)
-    _write_provenance(out, config,
-                      "fewshot" if selection == "similarity" else "random-fewshot",
-                      schema, dataset)
-    return summary
+        def pick(train, test, k, repeat):
+            if id(train) not in orders:
+                orders[id(train)] = rank_order(train, test, spec)
+            return top_support(train, orders[id(train)], k)
+
+        experiment, title = "fewshot", "Few-shot sweep (similarity-ranked support)"
+    else:
+        def pick(train, test, k, repeat):
+            return random_support(train, k, seed=config.seed * 10007 + k * 101 + repeat)
+
+        experiment, title = "random-fewshot", "Few-shot sweep (random support)"
+    trials = _plan_trials(config, config.support_sizes, splits, pick)
+    return _run_trials(config, experiment, title, prepared, trials,
+                       with_ks=selection == "random")
 
 
 def run_few_shot_sweep(config: ExperimentConfig) -> str:
@@ -518,22 +523,11 @@ def run_baseline_sweep(config: ExperimentConfig) -> str:
                              _fmt(r.metrics.mape if r.metrics else None)])
         for fraction in config.fractions:
             cell = by_fraction[fraction]
-            pairs = [r.metrics for r in cell if r.metrics is not None]
+            report = _aggregate([r.metrics for r in cell if r.metrics is not None])
             failures = sum(1 for r in cell if r.metrics is None)
-            if pairs:
-                report = aggregate_repeats(pairs)
-                agg_rows.append([kind, format(fraction, "g"), report.repeats, failures,
-                                 _fmt(report.mse_mean),
-                                 _fmt(report.mse_std) if report.mse_std is not None else "n/a",
-                                 _fmt(report.mape_mean),
-                                 _fmt(report.mape_std) if report.mape_std is not None else "n/a"])
-                table_rows.append([kind, format(fraction, "g"),
-                                   format_cell(report.mse_mean, report.mse_std),
-                                   format_cell(report.mape_mean, report.mape_std)])
-            else:
-                agg_rows.append([kind, format(fraction, "g"), 0, failures,
-                                 "", "", "", ""])
-                table_rows.append([kind, format(fraction, "g"), "failed", "failed"])
+            agg_rows.append([kind, format(fraction, "g"),
+                             *_aggregate_cells(report, failures)])
+            table_rows.append([kind, format(fraction, "g"), *_table_cells(report)])
     _write_csv(out / "baseline.csv",
                ["model", "fraction", "repeat", "status", "mse", "mape"], all_rows)
     _write_csv(out / "baseline_aggregate.csv",
@@ -555,27 +549,28 @@ def run_importance_study(config: ExperimentConfig) -> str:
     dataset, schema, client, out = _prepare(config)
     spec = fit_encoding(dataset)
     train, test = split(dataset, config.train_fraction, seed=config.seed)
-    probe = list(test.records[:config.batch_size])
+    probe = tuple(test.records[:config.batch_size])
     support = rank_support(train, test, spec, config.best_k)
+    repeats = range(1, config.repeats + 1)
+    # cache slots repeat * 10 and 100000 + repeat * 10
+    asked = {"zero_shot": (empty_support(), 0), "few_shot": (support, 10000)}
+    requests = [Request(support_set, probe, (base + repeat) * 10, importance=True)
+                for repeat in repeats for support_set, base in asked.values()]
+    outcomes = iter(_execute(client, schema, requests))
 
     vectors: dict[str, list[dict[str, float]]] = {
         "zero_shot": [], "few_shot": [], "gbdt": []}
     failures: list[str] = []
-    for repeat in range(1, config.repeats + 1):
-        try:
-            vectors["zero_shot"].append(_request_importance(
-                client, empty_support(), probe, schema, trial_base=repeat * 10))
-        except (ParseError, TravelSatError) as exc:
-            failures.append(f"zero_shot repeat {repeat}: {exc}")
-        try:
-            vectors["few_shot"].append(_request_importance(
-                client, support, probe, schema, trial_base=100000 + repeat * 10))
-        except (ParseError, TravelSatError) as exc:
-            failures.append(f"few_shot repeat {repeat}: {exc}")
-        hyper = dataclasses.replace(config.gbdt,
-                                    subsample=config.importance_subsample)
-        model = fit_gbdt(encode_matrix(train, spec), train.labels(), hyper=hyper,
-                         seed=config.seed + repeat,
+    X, y = encode_matrix(train, spec), train.labels()
+    hyper = dataclasses.replace(config.gbdt, subsample=config.importance_subsample)
+    for repeat in repeats:
+        for name in asked:
+            outcome = next(outcomes)
+            if isinstance(outcome, TravelSatError):
+                failures.append(f"{name} repeat {repeat}: {outcome}")
+            else:
+                vectors[name].append(outcome[1].importances)
+        model = fit_gbdt(X, y, hyper=hyper, seed=config.seed + repeat,
                          column_variables=spec.column_variables())
         vectors["gbdt"].append(importance_gbdt(model))
 

@@ -26,7 +26,14 @@ from numpy.random import default_rng
 
 from .client import LlmParams, LlmResponse
 from .errors import MockError, SchemaError
-from .prompting import IMPORTANCES_OPEN, Prompt
+from .prompting import (
+    IMPORTANCES_OPEN,
+    LABEL_LINE,
+    QUERY_HEADER,
+    SCORES_OPEN,
+    SUPPORT_HEADER,
+    Prompt,
+)
 from .rules import (
     SCORE_MAX,
     SCORE_MIN,
@@ -37,9 +44,7 @@ from .rules import (
 )
 from .schema import CATEGORICAL, VariableSchema, default_schema
 
-_SUPPORT_HEADER = "Labeled example travelers:"
-_QUERY_HEADER = "Travelers to score:"
-_LABEL_PREFIX = "  Observed travel satisfaction:"
+_LABEL_PREFIX = "  " + LABEL_LINE
 
 
 class ScriptedMock:
@@ -124,12 +129,12 @@ class ScriptedMock:
         return records
 
     def _parse_user_text(self, user_text: str):
-        if _QUERY_HEADER not in user_text:
+        if QUERY_HEADER not in user_text:
             raise MockError("prompt has no query section")
-        before, _, after = user_text.partition(_QUERY_HEADER)
+        before, _, after = user_text.partition(QUERY_HEADER)
         examples = []
-        if _SUPPORT_HEADER in before:
-            _, _, support_text = before.partition(_SUPPORT_HEADER)
+        if SUPPORT_HEADER in before:
+            _, _, support_text = before.partition(SUPPORT_HEADER)
             examples = self._parse_section(support_text, labeled=True)
         elif before.strip():
             raise MockError("unexpected text before the query section")
@@ -168,10 +173,10 @@ class ScriptedMock:
         examples, queries = self._parse_user_text(prompt.user_text)
         lines = [f"{rid},{repr(self._score(rid, values, examples))}"
                  for rid, values, _ in queries]
-        parts = ["```scores", *lines, "```"]
+        parts = [SCORES_OPEN, *lines, "```"]
         if IMPORTANCES_OPEN in prompt.system_text:
             weights = self.importance or rule_importance(self.rule_name)
-            parts += ["", "```importances"]
+            parts += ["", IMPORTANCES_OPEN]
             parts += [f"{name.replace('_', ' ')}={weights.get(name, 0.0):.6f}"
                       for name in self.schema.names]
             parts.append("```")

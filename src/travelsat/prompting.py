@@ -25,9 +25,9 @@ DEFAULT_BATCH_SIZE = 20
 SCORES_OPEN = "```scores"
 IMPORTANCES_OPEN = "```importances"
 
-_SUPPORT_HEADER = "Labeled example travelers:"
-_QUERY_HEADER = "Travelers to score:"
-_LABEL_LINE = "Observed travel satisfaction:"
+SUPPORT_HEADER = "Labeled example travelers:"
+QUERY_HEADER = "Travelers to score:"
+LABEL_LINE = "Observed travel satisfaction:"
 
 
 @dataclass(frozen=True)
@@ -80,7 +80,7 @@ def serialize_record(record: RespondentRecord, schema: VariableSchema,
                     rendered += f" {var.unit}"
             lines.append(f"    {_display_name(var.name)}: {rendered}")
     if with_label:
-        lines.append(f"  {_LABEL_LINE} {repr(float(record.satisfaction))}")
+        lines.append(f"  {LABEL_LINE} {repr(float(record.satisfaction))}")
     return "\n".join(lines)
 
 
@@ -138,7 +138,7 @@ def render_zero_shot(queries: Sequence[RespondentRecord],
     system = _load_template("zero_shot_system.txt").format(
         output_contract=_output_contract(schema, want_importance))
     blocks = [serialize_record(q, schema, with_label=False) for q in queries]
-    user = _QUERY_HEADER + "\n\n" + "\n\n".join(blocks) + "\n"
+    user = QUERY_HEADER + "\n\n" + "\n\n".join(blocks) + "\n"
     return Prompt(system_text=system, user_text=user)
 
 
@@ -162,8 +162,8 @@ def render_few_shot(support: SupportSet, queries: Sequence[RespondentRecord],
     support_blocks = [serialize_record(r, schema, with_label=True)
                       for r in support.records]
     query_blocks = [serialize_record(q, schema, with_label=False) for q in queries]
-    user = (_SUPPORT_HEADER + "\n\n" + "\n\n".join(support_blocks) + "\n\n"
-            + _QUERY_HEADER + "\n\n" + "\n\n".join(query_blocks) + "\n")
+    user = (SUPPORT_HEADER + "\n\n" + "\n\n".join(support_blocks) + "\n\n"
+            + QUERY_HEADER + "\n\n" + "\n\n".join(query_blocks) + "\n")
     return Prompt(system_text=system, user_text=user)
 
 

@@ -61,31 +61,48 @@ def empty_support() -> SupportSet:
     return SupportSet(records=(), provenance="none")
 
 
+def _check_k(train: Dataset, k: int) -> None:
+    if k < 0:
+        raise DatasetError("k must be non-negative")
+    if k > len(train):
+        raise DatasetError(f"k={k} exceeds training pool size {len(train)}")
+
+
+def rank_order(train: Dataset, query: Dataset, spec: EncodingSpec) -> list[int]:
+    """Training indices by descending mean similarity to the whole query set.
+
+    Ties break toward the lower training index. The top-k support for every
+    k is a prefix of this one order (see top_support).
+    """
+    sims = similarity_matrix(encode_matrix(train, spec), encode_matrix(query, spec))
+    scores = sims.mean(axis=1)
+    return sorted(range(len(train)), key=lambda i: (-scores[i], i))
+
+
+def top_support(train: Dataset, order: Sequence[int], k: int) -> SupportSet:
+    """The first k training records of a rank_order ranking, in training order."""
+    _check_k(train, k)
+    if k == 0:
+        return empty_support()
+    chosen = sorted(order[:k])
+    return SupportSet(records=tuple(train[i] for i in chosen), provenance="similarity")
+
+
 def rank_support(train: Dataset, query: Dataset, spec: EncodingSpec, k: int) -> SupportSet:
     """Top-k training records by mean similarity to the whole query set.
 
     Ties break toward the lower training index. k = 0 gives an empty
     support set (the zero-context case).
     """
-    if k < 0:
-        raise DatasetError("k must be non-negative")
-    if k > len(train):
-        raise DatasetError(f"k={k} exceeds training pool size {len(train)}")
+    _check_k(train, k)
     if k == 0:
         return empty_support()
-    sims = similarity_matrix(encode_matrix(train, spec), encode_matrix(query, spec))
-    scores = sims.mean(axis=1)
-    order = sorted(range(len(train)), key=lambda i: (-scores[i], i))
-    chosen = sorted(order[:k])
-    return SupportSet(records=tuple(train[i] for i in chosen), provenance="similarity")
+    return top_support(train, rank_order(train, query, spec), k)
 
 
 def random_support(train: Dataset, k: int, seed: int) -> SupportSet:
     """k training records drawn uniformly without replacement."""
-    if k < 0:
-        raise DatasetError("k must be non-negative")
-    if k > len(train):
-        raise DatasetError(f"k={k} exceeds training pool size {len(train)}")
+    _check_k(train, k)
     if k == 0:
         return empty_support()
     rng = default_rng(seed)

@@ -18,6 +18,7 @@ from travelsat.client import (
 )
 from travelsat.errors import (
     CredentialError,
+    ParseError,
     TransientTransportError,
     TransportError,
 )
@@ -208,6 +209,63 @@ def test_complete_many_respects_in_flight_cap():
     out = client.complete_many([(p, 0) for p in prompts])
     assert [r.content for r in out] == [f"u{i}" for i in range(8)]
     assert state["peak"] <= 2
+
+
+def test_complete_many_leaves_errors_in_place():
+    class PickyBackend:
+        def complete(self, prompt, params):
+            if prompt.user_text == "u2":
+                raise TransportError("HTTP 400")
+            if prompt.user_text == "u4":
+                raise ParseError("garbled")
+            return LlmResponse(content=prompt.user_text)
+
+    client = LlmClient(PickyBackend(), PARAMS, max_in_flight=2)
+    prompts = [Prompt(system_text="s", user_text=f"u{i}") for i in range(6)]
+    out = client.complete_many((p, 0) for p in prompts)
+    assert isinstance(out[2], TransportError)
+    assert isinstance(out[4], ParseError)
+    assert [out[i].content for i in (0, 1, 3, 5)] == ["u0", "u1", "u3", "u5"]
+
+
+def test_complete_many_raises_other_exceptions():
+    class BrokenBackend:
+        def complete(self, prompt, params):
+            if prompt.user_text == "u1":
+                raise RuntimeError("bug")
+            return LlmResponse(content=prompt.user_text)
+
+    client = LlmClient(BrokenBackend(), PARAMS, max_in_flight=2)
+    prompts = [Prompt(system_text="s", user_text=f"u{i}") for i in range(4)]
+    with pytest.raises(RuntimeError):
+        client.complete_many([(p, 0) for p in prompts])
+
+
+def test_complete_many_pulls_jobs_only_as_the_pool_frees():
+    lock = threading.Lock()
+    finished = []
+    pulls = []
+
+    class SlowBackend:
+        def complete(self, prompt, params):
+            time.sleep(0.005)
+            with lock:
+                finished.append(prompt.user_text)
+            return LlmResponse(content=prompt.user_text)
+
+    max_in_flight = 2
+    client = LlmClient(SlowBackend(), PARAMS, max_in_flight=max_in_flight)
+
+    def jobs():
+        for i in range(30):
+            with lock:
+                pulls.append((i, len(finished)))
+            yield Prompt(system_text="s", user_text=f"u{i}"), 0
+
+    out = client.complete_many(jobs())
+    assert [r.content for r in out] == [f"u{i}" for i in range(30)]
+    # job i is pulled only once all but 2 * max_in_flight earlier jobs are done
+    assert all(i - done <= 2 * max_in_flight for i, done in pulls)
 
 
 class _YieldingCounter:

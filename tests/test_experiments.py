@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from travelsat.client import LlmClient, LlmResponse
 from travelsat.errors import DatasetError
 from travelsat.experiments import (
     DEFAULT_FRACTIONS,
@@ -22,6 +23,7 @@ from travelsat.experiments import (
     run_zero_shot,
 )
 from travelsat.mock import ScriptedMock
+from travelsat.prompting import LABEL_LINE
 
 
 def _fast_config(tmp_path, name, **overrides):
@@ -248,6 +250,63 @@ def test_cache_warm_run_issues_no_backend_calls(tmp_path, monkeypatch):
     cold_summary = (Path(first.out_dir) / "summary.txt").read_bytes()
     warm_summary = (Path(second.out_dir) / "summary.txt").read_bytes()
     assert cold_summary == warm_summary
+
+
+def _first_query_id(config):
+    from travelsat.dataset import split
+    _, test = split(load_dataset(config), config.train_fraction, seed=config.seed)
+    return test.records[0].record_id
+
+
+def test_unparseable_reply_is_resent_at_next_slot(tmp_path, monkeypatch):
+    config = _fast_config(tmp_path, "resend", support_sizes=(0, 3), repeats=1)
+    target = f"Traveler {_first_query_id(config)}\n"
+    original = ScriptedMock.complete
+    served: list[str] = []
+
+    def garbled_once(self, prompt, params):
+        if target in prompt.user_text and prompt.user_text not in served:
+            served.append(prompt.user_text)
+            return LlmResponse(content="no scores here")
+        return original(self, prompt, params)
+
+    slots = []
+    cached_complete = LlmClient.cached_complete
+
+    def recording(self, prompt, trial_index):
+        if target in prompt.user_text:
+            slots.append(trial_index)
+        return cached_complete(self, prompt, trial_index)
+
+    monkeypatch.setattr(ScriptedMock, "complete", garbled_once)
+    monkeypatch.setattr(LlmClient, "cached_complete", recording)
+    run_few_shot_sweep(config)
+    rows = _read_csv(Path(config.out_dir) / "report.csv")
+    assert [r["status"] for r in rows] == ["ok", "ok"]
+    # k = 0 sends at slot 10, k = 3 (k_index 1) at 10010; each retry at slot + 1
+    assert sorted(slots) == [10, 11, 10010, 10011]
+
+
+def test_failing_batch_fails_only_its_trial(tmp_path, monkeypatch):
+    config = _fast_config(tmp_path, "onefail", support_sizes=(0, 3, 6), repeats=1)
+    target = f"Traveler {_first_query_id(config)}\n"
+    original = ScriptedMock.complete
+    calls = {"bad": 0}
+
+    def broken_at_k3(self, prompt, params):
+        if target in prompt.user_text and prompt.user_text.count(LABEL_LINE) == 3:
+            calls["bad"] += 1
+            return LlmResponse(content="no scores here")
+        return original(self, prompt, params)
+
+    monkeypatch.setattr(ScriptedMock, "complete", broken_at_k3)
+    summary = run_few_shot_sweep(config)
+    rows = _read_csv(Path(config.out_dir) / "report.csv")
+    assert [r["condition"] for r in rows] == ["0 (zero-shot)", "3", "6"]
+    assert rows[1]["status"].startswith("failed:")
+    assert rows[0]["status"] == rows[2]["status"] == "ok"
+    assert calls["bad"] == 2  # the batch and its one retry
+    assert "Failed trials: 1" in summary
 
 
 def test_baseline_sweep_artifacts(tmp_path):

@@ -12,6 +12,7 @@ from travelsat.selection import (
     KsResult,
     ks_two_sample,
     random_support,
+    rank_order,
     rank_support,
     representativeness_report,
     similarity,
@@ -111,11 +112,15 @@ def test_rank_support_prefix_property(small_dataset):
     from travelsat.dataset import split
     spec = fit_encoding(small_dataset)
     train, test = split(small_dataset, 0.8, seed=0)
+    order = rank_order(train, test, spec)
+    assert sorted(order) == list(range(len(train)))
     previous: set[str] = set()
-    for k in range(0, 13, 3):
+    for k in range(0, len(train) + 1):
         support = rank_support(train, test, spec, k)
         assert previous <= set(support.ids)
         previous = set(support.ids)
+        # every top-k is the first k of the one ranking, in training order
+        assert support.records == tuple(train[i] for i in sorted(order[:k]))
 
 
 def test_rank_support_tie_breaks_to_lower_index():
