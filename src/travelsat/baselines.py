@@ -14,20 +14,43 @@ sorts again. Because a filtered stable order equals a stable sort of the
 node's own rows, the trees, gains and predictions are bit for bit those of
 sorting every column at every node, ties included: the lowest column wins,
 then the smallest threshold.
+
+The GBDT fits of a sweep (fraction_sweep) and of an importance study
+(fit_gbdt_repeats) are independent, so they run in a process pool with one
+worker per CPU this process may use, capped at the number of fits; with one
+CPU or one fit they run in this process. There is no setting: every fit is
+bit for bit the same wherever it runs. The data is encoded once and reaches
+each worker once, through the pool initializer; a task carries only its row
+indices, seed and hyperparameters. A fit refused with RankError or
+DatasetError becomes its cell's status inside the worker. LR cells stay in
+this process: each takes milliseconds, and pooled they oversubscribe the
+CPUs with BLAS threads.
+
+On Linux the workers are forked, which saves pickling the arrays and
+re-importing numpy and scipy in every worker. Forking a process that has
+threads (BLAS keeps an idle pool) is safe here because a worker runs only
+fit_gbdt, predict_gbdt and evaluate on the arrays it inherited: none of
+them calls BLAS, takes a lock, logs, or touches an LLM client, so no lock
+or thread state copied from the parent is ever used. Elsewhere the
+platform's default start method is used.
 """
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import sys
 import warnings
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from numpy.random import default_rng
 from scipy import linalg
 
-from .dataset import Dataset, split
-from .encoding import design_matrix, encode_matrix, fit_encoding
+from .dataset import Dataset, split_indices
+from .encoding import design_columns, encode_matrix, fit_encoding
 from .errors import DatasetError, RankError
 from .evaluation import MetricPair, evaluate
 
@@ -300,46 +323,114 @@ class FractionResult:
     status: str = "ok"
 
 
+# see the module docstring for why fork, and why it is safe here
+_POOL_CONTEXT = multiprocessing.get_context(
+    "fork" if sys.platform.startswith("linux") else None)
+
+# what _map_cells hands every cell ahead of its task, set in each pool worker
+# by the initializer
+_shared: tuple = ()
+
+
+def _share(*shared) -> None:
+    global _shared
+    _shared = shared
+
+
+def _run_shared(cell: Callable, task: tuple):
+    return cell(*_shared, *task)
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _map_cells(cell: Callable, shared: tuple, tasks: Sequence[tuple],
+               cost: Sequence[float] | None = None) -> list:
+    """[cell(*shared, *task) for task in tasks], one worker process per CPU.
+
+    shared reaches each worker once, through the pool initializer; a task
+    carries only its own arguments. Tasks are submitted in decreasing cost,
+    so the longest start first, and results come back in task order. An
+    exception a cell raises re-raises here, with its type and message. With
+    fewer than two workers or tasks, the cells run in this process.
+    """
+    workers = min(_cpu_count(), len(tasks))
+    if workers < 2:
+        return [cell(*shared, *task) for task in tasks]
+    order = (range(len(tasks)) if cost is None
+             else sorted(range(len(tasks)), key=lambda i: -cost[i]))
+    with ProcessPoolExecutor(max_workers=workers, mp_context=_POOL_CONTEXT,
+                             initializer=_share, initargs=shared) as pool:
+        futures = {i: pool.submit(_run_shared, cell, tasks[i]) for i in order}
+        try:
+            return [futures[i].result() for i in range(len(tasks))]
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
+
+
+def _cell(X: np.ndarray, y: np.ndarray, keep: list[int] | slice,
+          columns: Sequence[str], kind: str,
+          train: np.ndarray, test: np.ndarray, seed: int,
+          hyper: GbdtHyper | None) -> tuple[MetricPair | None, str]:
+    """Fit one sweep cell on rows train of X[:, keep], y and score it on rows
+    test: (metrics, "ok"), or (None, "failed: ...") when the fit is refused."""
+    # rows first, then columns: the memory layout design_matrix gives, on
+    # which the last bit of the OLS prediction's BLAS product depends
+    X_train, X_test = X[train][:, keep], X[test][:, keep]
+    try:
+        if kind == "lr":
+            model = fit_ols(X_train, y[train], columns=columns)
+            predicted = predict_ols(model, X_test)
+        else:
+            model = fit_gbdt(X_train, y[train], hyper=hyper, seed=seed,
+                             column_variables=columns)
+            predicted = predict_gbdt(model, X_test)
+    except (RankError, DatasetError) as exc:
+        return None, f"failed: {exc}"
+    return evaluate(y[test], predicted), "ok"
+
+
 def fraction_sweep(dataset: Dataset, fractions: Sequence[float], kind: str,
                    seed: int = 0, repeats: int = 1,
                    hyper: GbdtHyper | None = None) -> list[FractionResult]:
     """Train/evaluate one model kind over a grid of train fractions.
 
-    Fit failures are recorded per cell so one bad configuration does not
-    abort the sweep; degenerate fractions raise up front.
+    The dataset is encoded once; each cell takes its train and test rows
+    from that matrix. Fit failures are recorded per cell so one bad
+    configuration does not abort the sweep; degenerate fractions raise up
+    front. GBDT cells run in worker processes (see the module docstring).
     """
     if kind not in ("lr", "gbdt"):
         raise DatasetError(f"unknown model kind {kind!r}")
     if repeats < 1:
         raise DatasetError("repeats must be at least 1")
-    n = len(dataset)
-    for fraction in fractions:
-        n_train = int(round(fraction * n))
-        if n_train <= 0 or n_train >= n:
-            raise DatasetError(f"fraction {fraction} degenerate for n={n}")
+    cells = [(fraction, repeat) for fraction in fractions for repeat in range(repeats)]
+    tasks = [(*split_indices(len(dataset), fraction, seed + repeat), seed + repeat, hyper)
+             for fraction, repeat in cells]
     spec = fit_encoding(dataset)
-    results = []
-    for fraction in fractions:
-        for repeat in range(repeats):
-            train, test = split(dataset, fraction, seed=seed + repeat)
-            try:
-                if kind == "lr":
-                    X_train, names, _ = design_matrix(train, spec)
-                    X_test, _, _ = design_matrix(test, spec)
-                    model = fit_ols(X_train, train.labels(), columns=names)
-                    predicted = predict_ols(model, X_test)
-                else:
-                    parents = spec.column_variables()
-                    model = fit_gbdt(encode_matrix(train, spec), train.labels(),
-                                     hyper=hyper, seed=seed + repeat,
-                                     column_variables=parents)
-                    predicted = predict_gbdt(model, encode_matrix(test, spec))
-            except (RankError, DatasetError) as exc:
-                results.append(FractionResult(fraction=fraction, repeat=repeat,
-                                              metrics=None,
-                                              status=f"failed: {exc}"))
-                continue
-            results.append(FractionResult(
-                fraction=fraction, repeat=repeat,
-                metrics=evaluate(test.labels(), predicted)))
-    return results
+    X, y = encode_matrix(dataset, spec), dataset.labels()
+    if kind == "lr":
+        keep = design_columns(spec)
+        names = spec.column_names()
+        # in this process, see the module docstring
+        outcomes = [_cell(X, y, keep, [names[i] for i in keep], kind, *task)
+                    for task in tasks]
+    else:
+        outcomes = _map_cells(_cell, (X, y, slice(None), spec.column_variables(), kind),
+                              tasks, cost=[len(train) for train, *_ in tasks])
+    return [FractionResult(fraction=fraction, repeat=repeat, metrics=metrics,
+                           status=status)
+            for (fraction, repeat), (metrics, status) in zip(cells, outcomes)]
+
+
+def fit_gbdt_repeats(X: np.ndarray, y: np.ndarray, seeds: Sequence[int],
+                     hyper: GbdtHyper | None = None,
+                     column_variables: Sequence[str] | None = None) -> list[GbdtModel]:
+    """One fit_gbdt on X, y per seed, in seed order, in worker processes
+    (see the module docstring)."""
+    return _map_cells(fit_gbdt, (X, y), [(hyper, seed, column_variables) for seed in seeds])

@@ -172,16 +172,19 @@ def save_survey(dataset: Dataset, path) -> None:
             writer.writerow(row)
 
 
-def split(dataset: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
-    """Random disjoint train/test split; size of train = round(fraction * n)."""
-    n = len(dataset)
+def split_indices(n: int, train_fraction: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending row indices of a random disjoint train/test split of n rows;
+    size of train = round(fraction * n)."""
     n_train = int(round(train_fraction * n))
     if n_train <= 0 or n_train >= n:
         raise DatasetError(
             f"train_fraction {train_fraction} leaves an empty side for n={n}"
         )
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(n)
-    train_idx = sorted(int(i) for i in order[:n_train])
-    test_idx = sorted(int(i) for i in order[n_train:])
+    order = np.random.default_rng(seed).permutation(n)
+    return np.sort(order[:n_train]), np.sort(order[n_train:])
+
+
+def split(dataset: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
+    """Random disjoint train/test split; size of train = round(fraction * n)."""
+    train_idx, test_idx = split_indices(len(dataset), train_fraction, seed)
     return dataset.subset(train_idx), dataset.subset(test_idx)

@@ -143,6 +143,16 @@ def encode_matrix(records: Dataset | Sequence[RespondentRecord], spec: EncodingS
     return out
 
 
+def design_columns(spec: EncodingSpec) -> list[int]:
+    """Indices of the encoded columns a regression design keeps: all but
+    each categorical's first (reference) indicator."""
+    keep = []
+    for g in spec.groups:
+        first = g.start + (1 if g.kind == CATEGORICAL else 0)
+        keep.extend(range(first, g.start + g.width))
+    return keep
+
+
 def design_matrix(
     records: Dataset | Sequence[RespondentRecord],
     spec: EncodingSpec,
@@ -159,10 +169,5 @@ def design_matrix(
     parents = spec.column_variables()
     if not drop_first:
         return full, names, parents
-    keep = []
-    for g in spec.groups:
-        cols = range(g.start, g.start + g.width)
-        if g.kind == CATEGORICAL:
-            cols = list(cols)[1:]
-        keep.extend(cols)
+    keep = design_columns(spec)
     return full[:, keep], [names[i] for i in keep], [parents[i] for i in keep]

@@ -4,9 +4,16 @@ Everything raised on purpose by this package derives from TravelSatError so
 callers can catch one base class at the CLI boundary.
 """
 
+import copyreg
+
 
 class TravelSatError(Exception):
-    pass
+    def __reduce__(self):
+        # Exception's own reduce calls cls(*self.args) on unpickling, which
+        # breaks subclasses whose constructor takes other arguments than the
+        # message (RowError, RankError). Rebuild from args and attributes
+        # without calling __init__, so errors survive a process boundary.
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 class SchemaError(TravelSatError):

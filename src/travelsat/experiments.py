@@ -30,7 +30,8 @@ from typing import Callable, Sequence
 from .baselines import (
     FractionResult,
     GbdtHyper,
-    fit_gbdt,
+    fit_gbdt,  # noqa: F401  perfbench/tests expects this module to bind it
+    fit_gbdt_repeats,
     fraction_sweep,
     importance_gbdt,
 )
@@ -561,8 +562,6 @@ def run_importance_study(config: ExperimentConfig) -> str:
     vectors: dict[str, list[dict[str, float]]] = {
         "zero_shot": [], "few_shot": [], "gbdt": []}
     failures: list[str] = []
-    X, y = encode_matrix(train, spec), train.labels()
-    hyper = dataclasses.replace(config.gbdt, subsample=config.importance_subsample)
     for repeat in repeats:
         for name in asked:
             outcome = next(outcomes)
@@ -570,9 +569,11 @@ def run_importance_study(config: ExperimentConfig) -> str:
                 failures.append(f"{name} repeat {repeat}: {outcome}")
             else:
                 vectors[name].append(outcome[1].importances)
-        model = fit_gbdt(X, y, hyper=hyper, seed=config.seed + repeat,
-                         column_variables=spec.column_variables())
-        vectors["gbdt"].append(importance_gbdt(model))
+    hyper = dataclasses.replace(config.gbdt, subsample=config.importance_subsample)
+    models = fit_gbdt_repeats(encode_matrix(train, spec), train.labels(),
+                              [config.seed + repeat for repeat in repeats],
+                              hyper=hyper, column_variables=spec.column_variables())
+    vectors["gbdt"] = [importance_gbdt(model) for model in models]
 
     usable = {m: v for m, v in vectors.items() if len(v) >= 2}
     skipped = sorted(set(vectors) - set(usable))

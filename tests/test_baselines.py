@@ -1,22 +1,29 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.random import default_rng
 
+from travelsat import baselines
 from travelsat.baselines import (
     FractionResult,
     GbdtHyper,
     _Node,
     _tree_predict,
     fit_gbdt,
+    fit_gbdt_repeats,
     fit_ols,
     fraction_sweep,
     importance_gbdt,
     predict_gbdt,
     predict_ols,
 )
+from travelsat.dataset import split
+from travelsat.encoding import design_matrix, encode_matrix, fit_encoding
 from travelsat.errors import DatasetError, RankError
+from travelsat.evaluation import evaluate
 
 
 def normal_equation_fit(X, y):
@@ -408,3 +415,97 @@ def test_fraction_sweep_rejects_degenerate_fraction(small_dataset):
 def test_fraction_result_shape():
     cell = FractionResult(fraction=0.5, repeat=0, metrics=None, status="failed: x")
     assert cell.metrics is None
+
+
+def per_cell_sweep(dataset, fractions, kind, seed, repeats, hyper):
+    """fraction_sweep as it was written before it encoded the dataset once:
+    every cell splits the records and encodes both sides afresh."""
+    spec = fit_encoding(dataset)
+    results = []
+    for fraction in fractions:
+        for repeat in range(repeats):
+            train, test = split(dataset, fraction, seed=seed + repeat)
+            try:
+                if kind == "lr":
+                    X_train, names, _ = design_matrix(train, spec)
+                    model = fit_ols(X_train, train.labels(), columns=names)
+                    predicted = predict_ols(model, design_matrix(test, spec)[0])
+                else:
+                    model = fit_gbdt(encode_matrix(train, spec), train.labels(),
+                                     hyper=hyper, seed=seed + repeat,
+                                     column_variables=spec.column_variables())
+                    predicted = predict_gbdt(model, encode_matrix(test, spec))
+            except (RankError, DatasetError) as exc:
+                results.append(FractionResult(fraction, repeat, None, f"failed: {exc}"))
+                continue
+            results.append(FractionResult(fraction, repeat,
+                                          evaluate(test.labels(), predicted)))
+    return results
+
+
+@pytest.mark.parametrize("kind", ["lr", "gbdt"])
+def test_fraction_sweep_matches_per_cell_encoding(dense_dataset, kind):
+    # 0.05 of 500 rows is 25, too few for either model, so failed cells are
+    # compared as well as fitted ones
+    fractions = (0.05, 0.5, 0.8)
+    hyper = GbdtHyper(n_trees=10, min_leaf=13, subsample=0.8)
+    expected = per_cell_sweep(dense_dataset, fractions, kind, 4, 2, hyper)
+    got = fraction_sweep(dense_dataset, fractions, kind, seed=4, repeats=2, hyper=hyper)
+    assert got == expected
+    assert [r.status == "ok" for r in got] == [False, False, True, True, True, True]
+
+
+def pool_sweep(dataset, monkeypatch, cpus, hyper, fractions=(0.1, 0.5, 0.8)):
+    monkeypatch.setattr(baselines, "_cpu_count", lambda: cpus)
+    return fraction_sweep(dataset, fractions, kind="gbdt", seed=2, repeats=2,
+                          hyper=hyper)
+
+
+def test_fraction_sweep_pooled_equals_inline(small_dataset, monkeypatch):
+    hyper = GbdtHyper(n_trees=20, subsample=0.8)
+    inline = pool_sweep(small_dataset, monkeypatch, 1, hyper)
+    pooled = pool_sweep(small_dataset, monkeypatch, 2, hyper)
+    assert [(r.fraction, r.repeat) for r in pooled] == [
+        (f, r) for f in (0.1, 0.5, 0.8) for r in (0, 1)]
+    assert all(r.status == "ok" for r in pooled)
+    assert pooled == inline
+
+
+def test_fraction_sweep_pooled_records_cell_failure(small_dataset, monkeypatch):
+    # 0.1 of 120 rows is 12, short of the 2 * min_leaf a tree needs: the
+    # worker's DatasetError becomes that cell's status
+    pooled = pool_sweep(small_dataset, monkeypatch, 2, GbdtHyper(n_trees=5, min_leaf=10))
+    for r in pooled:
+        if r.fraction == 0.1:
+            assert r.metrics is None
+            assert r.status == "failed: need at least 20 rows, got 12"
+        else:
+            assert r.status == "ok"
+
+
+@pytest.mark.skipif(baselines._POOL_CONTEXT.get_start_method() != "fork",
+                    reason="the patched fit reaches workers only when they fork")
+def test_fraction_sweep_pooled_reraises_unexpected_errors(small_dataset, monkeypatch):
+    def broken_fit(*args, **kwargs):
+        raise ZeroDivisionError(f"boom in process {os.getpid()}")
+
+    monkeypatch.setattr(baselines, "fit_gbdt", broken_fit)
+    with pytest.raises(ZeroDivisionError, match="boom in process") as info:
+        pool_sweep(small_dataset, monkeypatch, 2, GbdtHyper(n_trees=5))
+    assert str(info.value) != f"boom in process {os.getpid()}"
+
+
+def test_fit_gbdt_repeats_pooled_equals_inline(small_dataset, monkeypatch):
+    spec = fit_encoding(small_dataset)
+    X, y = encode_matrix(small_dataset, spec), small_dataset.labels()
+    hyper = GbdtHyper(n_trees=20, subsample=0.8)
+    fits = {}
+    for cpus in (1, 2):
+        monkeypatch.setattr(baselines, "_cpu_count", lambda: cpus)
+        fits[cpus] = fit_gbdt_repeats(X, y, [3, 4, 5], hyper=hyper,
+                                      column_variables=spec.column_variables())
+    for inline, pooled in zip(fits[1], fits[2], strict=True):
+        assert importance_gbdt(pooled) == importance_gbdt(inline)
+        assert pooled.column_gains.tobytes() == inline.column_gains.tobytes()
+        assert [tree_bits(t) for t in pooled.trees] == [tree_bits(t) for t in inline.trees]
+    assert fits[1][0].column_gains.tobytes() != fits[1][1].column_gains.tobytes()

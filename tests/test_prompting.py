@@ -1,4 +1,8 @@
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from travelsat.client import LlmParams
 from travelsat.dataset import split
@@ -7,7 +11,10 @@ from travelsat.mock import ScriptedMock
 from travelsat.prompting import (
     DEFAULT_BATCH_SIZE,
     IMPORTANCES_OPEN,
+    LABEL_LINE,
+    QUERY_HEADER,
     SCORES_OPEN,
+    SUPPORT_HEADER,
     batched,
     parse_response,
     render_few_shot,
@@ -231,3 +238,46 @@ def test_round_trip_through_mock(prompt_parts, batch_size):
     assert set(merged) == {q.record_id for q in queries}
     for score in merged.values():
         assert 1.0 <= score <= 7.0
+
+
+# pieces of well-formed and malformed replies, so fuzzed text gets past the
+# search for a scores block and into the line parsers
+NUMBER = st.one_of(st.sampled_from(["4.5", "1", "7", "0.5", "0.25", "-0.1",
+                                    "1e309", "nan", "inf", "", "x"]),
+                   st.floats().map(repr))
+SCORE_LINE = st.tuples(st.one_of(st.sampled_from(["q1", "q2", " q1 "]), st.text(max_size=3)),
+                       st.sampled_from([",", ";", ""]), NUMBER).map("".join)
+IMPORTANCE_LINE = st.tuples(st.sampled_from(["age", "income", "commuting time", ""]),
+                            st.sampled_from(["=", ":"]), NUMBER).map("".join)
+
+
+def reply_block(opener, line):
+    return st.lists(line, max_size=4).map(
+        lambda lines: opener + "\n" + "\n".join(lines) + "\n```\n")
+
+
+FUZZED_REPLY = st.one_of(
+    st.text(),
+    st.lists(st.one_of(
+        st.sampled_from([SCORES_OPEN, IMPORTANCES_OPEN, "```", "\n", ",", "=",
+                         SUPPORT_HEADER, QUERY_HEADER, LABEL_LINE]),
+        st.text(max_size=5),
+        st.just(f"{SCORES_OPEN}\nq1,4.5\nq2,1\n```\n"),
+        reply_block(SCORES_OPEN, SCORE_LINE),
+        reply_block(IMPORTANCES_OPEN, IMPORTANCE_LINE),
+    ), max_size=8).map("".join),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=FUZZED_REPLY, want_importance=st.booleans())
+def test_parse_response_raises_only_parse_error(text, want_importance):
+    try:
+        batch = parse_response(text, ["q1", "q2"], want_importance=want_importance)
+    except ParseError as exc:
+        assert exc.raw_text == text
+        return
+    assert set(batch.scores) == {"q1", "q2"}
+    assert all(1.0 <= score <= 7.0 for score in batch.scores.values())
+    if want_importance:
+        assert math.isclose(sum(batch.importances.values()), 1.0)
