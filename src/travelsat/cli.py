@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import experiments
 from .dataset import save_survey
-from .errors import TravelSatError
+from .errors import DatasetError, TravelSatError
 from .experiments import ExperimentConfig, MockSpec, SyntheticSpec
 from .schema import default_schema, load_schema
 from .synthesize import default_marginals, load_marginals, synthesize
@@ -65,8 +65,11 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
     if args.vary_split:
         updates["vary_split"] = True
     if args.temperature is not None:
-        updates["llm"] = dataclasses.replace(config.llm,
-                                             temperature=args.temperature)
+        try:
+            updates["llm"] = dataclasses.replace(config.llm,
+                                                 temperature=args.temperature)
+        except ValueError as exc:
+            raise DatasetError(f"--temperature: {exc}") from exc
     if args.live:
         updates["mock"] = None
     elif args.mock or args.mock_mode:

@@ -1,13 +1,15 @@
 """Feature encoding: z-scored numerics plus one-hot categoricals.
 
 The encoding is fitted once on the full dataset and then applied to any
-subset, so train and query records share one feature space.
+subset, so train and query records share one feature space. encoding_spec
+lays out the same columns from given (mean, std) pairs; the scripted mock
+uses it with the fixed reference scales of the label rules.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -74,13 +76,25 @@ def fit_encoding(dataset: Dataset, schema: VariableSchema | None = None) -> Enco
     per schema code.
     """
     schema = schema or dataset.schema
+    scales = {}
+    for var in schema.predictors:
+        if var.kind == NUMERIC:
+            column = dataset.column(var.name)
+            std = float(np.std(column, ddof=1)) if len(column) > 1 else 0.0
+            scales[var.name] = (float(np.mean(column)), std)
+    return encoding_spec(schema, scales)
+
+
+def encoding_spec(schema: VariableSchema,
+                  scales: Mapping[str, tuple[float, float]]) -> EncodingSpec:
+    """Column layout of a schema: each numeric one column, centered and
+    scaled by its (mean, std) from `scales` (a zero std flags it constant),
+    each categorical one indicator column per schema code."""
     groups = []
     start = 0
     for var in schema.predictors:
         if var.kind == NUMERIC:
-            column = dataset.column(var.name)
-            mean = float(np.mean(column))
-            std = float(np.std(column, ddof=1)) if len(column) > 1 else 0.0
+            mean, std = scales[var.name]
             constant = std == 0.0
             groups.append(ColumnGroup(variable=var.name, kind=NUMERIC, start=start,
                                       width=1, mean=mean,
@@ -156,10 +170,9 @@ def design_columns(spec: EncodingSpec) -> list[int]:
 def design_matrix(
     records: Dataset | Sequence[RespondentRecord],
     spec: EncodingSpec,
-    drop_first: bool = True,
 ) -> tuple[np.ndarray, list[str], list[str]]:
-    """Regression design: encoded columns, optionally dropping each
-    categorical's first (reference) indicator so an intercept fits cleanly.
+    """Regression design: encoded columns minus each categorical's first
+    (reference) indicator, so an intercept fits cleanly.
 
     Returns (matrix, column names, parent variable per column), without an
     intercept column.
@@ -167,7 +180,5 @@ def design_matrix(
     full = encode_matrix(records, spec)
     names = spec.column_names()
     parents = spec.column_variables()
-    if not drop_first:
-        return full, names, parents
     keep = design_columns(spec)
     return full[:, keep], [names[i] for i in keep], [parents[i] for i in keep]

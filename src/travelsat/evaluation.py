@@ -57,38 +57,33 @@ class RunReport:
     contributed; they are never reported as 0 in that case.
     """
 
-    condition: str
     repeats: int
     mse_mean: float
     mse_std: float | None
     mape_mean: float
     mape_std: float | None
-    failures: int = 0
 
 
-def aggregate_repeats(pairs: Sequence[MetricPair], condition: str = "",
-                      failures: int = 0) -> RunReport:
+def aggregate_repeats(pairs: Sequence[MetricPair]) -> RunReport:
     if not pairs:
         raise DatasetError("aggregate_repeats needs at least one successful repeat")
     mses = np.array([p.mse for p in pairs])
     mapes = np.array([p.mape for p in pairs])
     many = len(pairs) > 1
     return RunReport(
-        condition=condition,
         repeats=len(pairs),
         mse_mean=float(np.mean(mses)),
         mse_std=float(np.std(mses, ddof=1)) if many else None,
         mape_mean=float(np.mean(mapes)),
         mape_std=float(np.std(mapes, ddof=1)) if many else None,
-        failures=failures,
     )
 
 
-def format_cell(mean: float, std: float | None, digits: int = 3) -> str:
+def format_cell(mean: float, std: float | None) -> str:
     """Render "mean (std)" table cells, e.g. "0.762 (0.114)" or "0.762 (n/a)"."""
     if std is None:
-        return f"{mean:.{digits}f} (n/a)"
-    return f"{mean:.{digits}f} ({std:.{digits}f})"
+        return f"{mean:.3f} (n/a)"
+    return f"{mean:.3f} ({std:.3f})"
 
 
 @dataclass(frozen=True)

@@ -116,6 +116,11 @@ class ExperimentConfig:
     out_dir: str = "runs/out"
 
     def __post_init__(self):
+        for name in ("synthetic", "llm", "gbdt"):
+            if getattr(self, name) is None:
+                raise DatasetError(f"{name} must be an object, not null")
+        if self.max_in_flight < 1:
+            raise DatasetError("max_in_flight must be at least 1")
         if self.repeats < 1:
             raise DatasetError("repeats must be at least 1")
         if not 0.0 < self.train_fraction < 1.0:
@@ -171,7 +176,8 @@ def load_config(path) -> ExperimentConfig:
         raise DatasetError(f"{path}: not valid JSON: {exc}") from exc
     try:
         return config_from_dict(payload)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
+        # ValueError: LlmParams rejects an out-of-range value
         raise DatasetError(f"{path}: bad config: {exc}") from exc
 
 

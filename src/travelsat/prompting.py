@@ -1,23 +1,29 @@
 """Prompt rendering and response parsing.
 
 Records are serialized as plain text grouped by the four survey dimensions,
-with units and category labels spelled out. Responses must follow a strict
-fenced-block contract (see docs/output_contract.md): a ```scores block with
-one "id,score" line per traveler, plus a ```importances block when variable
-weights were requested. Everything else in the response is kept as
-free-text reasoning.
+with units and category labels spelled out. One generator, _layout, holds
+that traveler-block format: serialize_record and the renderers write blocks
+by walking it, and read_prompt, their strict inverse (the scripted mock
+reads prompts with it), reads blocks back by the same walk. No other module
+writes or reads the format.
+
+Responses must follow a strict fenced-block contract (see
+docs/output_contract.md): a ```scores block with one "id,score" line per
+traveler, plus a ```importances block when variable weights were requested.
+Everything else in the response is kept as free-text reasoning.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from importlib import resources
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .dataset import RespondentRecord
-from .errors import ContaminationError, ParseError, PromptError
-from .schema import CATEGORICAL, DIMENSIONS, VariableSchema, default_schema, dimension_title
+from .errors import ContaminationError, ParseError, PromptError, SchemaError
+from .schema import CATEGORICAL, DIMENSIONS, Variable, VariableSchema, default_schema
 from .selection import SupportSet
 
 DEFAULT_BATCH_SIZE = 20
@@ -53,35 +59,129 @@ class PredictionBatch:
     reasoning: str
 
 
-def _display_name(variable: str) -> str:
-    return variable.replace("_", " ")
+_TRAVELER = "Traveler "
 
 
-def format_number(value: float) -> str:
-    return format(float(value), ".6g")
+def _layout(schema: VariableSchema,
+            with_label: bool) -> Iterator[tuple[str, Variable | None, str]]:
+    """The traveler-block layout: each line after the "Traveler <id>" header
+    as (text before the value, variable, text after the value).
+
+    A dimension heading is fixed text with no variable. A predictor line
+    holds a category label or a number and its unit; the label line, last
+    and only when with_label, holds the satisfaction label. serialize_record
+    writes blocks by walking this layout and read_prompt reads them back by
+    the same walk.
+    """
+    grouped: dict[str, list[Variable]] = {dimension: [] for dimension in DIMENSIONS}
+    for var in schema.predictors:
+        if var.dimension in grouped:
+            grouped[var.dimension].append(var)
+    for dimension, variables in grouped.items():
+        if variables:
+            yield f"  {dimension.replace('_', ' ').capitalize()}:", None, ""
+        for var in variables:
+            unit = " " + var.unit if var.unit and var.kind != CATEGORICAL else ""
+            yield f"    {var.name.replace('_', ' ')}: ", var, unit
+    if with_label:
+        yield f"  {LABEL_LINE} ", schema.label, ""
+
+
+def _write_block(record: RespondentRecord, layout, label: Variable) -> str:
+    values = record.values
+    lines = [f"{_TRAVELER}{record.record_id}"]
+    for head, var, tail in layout:
+        if var is None:
+            lines.append(head)
+        elif var is label:
+            lines.append(f"{head}{float(record.satisfaction)!r}")
+        elif var.kind == CATEGORICAL:
+            lines.append(head + var.label_for(int(values[var.name])))
+        else:
+            lines.append(f"{head}{float(values[var.name]):.6g}{tail}")
+    return "\n".join(lines)
+
+
+def _read_block(block: str, layout, label: Variable) -> RespondentRecord:
+    lines = block.split("\n")
+    if not lines[0].startswith(_TRAVELER) or lines[0] == _TRAVELER:
+        raise PromptError(f"bad traveler header: {lines[0]!r}")
+    record_id = lines[0][len(_TRAVELER):]
+    values: dict[str, float] = {}
+    satisfaction = math.nan
+    for line, (head, var, tail) in zip(lines[1:], layout):
+        if var is None:
+            if line != head:
+                raise PromptError(f"traveler {record_id}: expected {head!r}, "
+                                  f"got {line!r}")
+            continue
+        text = line[len(head):len(line) - len(tail)]
+        try:
+            value = float(var.code_for(text) if var.kind == CATEGORICAL else text)
+        except (SchemaError, ValueError):
+            value = None
+        if value is None or not (line.startswith(head) and line.endswith(tail)):
+            raise PromptError(f"traveler {record_id}: unreadable line {line!r}, "
+                              f"expected {head!r}<value>{tail!r}")
+        if var is label:
+            satisfaction = value
+        else:
+            values[var.name] = value
+    if len(lines) != len(layout) + 1:
+        raise PromptError(f"traveler {record_id}: {len(lines) - 1} lines, "
+                          f"expected {len(layout)}")
+    record = RespondentRecord(record_id=record_id, values=values,
+                              satisfaction=satisfaction)
+    # only the exact text serialize_record writes reads back
+    if _write_block(record, layout, label) != block:
+        raise PromptError(f"traveler {record_id}: a value is not written as "
+                          f"serialize_record writes it")
+    return record
 
 
 def serialize_record(record: RespondentRecord, schema: VariableSchema,
                      with_label: bool) -> str:
     """One traveler as an indented text block grouped by dimension."""
-    lines = [f"Traveler {record.record_id}"]
-    for dimension in DIMENSIONS:
-        variables = schema.by_dimension(dimension)
-        if not variables:
-            continue
-        lines.append(f"  {dimension_title(dimension)}:")
-        for var in variables:
-            value = record.values[var.name]
-            if var.kind == CATEGORICAL:
-                rendered = var.label_for(int(value))
-            else:
-                rendered = format_number(value)
-                if var.unit:
-                    rendered += f" {var.unit}"
-            lines.append(f"    {_display_name(var.name)}: {rendered}")
-    if with_label:
-        lines.append(f"  {LABEL_LINE} {repr(float(record.satisfaction))}")
-    return "\n".join(lines)
+    return _write_block(record, _layout(schema, with_label), schema.label)
+
+
+def _write_section(records: Sequence[RespondentRecord], schema: VariableSchema,
+                   with_label: bool) -> str:
+    layout = tuple(_layout(schema, with_label))
+    return "\n\n".join(_write_block(r, layout, schema.label) for r in records)
+
+
+def _read_section(blocks: Sequence[str], schema: VariableSchema,
+                  with_label: bool) -> list[RespondentRecord]:
+    layout = tuple(_layout(schema, with_label))
+    return [_read_block(b, layout, schema.label) for b in blocks]
+
+
+def read_prompt(user_text: str, schema: VariableSchema
+                ) -> tuple[list[RespondentRecord], list[RespondentRecord]]:
+    """Read back the user text of render_zero_shot or render_few_shot.
+
+    Returns (labeled examples, queries): no examples for zero-shot, and NaN
+    satisfaction on every query. Strict: text that the renderers would not
+    write raises PromptError, down to a value not written in the form
+    serialize_record gives it.
+    """
+    if not user_text.endswith("\n"):
+        raise PromptError("prompt text does not end in a newline")
+    sections = user_text[:-1].split("\n\n")
+    if QUERY_HEADER not in sections:
+        raise PromptError("prompt has no query section")
+    at = sections.index(QUERY_HEADER)
+    if at > 1 and sections[0] == SUPPORT_HEADER:
+        examples = _read_section(sections[1:at], schema, with_label=True)
+    elif at == 0:
+        examples = []
+    else:
+        raise PromptError("unexpected text before the query section")
+    queries = _read_section(sections[at + 1:], schema, with_label=False)
+    if not queries:
+        raise PromptError("prompt has an empty query section")
+    return examples, queries
 
 
 def _output_contract(schema: VariableSchema, want_importance: bool) -> str:
@@ -107,7 +207,7 @@ def _output_contract(schema: VariableSchema, want_importance: bool) -> str:
             "with one line per predictor variable, using non-negative weights",
             "that sum to 1 and reflect how strongly each variable drove your",
             "predictions. The predictor variables are: "
-            + ", ".join(_display_name(n) for n in schema.names) + ".",
+            + ", ".join(n.replace("_", " ") for n in schema.names) + ".",
         ]
     parts += [
         "",
@@ -137,8 +237,7 @@ def render_zero_shot(queries: Sequence[RespondentRecord],
     _check_queries(queries)
     system = _load_template("zero_shot_system.txt").format(
         output_contract=_output_contract(schema, want_importance))
-    blocks = [serialize_record(q, schema, with_label=False) for q in queries]
-    user = QUERY_HEADER + "\n\n" + "\n\n".join(blocks) + "\n"
+    user = QUERY_HEADER + "\n\n" + _write_section(queries, schema, False) + "\n"
     return Prompt(system_text=system, user_text=user)
 
 
@@ -159,11 +258,9 @@ def render_few_shot(support: SupportSet, queries: Sequence[RespondentRecord],
         )
     system = _load_template("few_shot_system.txt").format(
         output_contract=_output_contract(schema, want_importance))
-    support_blocks = [serialize_record(r, schema, with_label=True)
-                      for r in support.records]
-    query_blocks = [serialize_record(q, schema, with_label=False) for q in queries]
-    user = (SUPPORT_HEADER + "\n\n" + "\n\n".join(support_blocks) + "\n\n"
-            + QUERY_HEADER + "\n\n" + "\n\n".join(query_blocks) + "\n")
+    user = (SUPPORT_HEADER + "\n\n" + _write_section(support.records, schema, True)
+            + "\n\n" + QUERY_HEADER + "\n\n"
+            + _write_section(queries, schema, False) + "\n")
     return Prompt(system_text=system, user_text=user)
 
 

@@ -4,17 +4,16 @@ Rules compute a satisfaction score in [1, 7] from a record's raw values.
 They are shared by the synthetic data generator (as the ground truth) and by
 the scripted mock backend (as its scoring oracle), so both sides agree
 without any fitted state. Numeric variables are first standardized with the
-fixed reference constants below rather than dataset statistics.
+fixed reference constants below rather than dataset statistics; the mock's
+nearest-neighbour mode encodes records with the same constants.
 """
 
 from __future__ import annotations
 
 from typing import Mapping
 
-import numpy as np
-
 from .errors import SchemaError
-from .schema import CATEGORICAL, VariableSchema, default_schema
+from .schema import default_schema
 
 # (center, scale) per numeric variable, in raw units
 REFERENCE_SCALE: dict[str, tuple[float, float]] = {
@@ -142,20 +141,3 @@ def rule_importance(name: str) -> dict[str, float]:
     total = sum(full.values())
     return {k: v / total for k, v in full.items()}
 
-
-def encode_reference(values: Mapping[str, float], schema: VariableSchema | None = None) -> np.ndarray:
-    """Encode raw values with the fixed reference scaling (numerics) and
-    one-hot indicators (categoricals). Used for nearest-neighbour lookups
-    that must not depend on fitted dataset statistics."""
-    schema = schema or default_schema()
-    parts = []
-    for var in schema.predictors:
-        if var.kind == CATEGORICAL:
-            onehot = np.zeros(len(var.codes))
-            onehot[var.codes.index(int(values[var.name]))] = 1.0
-            parts.append(onehot)
-        elif var.name in REFERENCE_SCALE:
-            parts.append(np.array([scaled(values, var.name)]))
-        else:
-            parts.append(np.array([float(values[var.name])]))
-    return np.concatenate(parts)

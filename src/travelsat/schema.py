@@ -3,7 +3,8 @@
 The default schema describes a household travel survey with 17 predictor
 variables grouped into four dimensions (socioeconomics, built environment,
 travel characteristics, reference points) plus a continuous travel
-satisfaction label on a 1-7 scale.
+satisfaction label on a 1-7 scale. It ships with the package as
+resources/default_schema.json, the same format load_schema reads.
 """
 
 from __future__ import annotations
@@ -174,75 +175,15 @@ def save_schema(schema: VariableSchema, path) -> None:
         fh.write("\n")
 
 
-_MODE_CATEGORIES = (
-    (1, "walk"),
-    (2, "bike"),
-    (3, "subway"),
-    (4, "taxi"),
-    (5, "bus"),
-    (6, "private car"),
-    (7, "shuttle bus"),
-    (8, "car-sharing"),
-    (9, "others"),
-)
-
 _DEFAULT = None
 
 
 def default_schema() -> VariableSchema:
-    """Schema of the reference household travel survey (17 predictors)."""
+    """Schema of the reference household travel survey (17 predictors),
+    loaded once from the JSON file shipped with the package."""
     global _DEFAULT
     if _DEFAULT is None:
-        _DEFAULT = VariableSchema(
-            predictors=(
-                Variable("gender", "socioeconomics", CATEGORICAL,
-                         categories=((0, "male"), (1, "female"))),
-                Variable("age", "socioeconomics", NUMERIC, unit="years",
-                         minimum=0.0, exclusive_minimum=True),
-                Variable("income", "socioeconomics", NUMERIC, unit="yuan per month",
-                         minimum=0.0),
-                Variable("education_level", "socioeconomics", CATEGORICAL,
-                         categories=((1, "primary school"), (2, "middle school"),
-                                     (3, "high school"), (4, "junior college"),
-                                     (5, "bachelor"), (6, "master or above"))),
-                Variable("car_access", "socioeconomics", CATEGORICAL,
-                         categories=((0, "no car"), (1, "one car"), (2, "two cars"),
-                                     (3, "three cars"), (4, "four cars"))),
-                Variable("public_transit_station", "built_environment", NUMERIC,
-                         unit="minutes on foot", minimum=0.0),
-                Variable("parking_lot", "built_environment", NUMERIC,
-                         unit="minutes on foot", minimum=0.0),
-                Variable("hospital", "built_environment", NUMERIC,
-                         unit="minutes on foot", minimum=0.0),
-                Variable("shopping_mall", "built_environment", NUMERIC,
-                         unit="minutes on foot", minimum=0.0),
-                Variable("restaurant", "built_environment", NUMERIC,
-                         unit="minutes on foot", minimum=0.0),
-                Variable("commuting_time", "travel_characteristics", NUMERIC,
-                         unit="minutes", minimum=0.0),
-                Variable("commuting_mode", "travel_characteristics", CATEGORICAL,
-                         categories=_MODE_CATEGORIES),
-                Variable("trips_per_weekday", "travel_characteristics", NUMERIC,
-                         unit="trips", minimum=0.0),
-                Variable("past_commuting_time", "reference_points", NUMERIC,
-                         unit="minutes", minimum=0.0),
-                Variable("past_commuting_mode", "reference_points", CATEGORICAL,
-                         categories=_MODE_CATEGORIES),
-                Variable("peer_commuting_time", "reference_points", NUMERIC,
-                         unit="minutes", minimum=0.0),
-                Variable("peer_commuting_mode", "reference_points", CATEGORICAL,
-                         categories=_MODE_CATEGORIES),
-            )
-        )
+        text = resources.files("travelsat").joinpath(
+            "resources/default_schema.json").read_text("utf-8")
+        _DEFAULT = schema_from_dict(json.loads(text))
     return _DEFAULT
-
-
-def dimension_title(dimension: str) -> str:
-    """Human-readable dimension heading used in prompts and reports."""
-    return dimension.replace("_", " ").capitalize()
-
-
-def load_default_schema_resource() -> VariableSchema:
-    """Load the schema JSON shipped with the package (same as default_schema)."""
-    text = resources.files("travelsat").joinpath("resources/default_schema.json").read_text("utf-8")
-    return schema_from_dict(json.loads(text))

@@ -46,7 +46,6 @@ class SupportSet:
     """Labeled records chosen for few-shot prompting."""
 
     records: tuple[RespondentRecord, ...]
-    provenance: str  # "similarity" | "random" | "none"
 
     @property
     def k(self) -> int:
@@ -58,7 +57,7 @@ class SupportSet:
 
 
 def empty_support() -> SupportSet:
-    return SupportSet(records=(), provenance="none")
+    return SupportSet(records=())
 
 
 def _check_k(train: Dataset, k: int) -> None:
@@ -85,7 +84,7 @@ def top_support(train: Dataset, order: Sequence[int], k: int) -> SupportSet:
     if k == 0:
         return empty_support()
     chosen = sorted(order[:k])
-    return SupportSet(records=tuple(train[i] for i in chosen), provenance="similarity")
+    return SupportSet(records=tuple(train[i] for i in chosen))
 
 
 def rank_support(train: Dataset, query: Dataset, spec: EncodingSpec, k: int) -> SupportSet:
@@ -107,7 +106,7 @@ def random_support(train: Dataset, k: int, seed: int) -> SupportSet:
         return empty_support()
     rng = default_rng(seed)
     chosen = sorted(int(i) for i in rng.choice(len(train), size=k, replace=False))
-    return SupportSet(records=tuple(train[i] for i in chosen), provenance="random")
+    return SupportSet(records=tuple(train[i] for i in chosen))
 
 
 @dataclass(frozen=True)

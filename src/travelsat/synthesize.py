@@ -152,7 +152,6 @@ def synthesize(
     noise: float = 0.0,
     marginals: dict[str, Marginal] | None = None,
     schema: VariableSchema | None = None,
-    id_prefix: str = "s",
 ) -> Dataset:
     """Generate n labeled records. Same arguments give byte-identical output."""
     if n <= 0:
@@ -182,7 +181,7 @@ def synthesize(
         score = rule(values) + float(noise_draws[i])
         score = min(SCORE_MAX, max(SCORE_MIN, score))
         records.append(RespondentRecord(
-            record_id=f"{id_prefix}{i + 1:0{width}d}",
+            record_id=f"s{i + 1:0{width}d}",
             values=values,
             satisfaction=float(score),
         ))

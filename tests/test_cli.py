@@ -117,6 +117,28 @@ def test_cli_missing_config_and_schema_exit_2(tmp_path, capsys):
     assert capsys.readouterr().err.count("error:") == 3
 
 
+@pytest.mark.parametrize("payload", [
+    {"llm": {"temperature": 9}},
+    {"max_in_flight": 0},
+    {"synthetic": None},
+    {"llm": None},
+    {"gbdt": None},
+], ids=["temperature", "max_in_flight", "null-synthetic", "null-llm", "null-gbdt"])
+def test_bad_config_values_exit_2(tmp_path, capsys, payload):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(payload), encoding="utf-8")
+    code = main(["zeroshot", "--config", str(config), *_shared_args(tmp_path, "bad")])
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_out_of_range_temperature_flag_exits_2(tmp_path, survey_csv, capsys):
+    code = main(["zeroshot", "--data", str(survey_csv), "--temperature", "5",
+                 *_shared_args(tmp_path, "hot")])
+    assert code == 2
+    assert "temperature" in capsys.readouterr().err
+
+
 def test_temperature_and_mock_overrides_reach_provenance(tmp_path, survey_csv):
     code = main(["fewshot", "--data", str(survey_csv),
                  "--temperature", "0.9", "--mock", "linear",

@@ -1,17 +1,22 @@
 import csv
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from travelsat.dataset import (
     Dataset,
+    RespondentRecord,
     compute_satisfaction,
     load_survey,
     save_survey,
     split,
 )
 from travelsat.errors import DatasetError, RowError, SchemaError
-from travelsat.schema import default_schema
+from travelsat.schema import CATEGORICAL, default_schema
 
 
 def test_satisfaction_hand_case():
@@ -183,3 +188,32 @@ def test_split_degenerate_fraction(small_dataset):
 def test_empty_dataset_rejected():
     with pytest.raises(DatasetError):
         Dataset(schema=default_schema(), records=())
+
+
+def _any_value(var):
+    if var.kind == CATEGORICAL:
+        return st.sampled_from(var.codes).map(float)
+    return st.floats(min_value=var.minimum, max_value=var.maximum,
+                     exclude_min=var.exclusive_minimum)
+
+
+# ids load_survey keeps as they are: non-empty, no surrounding whitespace
+RECORD_ID = st.text(st.characters(blacklist_categories=("Cs", "Cc", "Zs", "Zl", "Zp")),
+                    min_size=1, max_size=6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_save_load_round_trip(data):
+    schema = default_schema()
+    ids = data.draw(st.lists(RECORD_ID, min_size=1, max_size=6, unique=True))
+    records = tuple(
+        RespondentRecord(record_id, {var.name: data.draw(_any_value(var))
+                                     for var in schema.predictors},
+                         data.draw(st.floats(1.0, 7.0)))
+        for record_id in ids)
+    dataset = Dataset(schema=schema, records=records)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "survey.csv"
+        save_survey(dataset, path)
+        assert load_survey(path, schema) == dataset

@@ -99,9 +99,9 @@ def test_design_matrix_drops_reference_columns(small_dataset):
     assert len(names) == len(parents) == X.shape[1]
     assert "gender=male" not in names
     assert "gender=female" in names
-    full, full_names, _ = design_matrix(small_dataset, spec, drop_first=False)
+    full = encode_matrix(small_dataset, spec)
     assert full.shape[1] == spec.width
-    assert "gender=male" in full_names
+    assert "gender=male" in spec.column_names()
 
 
 TWO_CATEGORICALS = VariableSchema(predictors=(

@@ -81,8 +81,7 @@ def test_evaluate_bundles_both():
 
 def test_aggregate_repeats_hand_case():
     pairs = [MetricPair(1.0, 0.1, 5), MetricPair(2.0, 0.2, 5), MetricPair(3.0, 0.3, 5)]
-    report = aggregate_repeats(pairs, condition="k=6")
-    assert report.condition == "k=6"
+    report = aggregate_repeats(pairs)
     assert report.repeats == 3
     assert report.mse_mean == pytest.approx(2.0, abs=1e-15)
     assert report.mse_std == pytest.approx(1.0, abs=1e-15)  # ddof=1
@@ -91,13 +90,13 @@ def test_aggregate_repeats_hand_case():
 
 
 def test_aggregate_single_repeat_has_no_std():
-    report = aggregate_repeats([MetricPair(1.5, 0.25, 8)], condition="k=0")
+    report = aggregate_repeats([MetricPair(1.5, 0.25, 8)])
     assert report.mse_std is None and report.mape_std is None
 
 
 def test_aggregate_requires_pairs():
     with pytest.raises(DatasetError):
-        aggregate_repeats([], condition="k=0")
+        aggregate_repeats([])
 
 
 def test_format_cell():
@@ -215,6 +214,4 @@ def test_compare_importances_requires_matching_variables():
 
 
 def test_run_report_shape():
-    report = RunReport(condition="k=3", repeats=2, mse_mean=1.0, mse_std=0.1,
-                       mape_mean=0.2, mape_std=0.01, failures=0)
-    assert report.condition == "k=3"
+    RunReport(repeats=2, mse_mean=1.0, mse_std=0.1, mape_mean=0.2, mape_std=0.01)

@@ -7,7 +7,8 @@ from travelsat.encoding import fit_encoding
 from travelsat.errors import MockError, SchemaError
 from travelsat.mock import ScriptedMock
 from travelsat.prompting import parse_response, render_few_shot, render_zero_shot
-from travelsat.rules import linear_rule, misaligned_prior, rule_importance
+from travelsat.rules import REFERENCE_SCALE, linear_rule, misaligned_prior, rule_importance
+from travelsat.schema import CATEGORICAL
 from travelsat.selection import SupportSet, rank_support
 
 PARAMS = LlmParams()
@@ -33,7 +34,7 @@ def test_rule_mode_recovers_generator_labels(noiseless_dataset):
 def test_rule_mode_ignores_support(noiseless_dataset):
     schema = noiseless_dataset.schema
     mock = ScriptedMock(rule="linear", mode="rule", schema=schema)
-    support = SupportSet(records=noiseless_dataset.records[:3], provenance="random")
+    support = SupportSet(records=noiseless_dataset.records[:3])
     queries = noiseless_dataset.records[5:9]
     few = _scores(mock, render_few_shot(support, queries, schema),
                   [q.record_id for q in queries])
@@ -46,10 +47,51 @@ def test_nn_mode_returns_nearest_example_label(small_dataset):
     schema = small_dataset.schema
     mock = ScriptedMock(rule="linear", mode="nn", schema=schema)
     anchor = small_dataset.records[0]
-    support = SupportSet(records=small_dataset.records[:4], provenance="random")
+    support = SupportSet(records=small_dataset.records[:4])
     twin = RespondentRecord("copycat", dict(anchor.values), 1.0)
     scores = _scores(mock, render_few_shot(support, [twin], schema), ["copycat"])
     assert scores["copycat"] == min(7.0, max(1.0, anchor.satisfaction))
+
+
+def _nearest_label(examples, query, schema):
+    """Oracle: the label of the first example at the least squared distance,
+    over reference-scaled numerics and one-hot categoricals."""
+    def vector(values):
+        out = []
+        for var in schema.predictors:
+            if var.kind == CATEGORICAL:
+                out += [1.0 if code == values[var.name] else 0.0 for code in var.codes]
+            else:
+                center, scale = REFERENCE_SCALE[var.name]
+                out.append((values[var.name] - center) / scale)
+        return out
+
+    target = vector(query.values)
+    best_d2, best_label = None, None
+    for example in examples:
+        d2 = sum((a - b) ** 2 for a, b in zip(vector(example.values), target))
+        if best_d2 is None or d2 < best_d2:
+            best_d2, best_label = d2, example.satisfaction
+    return min(7.0, max(1.0, best_label))
+
+
+def test_nn_mode_matches_loop_oracle(small_dataset):
+    schema = small_dataset.schema
+    mock = ScriptedMock(rule="linear", mode="nn", schema=schema)
+    records = small_dataset.records
+    first = records[0]
+    # same values as `first`, another label: whichever is presented first wins
+    twin = RespondentRecord("twin", dict(first.values),
+                            7.0 if first.satisfaction < 4.0 else 1.0)
+    query = RespondentRecord("q-first", dict(first.values), 4.0)
+    queries = [*records[40:70], query]
+    ids = [q.record_id for q in queries]
+    for support in ((first, *records[1:18], twin), (twin, *records[1:18], first)):
+        scores = _scores(mock, render_few_shot(SupportSet(records=support), queries,
+                                               schema), ids)
+        for q in queries:
+            assert scores[q.record_id] == _nearest_label(support, q, schema), q.record_id
+        assert scores["q-first"] == min(7.0, max(1.0, support[0].satisfaction))
 
 
 def test_nn_mode_zero_shot_uses_misaligned_prior(small_dataset):
@@ -199,7 +241,7 @@ def test_mock_rejects_label_on_query(small_dataset):
 def test_mock_requires_labels_on_examples(small_dataset):
     schema = small_dataset.schema
     mock = ScriptedMock(rule="linear", mode="nn", schema=schema)
-    support = SupportSet(records=small_dataset.records[:2], provenance="random")
+    support = SupportSet(records=small_dataset.records[:2])
     queries = small_dataset.records[5:7]
     good = render_few_shot(support, queries, schema)
     label = f"  Observed travel satisfaction: {small_dataset.records[0].satisfaction!r}"

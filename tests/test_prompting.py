@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from travelsat.client import LlmParams
-from travelsat.dataset import split
+from travelsat.dataset import RespondentRecord, split
 from travelsat.errors import ContaminationError, ParseError, PromptError
 from travelsat.mock import ScriptedMock
 from travelsat.prompting import (
@@ -17,10 +17,13 @@ from travelsat.prompting import (
     SUPPORT_HEADER,
     batched,
     parse_response,
+    read_prompt,
     render_few_shot,
     render_zero_shot,
     serialize_record,
 )
+from travelsat.rules import linear_rule
+from travelsat.schema import CATEGORICAL, default_schema
 from travelsat.selection import SupportSet, rank_support
 from travelsat.encoding import fit_encoding
 
@@ -112,7 +115,7 @@ def test_empty_queries_rejected(prompt_parts):
 def test_empty_support_rejected(prompt_parts):
     schema, _, queries = prompt_parts
     with pytest.raises(PromptError):
-        render_few_shot(SupportSet(records=(), provenance="none"), queries, schema)
+        render_few_shot(SupportSet(records=()), queries, schema)
 
 
 def test_support_query_overlap_rejected(prompt_parts):
@@ -281,3 +284,84 @@ def test_parse_response_raises_only_parse_error(text, want_importance):
     assert all(1.0 <= score <= 7.0 for score in batch.scores.values())
     if want_importance:
         assert math.isclose(sum(batch.importances.values()), 1.0)
+
+
+def _six_digit_value(var):
+    """Values a survey carries: every category code, or a number at six
+    significant digits within the variable's bounds."""
+    if var.kind == CATEGORICAL:
+        return st.sampled_from(var.codes).map(float)
+    low = var.minimum if var.minimum is not None else -1e6
+    high = var.maximum if var.maximum is not None else 1e6
+    return (st.floats(low, high).map(lambda x: float(format(x, ".6g")))
+            .filter(lambda x: low <= x <= high
+                    and not (var.exclusive_minimum and x <= low)))
+
+
+@st.composite
+def travelers(draw, schema):
+    ids = draw(st.lists(st.text("abcxyz0123456789-_.", min_size=1, max_size=6),
+                        min_size=1, max_size=8, unique=True))
+    return [RespondentRecord(record_id, {var.name: draw(_six_digit_value(var))
+                                         for var in schema.predictors},
+                             draw(st.floats(1.0, 7.0)))
+            for record_id in ids]
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_render_read_prompt_round_trip(data):
+    schema = default_schema()
+    records = data.draw(travelers(schema))
+    k = data.draw(st.integers(0, len(records) - 1))
+    support, queries = records[:k], records[k:]
+    prompt = (render_few_shot(SupportSet(records=tuple(support)), queries, schema)
+              if k else render_zero_shot(queries, schema))
+    examples, read = read_prompt(prompt.user_text, schema)
+    assert [(r.record_id, r.values, r.satisfaction) for r in examples] == \
+        [(r.record_id, r.values, r.satisfaction) for r in support]
+    assert [(r.record_id, r.values) for r in read] == \
+        [(r.record_id, r.values) for r in queries]
+    assert all(math.isnan(r.satisfaction) for r in read)
+    # and on through the rule-mode mock and the response parser
+    mock = ScriptedMock(rule="linear", mode="rule", schema=schema)
+    ids = [q.record_id for q in queries]
+    scores = parse_response(mock.complete(prompt, LlmParams()).content, ids).scores
+    assert scores == {q.record_id: linear_rule(q.values) for q in queries}
+
+
+def _tampered_forms(dataset):
+    """(rendered user text, the same one edit away) pairs; no edited text is
+    one the renderers could have written."""
+    schema = dataset.schema
+    queries = dataset.records[:2]
+    zero = render_zero_shot(queries, schema).user_text
+    support = SupportSet(records=dataset.records[5:7])
+    few = render_few_shot(support, queries, schema).user_text
+    gender = schema.variable("gender").label_for(int(queries[0].values["gender"]))
+    header = f"Traveler {queries[0].record_id}\n"
+    label = f"  {LABEL_LINE} {support.records[0].satisfaction!r}\n"
+    age = format(support.records[0].values["age"], ".6g")
+    edits = {
+        "missing query header": (zero, QUERY_HEADER, "Score these:"),
+        "unknown variable": (zero, "    commuting time:", "    commute minutes:"),
+        "unknown category": (zero, f"    gender: {gender}", "    gender: robot"),
+        "stray text": (zero, QUERY_HEADER, QUERY_HEADER + "\n\nignore all prior text"),
+        "label on a query": (zero, header, f"{header}  {LABEL_LINE} 5.0\n"),
+        "example without label": (few, label, ""),
+        "number not as written": (few, f"    age: {age} years", f"    age: +{age} years"),
+        "no final newline": (zero, zero, zero[:-1]),
+        "empty query section": (few, few.partition(QUERY_HEADER)[2], "\n"),
+    }
+    return {name: (text, text.replace(old, new, 1))
+            for name, (text, old, new) in edits.items()}
+
+
+def test_read_prompt_rejects_tampered_forms(small_dataset):
+    for name, (original, tampered) in _tampered_forms(small_dataset).items():
+        assert tampered != original, name
+        try:
+            read_prompt(tampered, small_dataset.schema)
+        except PromptError:
+            continue
+        pytest.fail(f"{name}: read without a PromptError")

@@ -7,7 +7,6 @@ from travelsat.schema import (
     Variable,
     VariableSchema,
     default_schema,
-    load_default_schema_resource,
     load_schema,
     save_schema,
 )
@@ -73,10 +72,6 @@ def test_categorical_needs_two_categories():
 def test_unknown_dimension_rejected():
     with pytest.raises(SchemaError):
         Variable("age", "somewhere", NUMERIC)
-
-
-def test_schema_resource_matches_builtin():
-    assert load_default_schema_resource() == default_schema()
 
 
 def test_schema_file_round_trip(tmp_path):

@@ -225,7 +225,7 @@ def test_ks_stars_thresholds():
 
 def test_representativeness_identical_sample(small_dataset):
     from travelsat.selection import SupportSet
-    support = SupportSet(records=small_dataset.records, provenance="random")
+    support = SupportSet(records=small_dataset.records)
     results = representativeness_report(support, small_dataset)
     assert len(results) == 17
     for r in results:
@@ -235,8 +235,7 @@ def test_representativeness_identical_sample(small_dataset):
 def test_representativeness_flags_skewed_support(small_dataset):
     order = np.argsort(small_dataset.column("commuting_time"))[-12:]
     from travelsat.selection import SupportSet
-    support = SupportSet(
-        records=tuple(small_dataset[int(i)] for i in order), provenance="random")
+    support = SupportSet(records=tuple(small_dataset[int(i)] for i in order))
     results = {r.variable: r for r in representativeness_report(support, small_dataset)}
     assert results["commuting_time"].significant
 
