@@ -13,7 +13,7 @@ from .dataset import Dataset, RespondentRecord, compute_satisfaction, load_surve
 from .encoding import EncodingSpec, encode, fit_encoding
 from .evaluation import aggregate_repeats, mape, mse, welch_t
 from .schema import VariableSchema, default_schema
-from .selection import ks_two_sample, random_support, rank_support, similarity
+from .selection import ks_two_sample, random_support, rank_support
 from .synthesize import synthesize
 
 __all__ = [
@@ -28,7 +28,6 @@ __all__ = [
     "fit_encoding",
     "default_schema",
     "synthesize",
-    "similarity",
     "rank_support",
     "random_support",
     "ks_two_sample",

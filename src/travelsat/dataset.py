@@ -113,7 +113,8 @@ def load_survey(path, schema: VariableSchema | None = None) -> Dataset:
     The file needs a header with one snake_case column per schema variable and
     the label column; an optional record_id column carries stable ids. Rows
     with missing values are dropped (counted in Dataset.dropped); rows with
-    unparseable or out-of-range values raise RowError with the row index.
+    unparseable or out-of-range values, or a record_id with a comma, raise
+    RowError with the row index.
     """
     schema = schema or default_schema()
     try:
@@ -146,6 +147,9 @@ def load_survey(path, schema: VariableSchema | None = None) -> Dataset:
             except ValueError as exc:
                 raise RowError(row_index, str(exc)) from exc
             record_id = row["record_id"].strip() if has_id and not _is_missing(row.get("record_id")) else f"r{row_index:04d}"
+            if "," in record_id:
+                # a reply lists each score as id,score
+                raise RowError(row_index, f"record_id {record_id!r} contains a comma")
             records.append(RespondentRecord(record_id=record_id, values=values,
                                             satisfaction=satisfaction))
     if not records:

@@ -1,11 +1,12 @@
 """Experiment orchestration: sweeps, artifacts, and reports.
 
-Every runner takes one ExperimentConfig, loads or synthesizes a dataset,
-executes its protocol, and writes a fixed set of artifacts under the output
-directory: per-trial CSVs, an aggregate CSV, a plain-text summary, a
-reasoning archive, and a provenance record with config and schema hashes.
-With the scripted mock backend, identical configs produce byte-identical
-artifacts run after run.
+Every runner hands _run a body that executes its protocol and returns a
+RunResult (summary text, CSV tables in write order, reasoning archive)
+without file I/O. _run, the one writer of a run directory, loads or
+synthesizes the dataset, builds the client, calls the body, and writes each
+table, summary.txt, reasoning/ when there is text to archive, and
+provenance.json with the config and schema hashes. With the scripted mock
+backend, identical configs produce byte-identical artifacts run after run.
 
 The LLM runners share one path. Plan: list every trial and its requests
 (support, query batch, cache slot) without rendering a prompt; zero-shot is
@@ -28,7 +29,6 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from .baselines import (
-    FractionResult,
     GbdtHyper,
     fit_gbdt,  # noqa: F401  perfbench/tests expects this module to bind it
     fit_gbdt_repeats,
@@ -41,7 +41,6 @@ from .encoding import encode_matrix, fit_encoding
 from .errors import DatasetError, ParseError, TravelSatError
 from .evaluation import (
     MetricPair,
-    RunReport,
     aggregate_repeats,
     compare_importances,
     evaluate,
@@ -304,16 +303,43 @@ def _evaluate_trial(trial: Trial, outcomes: Sequence, labels: dict[str, float]) 
     trial.reasoning = "\n\n".join(parts)
 
 
-# -- artifact writing ------------------------------------------------------
+# -- the run directory -----------------------------------------------------
 
 
-def _write_provenance(out: Path, config: ExperimentConfig, experiment: str,
-                      schema: VariableSchema, dataset: Dataset) -> None:
-    payload = {
+@dataclass
+class RunResult:
+    """Everything a run writes besides provenance, built without file I/O."""
+
+    summary: str
+    # (file name, header, rows) per CSV, in write order
+    tables: list[tuple[str, Sequence[str], Sequence[Sequence]]]
+    # reasoning/ file name -> text
+    reasoning: dict[str, str] = field(default_factory=dict)
+
+
+def _run(config: ExperimentConfig, experiment: str,
+         body: Callable[[ExperimentConfig, Dataset, LlmClient], RunResult]) -> str:
+    """Load the dataset, build the client, run body, and write its result:
+    the one writer of a run directory. Returns the summary text."""
+    dataset = load_dataset(config)
+    # looked up at call time, so a caller may substitute its own factory
+    client = make_client(config, dataset.schema)
+    result = body(config, dataset, client)
+    out = Path(config.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, header, rows in result.tables:
+        lines = [",".join(header)] + [",".join(str(cell) for cell in row) for row in rows]
+        (out / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    (out / "summary.txt").write_text(result.summary, encoding="utf-8")
+    if result.reasoning:
+        (out / "reasoning").mkdir(exist_ok=True)
+    for name, text in result.reasoning.items():
+        (out / "reasoning" / name).write_text(text, encoding="utf-8")
+    provenance = {
         "experiment": experiment,
         "config_hash": config.content_hash(),
         "config": config.semantic_dict(),
-        "schema_fingerprint": schema.fingerprint(),
+        "schema_fingerprint": dataset.schema.fingerprint(),
         "dataset": {
             "n": len(dataset),
             "dropped_rows": dataset.dropped,
@@ -321,13 +347,11 @@ def _write_provenance(out: Path, config: ExperimentConfig, experiment: str,
         },
     }
     (out / "provenance.json").write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        json.dumps(provenance, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    return result.summary
 
 
-def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence]) -> None:
-    lines = [",".join(header)]
-    lines += [",".join(str(cell) for cell in row) for row in rows]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+# -- tables ----------------------------------------------------------------
 
 
 def _fmt(x: float | None) -> str:
@@ -345,28 +369,31 @@ def _render_table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
                      + [line(row) for row in rows])
 
 
-def _aggregate(pairs: Sequence[MetricPair]) -> RunReport | None:
-    return aggregate_repeats(pairs) if pairs else None
+# the aggregate CSV columns that _group_rows fills after the key
+_AGGREGATE_COLUMNS = ["repeats_ok", "failures", "mse_mean", "mse_std",
+                      "mape_mean", "mape_std"]
 
 
-def _aggregate_cells(report: RunReport | None, failures: int) -> list:
-    """repeats_ok, failures, then mean and std of MSE and of MAPE."""
-    if report is None:
-        return [0, failures, "", "", "", ""]
-    cells = [report.repeats, failures]
+def _group_rows(key: Sequence, metrics: Sequence[MetricPair | None]) -> tuple[list, list]:
+    """One group of repeats as an aggregate CSV row and a summary table row.
+
+    Both start with key. The aggregate row adds repeats_ok, failures, then
+    mean and std of MSE and of MAPE; the table row adds MSE and MAPE cells,
+    "mean (std)", or "failed" when no repeat succeeded.
+    """
+    ok = [m for m in metrics if m is not None]
+    failures = len(metrics) - len(ok)
+    if not ok:
+        return [*key, 0, failures, "", "", "", ""], [*key, "failed", "failed"]
+    report = aggregate_repeats(ok)
+    aggregate = [*key, report.repeats, failures]
+    table = list(key)
     for mean, std in ((report.mse_mean, report.mse_std),
                       (report.mape_mean, report.mape_std)):
         # a single repeat has no spread to report; never claim 0
-        cells += [_fmt(mean), "n/a" if std is None else _fmt(std)]
-    return cells
-
-
-def _table_cells(report: RunReport | None) -> list[str]:
-    """The MSE and MAPE cells of a summary table: "mean (std)" or "failed"."""
-    if report is None:
-        return ["failed", "failed"]
-    return [format_cell(report.mse_mean, report.mse_std),
-            format_cell(report.mape_mean, report.mape_std)]
+        aggregate += [_fmt(mean), "n/a" if std is None else _fmt(std)]
+        table.append(format_cell(mean, std))
+    return aggregate, table
 
 
 def _condition_label(k: int) -> str:
@@ -378,37 +405,18 @@ def _archive_name(condition: str, repeat: int) -> str:
     return f"{safe}_rep{repeat}.txt"
 
 
-def _archive_reasoning(out: Path, trials: list[Trial]) -> None:
-    reasoning_dir = out / "reasoning"
-    reasoning_dir.mkdir(parents=True, exist_ok=True)
-    for t in trials:
-        if t.reasoning:
-            (reasoning_dir / _archive_name(t.condition, t.repeat)).write_text(
-                t.reasoning + "\n", encoding="utf-8")
-
-
 # -- runners ---------------------------------------------------------------
 
 
-def _prepare(config: ExperimentConfig):
-    dataset = load_dataset(config)
-    schema = dataset.schema
-    # looked up at call time, so a caller may substitute its own factory
-    client = make_client(config, schema)
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return dataset, schema, client, out
-
-
-def _run_trials(config: ExperimentConfig, experiment: str, title: str,
-                prepared: tuple, trials: list[Trial], with_ks: bool) -> str:
-    """Execute and evaluate a plan's trials, then write the sweep artifacts.
+def _sweep_result(config: ExperimentConfig, dataset: Dataset, client: LlmClient,
+                  title: str, trials: list[Trial], with_ks: bool) -> RunResult:
+    """Execute and evaluate a plan's trials into the sweep tables.
 
     Trials come k-major, config.repeats per condition. with_ks screens each
     non-empty support set against the full dataset into ks.csv and a K-S
     column.
     """
-    dataset, schema, client, out = prepared
+    schema = dataset.schema
     labels = {r.record_id: r.satisfaction for r in dataset}
     outcomes = iter(_execute(client, schema, [r for t in trials for r in t.requests]))
     for trial in trials:
@@ -417,11 +425,7 @@ def _run_trials(config: ExperimentConfig, experiment: str, title: str,
     table_rows: list[list[str]] = []
     ks_rows: list[Sequence] = []
     for group in batched(trials, config.repeats):
-        condition = group[0].condition
-        report = _aggregate([t.metrics for t in group if t.metrics is not None])
-        failures = sum(1 for t in group if t.metrics is None)
-        agg_rows.append([condition, *_aggregate_cells(report, failures)])
-        table_rows.append([condition, *_table_cells(report)])
+        aggregate, table = _group_rows([group[0].condition], [t.metrics for t in group])
         if with_ks:
             screened = [(t, representativeness_report(t.support, dataset, schema))
                         for t in group if t.support.k > 0]
@@ -430,43 +434,42 @@ def _run_trials(config: ExperimentConfig, experiment: str, title: str,
                         for t, results in screened for r in results]
             cell = (summarize_ks_repeats([results for _, results in screened])
                     if screened else "n/a")
-            agg_rows[-1].append(f"\"{cell}\"")
-            table_rows[-1].append(cell)
+            aggregate.append(f"\"{cell}\"")
+            table.append(cell)
+        agg_rows.append(aggregate)
+        table_rows.append(table)
 
-    _write_csv(out / "report.csv",
-               ["condition", "repeat", "status", "n", "mse", "mape"],
-               [[t.condition, t.repeat, t.status,
-                 t.metrics.n if t.metrics else "",
-                 _fmt(t.metrics.mse if t.metrics else None),
-                 _fmt(t.metrics.mape if t.metrics else None)] for t in trials])
-    _write_csv(out / "aggregate.csv",
-               ["condition", "repeats_ok", "failures", "mse_mean", "mse_std",
-                "mape_mean", "mape_std"] + (["ks_flags"] if with_ks else []),
-               agg_rows)
+    tables = [
+        ("report.csv", ["condition", "repeat", "status", "n", "mse", "mape"],
+         [[t.condition, t.repeat, t.status,
+           t.metrics.n if t.metrics else "",
+           _fmt(t.metrics.mse if t.metrics else None),
+           _fmt(t.metrics.mape if t.metrics else None)] for t in trials]),
+        ("aggregate.csv",
+         ["condition", *_AGGREGATE_COLUMNS] + (["ks_flags"] if with_ks else []), agg_rows),
+    ]
     if with_ks:
-        _write_csv(out / "ks.csv",
-                   ["condition", "repeat", "variable", "d", "p_value", "stars"],
-                   ks_rows)
+        tables.append(("ks.csv", ["condition", "repeat", "variable", "d", "p_value",
+                                  "stars"], ks_rows))
     headers = ["k", "MSE", "MAPE"] + (["K-S vs full data"] if with_ks else [])
     summary = title + "\n\n" + _render_table(headers, table_rows) + "\n"
     failures = sum(1 for t in trials if t.metrics is None)
     if failures:
         summary += f"\nFailed trials: {failures} (see report.csv)\n"
-    (out / "summary.txt").write_text(summary, encoding="utf-8")
-    _archive_reasoning(out, trials)
-    _write_provenance(out, config, experiment, schema, dataset)
-    return summary
+    return RunResult(summary, tables,
+                     {_archive_name(t.condition, t.repeat): t.reasoning + "\n"
+                      for t in trials if t.reasoning})
 
 
 def run_zero_shot(config: ExperimentConfig) -> str:
     """Score every record in the dataset with no labeled examples: the k = 0
     plan with the whole dataset as the queries."""
-    prepared = _prepare(config)
-    dataset = prepared[0]
-    # k = 0 never draws support, so the train side of each split is unused
-    trials = _plan_trials(config, (0,), [(dataset, dataset)] * config.repeats, None)
-    return _run_trials(config, "zeroshot", "Zero-shot prediction", prepared,
-                       trials, with_ks=False)
+    def body(config, dataset, client):
+        # k = 0 never draws support, so the train side of each split is unused
+        trials = _plan_trials(config, (0,), [(dataset, dataset)] * config.repeats, None)
+        return _sweep_result(config, dataset, client, "Zero-shot prediction",
+                             trials, with_ks=False)
+    return _run(config, "zeroshot", body)
 
 
 def _run_support_sweep(config: ExperimentConfig, selection: str) -> str:
@@ -477,31 +480,32 @@ def _run_support_sweep(config: ExperimentConfig, selection: str) -> str:
     "random" draws it uniformly per repeat and adds per-variable K-S
     screening against the full dataset.
     """
-    prepared = _prepare(config)
-    dataset = prepared[0]
-    if config.vary_split:
-        splits = [split(dataset, config.train_fraction, seed=config.seed + repeat)
-                  for repeat in range(1, config.repeats + 1)]
-    else:
-        splits = [split(dataset, config.train_fraction, seed=config.seed)] * config.repeats
-    if selection == "similarity":
-        spec = fit_encoding(dataset)
-        orders: dict[int, list[int]] = {}
+    def body(config, dataset, client):
+        if config.vary_split:
+            splits = [split(dataset, config.train_fraction, seed=config.seed + repeat)
+                      for repeat in range(1, config.repeats + 1)]
+        else:
+            splits = [split(dataset, config.train_fraction, seed=config.seed)] * config.repeats
+        if selection == "similarity":
+            spec = fit_encoding(dataset)
+            orders: dict[int, list[int]] = {}
 
-        def pick(train, test, k, repeat):
-            if id(train) not in orders:
-                orders[id(train)] = rank_order(train, test, spec)
-            return top_support(train, orders[id(train)], k)
+            def pick(train, test, k, repeat):
+                if id(train) not in orders:
+                    orders[id(train)] = rank_order(train, test, spec)
+                return top_support(train, orders[id(train)], k)
 
-        experiment, title = "fewshot", "Few-shot sweep (similarity-ranked support)"
-    else:
-        def pick(train, test, k, repeat):
-            return random_support(train, k, seed=config.seed * 10007 + k * 101 + repeat)
+            title = "Few-shot sweep (similarity-ranked support)"
+        else:
+            def pick(train, test, k, repeat):
+                return random_support(train, k, seed=config.seed * 10007 + k * 101 + repeat)
 
-        experiment, title = "random-fewshot", "Few-shot sweep (random support)"
-    trials = _plan_trials(config, config.support_sizes, splits, pick)
-    return _run_trials(config, experiment, title, prepared, trials,
-                       with_ks=selection == "random")
+            title = "Few-shot sweep (random support)"
+        trials = _plan_trials(config, config.support_sizes, splits, pick)
+        return _sweep_result(config, dataset, client, title, trials,
+                             with_ks=selection == "random")
+    experiment = "fewshot" if selection == "similarity" else "random-fewshot"
+    return _run(config, experiment, body)
 
 
 def run_few_shot_sweep(config: ExperimentConfig) -> str:
@@ -512,9 +516,8 @@ def run_random_sweep(config: ExperimentConfig) -> str:
     return _run_support_sweep(config, "random")
 
 
-def run_baseline_sweep(config: ExperimentConfig) -> str:
-    """LR and GBDT across train fractions, repeats aggregated per cell."""
-    dataset, schema, _, out = _prepare(config)
+def _baseline_result(config: ExperimentConfig, dataset: Dataset,
+                     client: LlmClient) -> RunResult:
     all_rows: list[Sequence] = []
     agg_rows: list[Sequence] = []
     table_rows: list[Sequence[str]] = []
@@ -522,38 +525,28 @@ def run_baseline_sweep(config: ExperimentConfig) -> str:
         results = fraction_sweep(dataset, config.fractions, kind,
                                  seed=config.seed, repeats=config.repeats,
                                  hyper=config.gbdt)
-        by_fraction: dict[float, list[FractionResult]] = {}
-        for r in results:
-            by_fraction.setdefault(r.fraction, []).append(r)
-            all_rows.append([kind, format(r.fraction, "g"), r.repeat, r.status,
-                             _fmt(r.metrics.mse if r.metrics else None),
-                             _fmt(r.metrics.mape if r.metrics else None)])
-        for fraction in config.fractions:
-            cell = by_fraction[fraction]
-            report = _aggregate([r.metrics for r in cell if r.metrics is not None])
-            failures = sum(1 for r in cell if r.metrics is None)
-            agg_rows.append([kind, format(fraction, "g"),
-                             *_aggregate_cells(report, failures)])
-            table_rows.append([kind, format(fraction, "g"), *_table_cells(report)])
-    _write_csv(out / "baseline.csv",
-               ["model", "fraction", "repeat", "status", "mse", "mape"], all_rows)
-    _write_csv(out / "baseline_aggregate.csv",
-               ["model", "fraction", "repeats_ok", "failures",
-                "mse_mean", "mse_std", "mape_mean", "mape_std"], agg_rows)
-    summary = ("Baseline sweep over train fractions\n\n"
-               + _render_table(["model", "fraction", "MSE", "MAPE"], table_rows)
-               + "\n")
-    (out / "summary.txt").write_text(summary, encoding="utf-8")
-    _write_provenance(out, config, "baseline-sweep", schema, dataset)
-    return summary
+        all_rows += [[kind, format(r.fraction, "g"), r.repeat, r.status,
+                      _fmt(r.metrics.mse if r.metrics else None),
+                      _fmt(r.metrics.mape if r.metrics else None)] for r in results]
+        # fraction-major, config.repeats cells per fraction
+        for cell in batched(results, config.repeats):
+            aggregate, table = _group_rows([kind, format(cell[0].fraction, "g")],
+                                           [r.metrics for r in cell])
+            agg_rows.append(aggregate)
+            table_rows.append(table)
+    rendered = _render_table(["model", "fraction", "MSE", "MAPE"], table_rows)
+    return RunResult(f"Baseline sweep over train fractions\n\n{rendered}\n", [
+        ("baseline.csv", ["model", "fraction", "repeat", "status", "mse", "mape"], all_rows),
+        ("baseline_aggregate.csv", ["model", "fraction", *_AGGREGATE_COLUMNS], agg_rows)])
 
 
-def run_importance_study(config: ExperimentConfig) -> str:
-    """Variable-importance comparison: zero-shot and few-shot LLM weights
-    against GBDT split gains, with pairwise Welch tests per variable."""
-    if config.repeats < 2:
-        raise DatasetError("importance study needs repeats >= 2")
-    dataset, schema, client, out = _prepare(config)
+def run_baseline_sweep(config: ExperimentConfig) -> str:
+    """LR and GBDT across train fractions, repeats aggregated per cell."""
+    return _run(config, "baseline-sweep", _baseline_result)
+
+
+def _importance_result(config: ExperimentConfig, dataset: Dataset,
+                       client: LlmClient) -> RunResult:
     spec = fit_encoding(dataset)
     train, test = split(dataset, config.train_fraction, seed=config.seed)
     probe = tuple(test.records[:config.batch_size])
@@ -563,7 +556,7 @@ def run_importance_study(config: ExperimentConfig) -> str:
     asked = {"zero_shot": (empty_support(), 0), "few_shot": (support, 10000)}
     requests = [Request(support_set, probe, (base + repeat) * 10, importance=True)
                 for repeat in repeats for support_set, base in asked.values()]
-    outcomes = iter(_execute(client, schema, requests))
+    outcomes = iter(_execute(client, dataset.schema, requests))
 
     vectors: dict[str, list[dict[str, float]]] = {
         "zero_shot": [], "few_shot": [], "gbdt": []}
@@ -585,12 +578,11 @@ def run_importance_study(config: ExperimentConfig) -> str:
     skipped = sorted(set(vectors) - set(usable))
     comparison = compare_importances(usable) if len(usable) >= 2 else None
 
-    _write_csv(out / "importance.csv",
-               ["model", "repeat", "variable", "weight"],
+    tables = [("importance.csv", ["model", "repeat", "variable", "weight"],
                [[model, i + 1, var, f"{vec[var]:.6f}"]
                 for model, vecs in vectors.items()
                 for i, vec in enumerate(vecs)
-                for var in vec])
+                for var in vec])]
     lines = ["Variable importance study", ""]
     if comparison is not None:
         test_rows = []
@@ -600,9 +592,9 @@ def run_importance_study(config: ExperimentConfig) -> str:
                 test_rows.append([model_a, model_b, var,
                                   f"{t.mean_a:.6f}", f"{t.mean_b:.6f}",
                                   _fmt(t.t), _fmt(t.p_value), t.stars, t.note])
-        _write_csv(out / "importance_tests.csv",
-                   ["model_a", "model_b", "variable", "mean_a", "mean_b",
-                    "t", "p_value", "stars", "note"], test_rows)
+        tables.append(("importance_tests.csv",
+                       ["model_a", "model_b", "variable", "mean_a", "mean_b",
+                        "t", "p_value", "stars", "note"], test_rows))
         mean_rows = [[var] + [f"{comparison.model_means[m][var]:.4f}"
                               for m in usable] for var in comparison.variables]
         lines.append(_render_table(["variable", *usable], mean_rows))
@@ -620,10 +612,15 @@ def run_importance_study(config: ExperimentConfig) -> str:
         lines.append("")
         lines.append("Failed importance requests:")
         lines.extend(f"  {f}" for f in failures)
-    summary = "\n".join(lines) + "\n"
-    (out / "summary.txt").write_text(summary, encoding="utf-8")
-    _write_provenance(out, config, "importance", schema, dataset)
-    return summary
+    return RunResult("\n".join(lines) + "\n", tables)
+
+
+def run_importance_study(config: ExperimentConfig) -> str:
+    """Variable-importance comparison: zero-shot and few-shot LLM weights
+    against GBDT split gains, with pairwise Welch tests per variable."""
+    if config.repeats < 2:
+        raise DatasetError("importance study needs repeats >= 2")
+    return _run(config, "importance", _importance_result)
 
 
 def write_plot_script(out: Path) -> Path | None:

@@ -15,6 +15,7 @@ Everything else in the response is kept as free-text reasoning.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -216,7 +217,9 @@ def _output_contract(schema: VariableSchema, want_importance: bool) -> str:
     return "\n".join(parts)
 
 
+@functools.cache
 def _load_template(name: str) -> str:
+    # read once per name: templates are fixed at run time, renders are many
     return resources.files("travelsat").joinpath(f"templates/{name}").read_text("utf-8")
 
 

@@ -25,18 +25,9 @@ from .errors import DatasetError
 from .schema import VariableSchema
 
 
-def similarity(a: Sequence[float], b: Sequence[float]) -> float:
-    """Similarity of two feature vectors: 1 / sqrt(||a - b||^2 + 1)."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    d2 = float(np.sum((a - b) ** 2))
-    return 1.0 / math.sqrt(d2 + 1.0)
-
-
 def similarity_matrix(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Pairwise similarities between the rows of A and the rows of B."""
+    """Pairwise similarities between the rows of A and the rows of B:
+    1 / sqrt(||a - b||^2 + 1) for rows a and b."""
     d2 = cdist(np.asarray(A, dtype=float), np.asarray(B, dtype=float), "sqeuclidean")
     return 1.0 / np.sqrt(d2 + 1.0)
 

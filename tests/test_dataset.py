@@ -111,6 +111,16 @@ def test_invalid_code_raises_with_row_index(tmp_path):
     assert "commuting_mode" in str(err.value)
 
 
+def test_record_id_with_comma_raises_with_row_index(tmp_path):
+    # replies list scores as id,score, so such an id could never be scored
+    path = tmp_path / "survey.csv"
+    _write_rows(path, [_complete_row("r1"), _complete_row("a,b")])
+    with pytest.raises(RowError) as err:
+        load_survey(path)
+    assert err.value.row_index == 2
+    assert "'a,b'" in str(err.value)
+
+
 def test_unparseable_number_raises(tmp_path):
     path = tmp_path / "survey.csv"
     _write_rows(path, [_complete_row("r1", age="unknown")])
@@ -197,8 +207,10 @@ def _any_value(var):
                      exclude_min=var.exclusive_minimum)
 
 
-# ids load_survey keeps as they are: non-empty, no surrounding whitespace
-RECORD_ID = st.text(st.characters(blacklist_categories=("Cs", "Cc", "Zs", "Zl", "Zp")),
+# ids load_survey keeps as they are: non-empty, no surrounding whitespace,
+# no comma
+RECORD_ID = st.text(st.characters(blacklist_categories=("Cs", "Cc", "Zs", "Zl", "Zp"),
+                                  blacklist_characters=","),
                     min_size=1, max_size=6)
 
 

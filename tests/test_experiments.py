@@ -145,6 +145,54 @@ def test_zero_shot_artifacts(tmp_path):
     assert reasoning == ["0_zero-shot_rep1.txt", "0_zero-shot_rep2.txt"]
 
 
+def _archives(conditions, repeats=2):
+    return {f"reasoning/{c}_rep{r}.txt" for c in conditions
+            for r in range(1, repeats + 1)}
+
+
+# every file each subcommand writes under --out, as the README lists them
+MANIFESTS = {
+    "zeroshot": (run_zero_shot,
+                 {"report.csv", "aggregate.csv", "summary.txt", "provenance.json"}
+                 | _archives(["0_zero-shot"])),
+    "fewshot": (run_few_shot_sweep,
+                {"report.csv", "aggregate.csv", "summary.txt", "provenance.json"}
+                | _archives(["0_zero-shot", "3", "6"])),
+    "random-fewshot": (run_random_sweep,
+                       {"report.csv", "aggregate.csv", "ks.csv", "summary.txt",
+                        "provenance.json"} | _archives(["0_zero-shot", "3", "6"])),
+    "baseline-sweep": (run_baseline_sweep,
+                       {"baseline.csv", "baseline_aggregate.csv", "summary.txt",
+                        "provenance.json"}),
+    "importance": (run_importance_study,
+                   {"importance.csv", "importance_tests.csv", "summary.txt",
+                    "provenance.json"}),
+}
+
+
+@pytest.mark.parametrize("subcommand", sorted(MANIFESTS))
+def test_run_writes_exactly_its_manifest(tmp_path, subcommand):
+    run, expected = MANIFESTS[subcommand]
+    config = _fast_config(tmp_path, subcommand)
+    summary = run(config)
+    out = Path(config.out_dir)
+    assert summary == (out / "summary.txt").read_text("utf-8")
+    written = {p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()}
+    assert written == expected
+    provenance = json.loads((out / "provenance.json").read_text("utf-8"))
+    assert provenance["experiment"] == subcommand
+
+
+def test_run_with_nothing_to_archive_has_no_reasoning_dir(tmp_path, monkeypatch):
+    monkeypatch.setattr(ScriptedMock, "complete",
+                        lambda self, prompt, params: LlmResponse(content="no scores here"))
+    config = _fast_config(tmp_path, "allfail", repeats=1)
+    run_zero_shot(config)
+    out = Path(config.out_dir)
+    assert [r["status"][:7] for r in _read_csv(out / "report.csv")] == ["failed:"]
+    assert not (out / "reasoning").exists()
+
+
 def test_zero_shot_single_repeat_has_na_std(tmp_path):
     config = _fast_config(tmp_path, "zs1", repeats=1)
     run_zero_shot(config)

@@ -15,6 +15,7 @@ from travelsat.prompting import (
     QUERY_HEADER,
     SCORES_OPEN,
     SUPPORT_HEADER,
+    _load_template,
     batched,
     parse_response,
     read_prompt,
@@ -96,6 +97,16 @@ def test_prompt_determinism(prompt_parts):
     b = render_few_shot(support, queries, schema)
     assert a.as_bytes() == b.as_bytes()
     assert b"\x00" in a.as_bytes()
+
+
+def test_templates_are_read_once_per_name(prompt_parts):
+    schema, support, queries = prompt_parts
+    _load_template.cache_clear()
+    cold = render_few_shot(support, queries, schema).as_bytes()
+    warm = render_few_shot(support, queries, schema).as_bytes()
+    assert cold == warm
+    info = _load_template.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 def test_duplicate_query_ids_rejected(prompt_parts):

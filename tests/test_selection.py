@@ -15,15 +15,27 @@ from travelsat.selection import (
     rank_order,
     rank_support,
     representativeness_report,
-    similarity,
     similarity_matrix,
     summarize_ks_repeats,
 )
 
 
+def similarity(a, b) -> float:
+    """Oracle: the similarity of two vectors by its definition, one pair at a
+    time, 1 / sqrt(||a - b||^2 + 1)."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    assert a.shape == b.shape
+    return 1.0 / math.sqrt(float(np.sum((a - b) ** 2)) + 1.0)
+
+
+def _pair(a, b) -> float:
+    """similarity_matrix on one row each side."""
+    return float(similarity_matrix([a], [b])[0, 0])
+
+
 def test_similarity_hand_case():
-    assert similarity((0.0, 0.0), (3.0, 4.0)) == pytest.approx(1 / math.sqrt(26),
-                                                               abs=1e-15)
+    assert _pair((0.0, 0.0), (3.0, 4.0)) == pytest.approx(1 / math.sqrt(26), abs=1e-15)
 
 
 def test_similarity_identity_and_range():
@@ -31,9 +43,9 @@ def test_similarity_identity_and_range():
     for _ in range(200):
         a = rng.normal(size=5)
         b = rng.normal(size=5)
-        s = similarity(a, b)
+        s = _pair(a, b)
         assert 0.0 < s <= 1.0
-        assert similarity(a, a) == 1.0
+        assert _pair(a, a) == 1.0
 
 
 def test_similarity_symmetric():
@@ -41,12 +53,12 @@ def test_similarity_symmetric():
     for _ in range(200):
         a = rng.normal(size=4)
         b = rng.normal(size=4)
-        assert similarity(a, b) == similarity(b, a)
+        assert _pair(a, b) == _pair(b, a)
 
 
 def test_similarity_shape_mismatch():
     with pytest.raises(ValueError):
-        similarity((1.0, 2.0), (1.0, 2.0, 3.0))
+        similarity_matrix([(1.0, 2.0)], [(1.0, 2.0, 3.0)])
 
 
 def test_similarity_matrix_matches_pairwise():
