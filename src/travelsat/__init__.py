@@ -10,7 +10,7 @@ with a CLI.
 __version__ = "0.1.0"
 
 from .dataset import Dataset, RespondentRecord, compute_satisfaction, load_survey, split
-from .encoding import EncodingSpec, encode, fit_encoding
+from .encoding import EncodingSpec, fit_encoding
 from .evaluation import aggregate_repeats, mape, mse, welch_t
 from .schema import VariableSchema, default_schema
 from .selection import ks_two_sample, random_support, rank_support
@@ -24,7 +24,6 @@ __all__ = [
     "compute_satisfaction",
     "load_survey",
     "split",
-    "encode",
     "fit_encoding",
     "default_schema",
     "synthesize",

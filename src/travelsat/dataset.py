@@ -135,14 +135,13 @@ def load_survey(path, schema: VariableSchema | None = None) -> Dataset:
         records = []
         dropped = 0
         for row_index, row in enumerate(reader, start=1):
-            cells = {name: row.get(name) for name in needed}
-            if any(_is_missing(cell) for cell in cells.values()):
+            if any(_is_missing(row.get(name)) for name in needed):
                 dropped += 1
                 continue
             values = {}
             try:
-                for name in schema.names:
-                    values[name] = parse_value(schema.variable(name), row[name])
+                for var in schema.predictors:
+                    values[var.name] = parse_value(var, row[var.name])
                 satisfaction = parse_value(schema.label, row[schema.label.name])
             except ValueError as exc:
                 raise RowError(row_index, str(exc)) from exc

@@ -109,31 +109,14 @@ def encoding_spec(schema: VariableSchema,
     return EncodingSpec(schema=schema, groups=tuple(groups), width=start)
 
 
-def encode(record: RespondentRecord, spec: EncodingSpec) -> np.ndarray:
-    """Encode one record into the fitted feature space."""
-    out = np.zeros(spec.width)
-    for g in spec.groups:
-        value = record.values[g.variable]
-        if g.kind == NUMERIC:
-            out[g.start] = 0.0 if g.constant else (value - g.mean) / g.std
-        else:
-            code = int(value)
-            try:
-                offset = g.codes.index(code)
-            except ValueError:
-                raise EncodingError(
-                    f"{g.variable}: code {code} not in fitted codes {g.codes}"
-                ) from None
-            out[g.start + offset] = 1.0
-    return out
-
-
 def encode_matrix(records: Dataset | Sequence[RespondentRecord], spec: EncodingSpec) -> np.ndarray:
-    """Encode many records at once, one row each, column group by column
-    group; row for row the same bits as encode().
+    """Encode records into the fitted feature space, one row each, column
+    group by column group.
 
-    An unknown categorical code raises the EncodingError encode() would
-    raise first: the earliest offending record, then its earliest group.
+    A numeric is centered and scaled (0 when constant); a categorical sets
+    the indicator of its code, truncated toward zero as int() does. An
+    unknown code raises EncodingError for the earliest offending record,
+    then its earliest offending group.
     """
     records = list(records)
     table = np.array([[r.values[g.variable] for g in spec.groups] for r in records],
@@ -145,15 +128,20 @@ def encode_matrix(records: Dataset | Sequence[RespondentRecord], spec: EncodingS
             if not g.constant:
                 out[:, g.start] = (table[:, j] - g.mean) / g.std
             continue
-        # int() truncates toward zero; a NaN matches no code, and encode()
-        # below raises for it what the per-record path raises
+        # int() truncates toward zero; a NaN matches no code
         matches = np.trunc(table[:, j])[:, None] == np.array(g.codes, dtype=float)
         known = matches.any(axis=1)
         unknown |= ~known
         rows = np.flatnonzero(known)
         out[rows, g.start + matches[rows].argmax(axis=1)] = 1.0
     if unknown.any():
-        encode(records[int(np.argmax(unknown))], spec)
+        record = records[int(np.argmax(unknown))]
+        for g in spec.groups:
+            if g.kind == CATEGORICAL:
+                code = int(record.values[g.variable])
+                if code not in g.codes:
+                    raise EncodingError(
+                        f"{g.variable}: code {code} not in fitted codes {g.codes}")
     return out
 
 

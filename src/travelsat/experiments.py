@@ -13,8 +13,9 @@ The LLM runners share one path. Plan: list every trial and its requests
 the k = 0 plan over the whole dataset, and similarity support is ranked once
 per split, each k taking a prefix. Execute: send all of a run's requests,
 the importance study's too, through one LlmClient.complete_many call that
-renders each prompt as the pool takes it, and re-send replies that fail to
-parse once, at slot + 1. Evaluate: turn each trial's outcomes into metrics,
+renders each prompt as the pool takes it, joining traveler blocks that the
+run writes once each, and re-send replies that fail to parse once, at
+slot + 1. Evaluate: turn each trial's outcomes into metrics,
 a reasoning archive and table rows.
 """
 
@@ -49,6 +50,7 @@ from .evaluation import (
 from .mock import ScriptedMock
 from .prompting import (
     DEFAULT_BATCH_SIZE,
+    Blocks,
     Prompt,
     batched,
     parse_response,
@@ -214,11 +216,13 @@ class Request:
     slot: int
     importance: bool = False
 
-    def render(self, schema: VariableSchema) -> Prompt:
+    def render(self, schema: VariableSchema, blocks: Blocks) -> Prompt:
+        """The prompt, its traveler blocks taken from or added to blocks."""
         if self.support.k > 0:
             return render_few_shot(self.support, self.queries, schema,
-                                   want_importance=self.importance)
-        return render_zero_shot(self.queries, schema, want_importance=self.importance)
+                                   want_importance=self.importance, blocks=blocks)
+        return render_zero_shot(self.queries, schema, want_importance=self.importance,
+                                blocks=blocks)
 
 
 @dataclass
@@ -259,14 +263,18 @@ def _execute(client: LlmClient, schema: VariableSchema,
 
     One complete_many call takes every request, rendering each prompt only
     as the pool takes it. Replies that fail to parse are re-sent once, at
-    slot + 1, in a second call whose outcome is final.
+    slot + 1, in a second call whose outcome is final. Both calls build
+    their prompts from one blocks dict, so each traveler block is written
+    once.
     """
     outcomes: list = [None] * len(requests)
     todo = list(range(len(requests)))
+    blocks: Blocks = {}
     for offset in (0, 1):
         if offset:
             logger.warning("%d replies failed to parse, re-sending once", len(todo))
-        jobs = ((requests[i].render(schema), requests[i].slot + offset) for i in todo)
+        jobs = ((requests[i].render(schema, blocks), requests[i].slot + offset)
+                for i in todo)
         for i, reply in zip(todo, client.complete_many(jobs)):
             request = requests[i]
             if not isinstance(reply, TravelSatError):

@@ -7,6 +7,12 @@ by walking it, and read_prompt, their strict inverse (the scripted mock
 reads prompts with it), reads blocks back by the same walk. No other module
 writes or reads the format.
 
+A run writes each traveler block once: the renderers take an optional
+`blocks` dict, owned by the caller for the length of one run, that caches
+each record's block text by (id(record), with_label), and build every
+prompt by joining cached blocks. Each entry holds its record, so an id in
+the dict cannot be reused by another record while the dict lives.
+
 Responses must follow a strict fenced-block contract (see
 docs/output_contract.md): a ```scores block with one "id,score" line per
 traveler, plus a ```importances block when variable weights were requested.
@@ -146,10 +152,26 @@ def serialize_record(record: RespondentRecord, schema: VariableSchema,
     return _write_block(record, _layout(schema, with_label), schema.label)
 
 
+# (id(record), with_label) -> (record, block text), for one schema
+Blocks = dict[tuple[int, bool], tuple[RespondentRecord, str]]
+
+
 def _write_section(records: Sequence[RespondentRecord], schema: VariableSchema,
-                   with_label: bool) -> str:
-    layout = tuple(_layout(schema, with_label))
-    return "\n\n".join(_write_block(r, layout, schema.label) for r in records)
+                   with_label: bool, blocks: Blocks | None) -> str:
+    blocks = {} if blocks is None else blocks
+    layout = None
+    texts = []
+    for record in records:
+        key = (id(record), with_label)
+        entry = blocks.get(key)
+        if entry is None:
+            # the layout costs as much as a join of cached blocks: build it
+            # only when a block is missing
+            layout = layout or tuple(_layout(schema, with_label))
+            # the entry keeps the record alive, so no other record takes its id
+            entry = blocks[key] = (record, _write_block(record, layout, schema.label))
+        texts.append(entry[1])
+    return "\n\n".join(texts)
 
 
 def _read_section(blocks: Sequence[str], schema: VariableSchema,
@@ -233,21 +255,28 @@ def _check_queries(queries: Sequence[RespondentRecord]) -> None:
 
 def render_zero_shot(queries: Sequence[RespondentRecord],
                      schema: VariableSchema | None = None,
-                     want_importance: bool = False) -> Prompt:
-    """Prompt for scoring queries with no labeled examples."""
+                     want_importance: bool = False, *,
+                     blocks: Blocks | None = None) -> Prompt:
+    """Prompt for scoring queries with no labeled examples.
+
+    blocks, when given, caches traveler blocks across the renders of one
+    run (one schema); None writes every block.
+    """
     schema = schema or default_schema()
     queries = list(queries)
     _check_queries(queries)
     system = _load_template("zero_shot_system.txt").format(
         output_contract=_output_contract(schema, want_importance))
-    user = QUERY_HEADER + "\n\n" + _write_section(queries, schema, False) + "\n"
+    user = QUERY_HEADER + "\n\n" + _write_section(queries, schema, False, blocks) + "\n"
     return Prompt(system_text=system, user_text=user)
 
 
 def render_few_shot(support: SupportSet, queries: Sequence[RespondentRecord],
                     schema: VariableSchema | None = None,
-                    want_importance: bool = False) -> Prompt:
-    """Prompt with labeled support examples followed by unlabeled queries."""
+                    want_importance: bool = False, *,
+                    blocks: Blocks | None = None) -> Prompt:
+    """Prompt with labeled support examples followed by unlabeled queries;
+    blocks as in render_zero_shot."""
     schema = schema or default_schema()
     queries = list(queries)
     _check_queries(queries)
@@ -261,9 +290,10 @@ def render_few_shot(support: SupportSet, queries: Sequence[RespondentRecord],
         )
     system = _load_template("few_shot_system.txt").format(
         output_contract=_output_contract(schema, want_importance))
-    user = (SUPPORT_HEADER + "\n\n" + _write_section(support.records, schema, True)
+    user = (SUPPORT_HEADER + "\n\n"
+            + _write_section(support.records, schema, True, blocks)
             + "\n\n" + QUERY_HEADER + "\n\n"
-            + _write_section(queries, schema, False) + "\n")
+            + _write_section(queries, schema, False, blocks) + "\n")
     return Prompt(system_text=system, user_text=user)
 
 

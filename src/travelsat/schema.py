@@ -9,6 +9,7 @@ resources/default_schema.json, the same format load_schema reads.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import dataclass, field
@@ -51,8 +52,10 @@ class Variable:
         if self.kind == NUMERIC and self.categories:
             raise SchemaError(f"numeric {self.name} must not define categories")
 
-    @property
+    @functools.cached_property
     def codes(self) -> tuple[int, ...]:
+        # computed once per variable: load_survey checks every categorical
+        # cell against it; not a field, so equality and asdict ignore it
         return tuple(code for code, _ in self.categories)
 
     def label_for(self, code: int) -> str:

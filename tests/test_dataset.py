@@ -111,6 +111,24 @@ def test_invalid_code_raises_with_row_index(tmp_path):
     assert "commuting_mode" in str(err.value)
 
 
+@pytest.mark.parametrize("overrides, message", [
+    ({"commuting_mode": " 12 "},
+     "row 2: commuting_mode: '12' is not one of codes (1, 2, 3, 4, 5, 6, 7, 8, 9)"),
+    ({"gender": "0.5"}, "row 2: gender: '0.5' is not one of codes (0, 1)"),
+    ({"age": "0"}, "row 2: age: 0.0 must be > 0.0"),
+    ({"income": "-5"}, "row 2: income: -5.0 must be >= 0.0"),
+    ({"travel_satisfaction": "7.5"}, "row 2: travel_satisfaction: 7.5 must be <= 7.0"),
+])
+def test_bad_cell_message_names_row_variable_and_value(tmp_path, overrides, message):
+    path = tmp_path / "survey.csv"
+    _write_rows(path, [_complete_row("r1"), _complete_row("r2", **overrides),
+                       _complete_row("r3", age="0")])
+    with pytest.raises(RowError) as err:
+        load_survey(path)
+    assert str(err.value) == message
+    assert err.value.row_index == 2
+
+
 def test_record_id_with_comma_raises_with_row_index(tmp_path):
     # replies list scores as id,score, so such an id could never be scored
     path = tmp_path / "survey.csv"

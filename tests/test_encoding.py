@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from travelsat.dataset import Dataset, RespondentRecord
-from travelsat.encoding import design_matrix, encode, encode_matrix, fit_encoding
+from travelsat.encoding import design_matrix, encode_matrix, fit_encoding
 from travelsat.errors import EncodingError
 from travelsat.schema import CATEGORICAL, NUMERIC, Variable, VariableSchema
 
@@ -33,14 +33,14 @@ def test_constant_column_flagged_and_zero_encoded():
     dataset = _tiny_dataset()
     spec = fit_encoding(dataset)
     assert spec.constant_variables == ("steady",)
-    for record in dataset:
-        assert encode(record, spec)[spec.group("steady").start] == 0.0
+    X = encode_matrix(dataset, spec)
+    assert np.all(X[:, spec.group("steady").start] == 0.0)
 
 
 def test_zscore_of_mean_is_zero():
     dataset = _tiny_dataset()
     spec = fit_encoding(dataset)
-    vec = encode(dataset[1], spec)  # minutes = 2.0 = mean
+    vec = encode_matrix([dataset[1]], spec)[0]  # minutes = 2.0 = mean
     assert vec[spec.group("minutes").start] == 0.0
 
 
@@ -49,7 +49,7 @@ def test_one_hot_position():
     spec = fit_encoding(dataset)
     g = spec.group("mode")
     assert g.width == 3
-    vec = encode(dataset[1], spec)  # mode = 2 (bus)
+    vec = encode_matrix([dataset[1]], spec)[0]  # mode = 2 (bus)
     assert list(vec[g.start:g.start + g.width]) == [0.0, 1.0, 0.0]
 
 
@@ -72,23 +72,25 @@ def test_one_hot_rows_sum_to_one(small_dataset):
 
 def test_encode_deterministic(small_dataset):
     spec = fit_encoding(small_dataset)
-    a = encode(small_dataset[0], spec)
-    b = encode(small_dataset[0], spec)
+    a = encode_matrix(small_dataset, spec)
+    b = encode_matrix(small_dataset, spec)
     assert np.array_equal(a, b)
 
 
 def test_encode_injective_on_categorical_difference():
     dataset = _tiny_dataset()
     spec = fit_encoding(dataset)
-    assert not np.array_equal(encode(dataset[0], spec), encode(dataset[1], spec))
+    X = encode_matrix(dataset, spec)
+    assert not np.array_equal(X[0], X[1])
 
 
 def test_unknown_code_rejected():
     dataset = _tiny_dataset()
     spec = fit_encoding(dataset)
     stranger = RespondentRecord("x", {"minutes": 1.0, "steady": 5.0, "mode": 9}, 4.0)
-    with pytest.raises(EncodingError):
-        encode(stranger, spec)
+    with pytest.raises(EncodingError,
+                       match=r"^mode: code 9 not in fitted codes \(1, 2, 3\)$"):
+        encode_matrix([stranger], spec)
 
 
 def test_design_matrix_drops_reference_columns(small_dataset):
@@ -117,6 +119,25 @@ TWO_CATEGORICALS = VariableSchema(predictors=(
 def _records(rows):
     return [RespondentRecord(f"r{i}", dict(zip(("minutes", "mode", "steady", "pet"), row)), 4.0)
             for i, row in enumerate(rows)]
+
+
+def encode(record, spec):
+    """Oracle: one record at a time, group by group, with plain Python."""
+    out = np.zeros(spec.width)
+    for g in spec.groups:
+        value = record.values[g.variable]
+        if g.kind == NUMERIC:
+            out[g.start] = 0.0 if g.constant else (value - g.mean) / g.std
+        else:
+            code = int(value)
+            try:
+                offset = g.codes.index(code)
+            except ValueError:
+                raise EncodingError(
+                    f"{g.variable}: code {code} not in fitted codes {g.codes}"
+                ) from None
+            out[g.start + offset] = 1.0
+    return out
 
 
 def per_record_matrix(records, spec):

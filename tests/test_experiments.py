@@ -300,6 +300,51 @@ def test_cache_warm_run_issues_no_backend_calls(tmp_path, monkeypatch):
     assert cold_summary == warm_summary
 
 
+def test_run_writes_each_block_once_and_renders_once_per_request(tmp_path, monkeypatch):
+    import travelsat.experiments as experiments
+    import travelsat.prompting as prompting
+
+    cache_dir = str(tmp_path / "cache")
+    cold = _fast_config(tmp_path, "cold", cache_dir=cache_dir)
+    run_few_shot_sweep(cold)
+    # warm: every reply comes from the cache, so the mock, which re-writes
+    # each block it reads, writes none; every block written is a render's
+    written: list = []
+    renders = {"n": 0}
+    requests = {"n": 0}
+    write_block = prompting._write_block
+
+    def counting_write(record, layout, label):
+        written.append((record, any(var is label for _, var, _ in layout)))
+        return write_block(record, layout, label)
+
+    def counting(render):
+        def wrapper(*args, **kwargs):
+            renders["n"] += 1
+            return render(*args, **kwargs)
+        return wrapper
+
+    cached_complete = LlmClient.cached_complete
+
+    def counting_request(self, prompt, trial_index):
+        requests["n"] += 1
+        return cached_complete(self, prompt, trial_index)
+
+    monkeypatch.setattr(prompting, "_write_block", counting_write)
+    monkeypatch.setattr(experiments, "render_few_shot", counting(prompting.render_few_shot))
+    monkeypatch.setattr(experiments, "render_zero_shot", counting(prompting.render_zero_shot))
+    monkeypatch.setattr(LlmClient, "cached_complete", counting_request)
+    monkeypatch.setattr(ScriptedMock, "complete", None)
+    warm = dataclasses.replace(cold, out_dir=str(tmp_path / "warm"))
+    run_few_shot_sweep(warm)
+    assert renders["n"] == requests["n"] > 0
+    keys = [(id(record), with_label) for record, with_label in written]
+    assert len(keys) == len(set(keys))
+    assert {with_label for _, with_label in written} == {False, True}
+    assert (Path(warm.out_dir) / "summary.txt").read_bytes() == \
+        (Path(cold.out_dir) / "summary.txt").read_bytes()
+
+
 def _first_query_id(config):
     from travelsat.dataset import split
     _, test = split(load_dataset(config), config.train_fraction, seed=config.seed)

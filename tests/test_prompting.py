@@ -1,3 +1,5 @@
+import dataclasses
+import gc
 import math
 
 import pytest
@@ -111,8 +113,9 @@ def test_templates_are_read_once_per_name(prompt_parts):
 
 def test_duplicate_query_ids_rejected(prompt_parts):
     schema, _, queries = prompt_parts
-    with pytest.raises(PromptError):
-        render_zero_shot([queries[0], queries[0]], schema)
+    for blocks in (None, {}):
+        with pytest.raises(PromptError):
+            render_zero_shot([queries[0], queries[0]], schema, blocks=blocks)
 
 
 def test_empty_queries_rejected(prompt_parts):
@@ -131,9 +134,10 @@ def test_empty_support_rejected(prompt_parts):
 
 def test_support_query_overlap_rejected(prompt_parts):
     schema, support, _ = prompt_parts
-    with pytest.raises(ContaminationError) as excinfo:
-        render_few_shot(support, [support.records[0]], schema)
-    assert support.records[0].record_id in str(excinfo.value)
+    for blocks in (None, {}):
+        with pytest.raises(ContaminationError) as excinfo:
+            render_few_shot(support, [support.records[0]], schema, blocks=blocks)
+        assert support.records[0].record_id in str(excinfo.value)
 
 
 def test_batched():
@@ -339,6 +343,62 @@ def test_render_read_prompt_round_trip(data):
     ids = [q.record_id for q in queries]
     scores = parse_response(mock.complete(prompt, LlmParams()).content, ids).scores
     assert scores == {q.record_id: linear_rule(q.values) for q in queries}
+
+
+@st.composite
+def render_calls(draw, count):
+    """(support indices, query indices, want_importance) per render over
+    count records; an empty support is a zero-shot render."""
+    calls = []
+    for _ in range(draw(st.integers(1, 6))):
+        order = draw(st.permutations(range(count)))
+        k = draw(st.integers(0, count - 1))
+        n_queries = draw(st.integers(1, count - k))
+        calls.append((order[:k], order[k:k + n_queries], draw(st.booleans())))
+    return calls
+
+
+def _render(records, call, schema, blocks):
+    support, queries, want_importance = call
+    queries = [records[i] for i in queries]
+    if support:
+        return render_few_shot(SupportSet(records=tuple(records[i] for i in support)),
+                               queries, schema, want_importance, blocks=blocks)
+    return render_zero_shot(queries, schema, want_importance, blocks=blocks)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_shared_blocks_render_the_same_bytes(data):
+    schema = default_schema()
+    records = data.draw(travelers(schema))
+    calls = data.draw(render_calls(len(records)))
+    blocks: dict = {}
+    for call in calls:
+        # a record may be a query in one render and an example in the next
+        assert _render(records, call, schema, blocks).as_bytes() == \
+            _render(records, call, schema, None).as_bytes()
+    assert len(blocks) <= 2 * len(records)
+
+
+def test_blocks_follow_the_record_not_its_id(small_dataset):
+    schema = small_dataset.schema
+    blocks: dict = {}
+    twin = dataclasses.replace(small_dataset.records[0])
+    render_zero_shot([twin], schema, blocks=blocks)
+    changed = dataclasses.replace(
+        twin, values={**twin.values, "age": twin.values["age"] + 1.0}, satisfaction=2.5)
+    # the cached entry keeps the twin alive, so changed cannot reuse its id
+    del twin
+    gc.collect()
+    support = SupportSet(records=(changed,))
+    for render in (lambda b: render_zero_shot([changed], schema, blocks=b),
+                   lambda b: render_few_shot(support, small_dataset.records[1:3],
+                                             schema, blocks=b)):
+        got = render(blocks)
+        assert got == render(None)
+        assert f"age: {format(changed.values['age'], '.6g')} years" in got.user_text
+    assert f"{LABEL_LINE} 2.5\n" in got.user_text
 
 
 def _tampered_forms(dataset):

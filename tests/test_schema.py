@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from travelsat.errors import SchemaError
@@ -85,3 +87,21 @@ def test_fingerprint_changes_with_content():
     reduced = VariableSchema(predictors=schema.predictors[:5])
     assert schema.fingerprint() != reduced.fingerprint()
     assert schema.fingerprint() == default_schema().fingerprint()
+
+
+def test_codes_computed_once_and_not_a_field():
+    mode = Variable("mode", "travel_characteristics", CATEGORICAL,
+                    categories=((1, "walk"), (2, "bus")))
+    twin = Variable("mode", "travel_characteristics", CATEGORICAL,
+                    categories=((1, "walk"), (2, "bus")))
+    schema = VariableSchema(predictors=(mode,))
+    fingerprint = schema.fingerprint()
+    assert mode.codes == (1, 2)
+    assert mode.codes is mode.codes
+    # the cached value is not a field: equality, hashing, asdict, the
+    # fingerprint and replace see only the fields
+    assert mode == twin and hash(mode) == hash(twin)
+    assert dataclasses.asdict(mode) == dataclasses.asdict(twin)
+    assert "codes" not in dataclasses.asdict(mode)
+    assert schema.fingerprint() == fingerprint
+    assert dataclasses.replace(mode, categories=((3, "car"), (4, "bike"))).codes == (3, 4)
