@@ -86,6 +86,14 @@ def format_cell(mean: float, std: float | None) -> str:
     return f"{mean:.3f} ({std:.3f})"
 
 
+def significance_stars(p_value: float | None) -> str:
+    """Significance marks: ** below p = 0.01, * below 0.05, none otherwise
+    or without a p-value."""
+    if p_value is None:
+        return ""
+    return "**" if p_value < 0.01 else "*" if p_value < 0.05 else ""
+
+
 @dataclass(frozen=True)
 class TTestResult:
     variable: str
@@ -97,13 +105,7 @@ class TTestResult:
 
     @property
     def stars(self) -> str:
-        if self.p_value is None:
-            return ""
-        if self.p_value < 0.01:
-            return "**"
-        if self.p_value < 0.05:
-            return "*"
-        return ""
+        return significance_stars(self.p_value)
 
 
 def welch_t(a: Sequence[float], b: Sequence[float], variable: str = "") -> TTestResult:

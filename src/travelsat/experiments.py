@@ -21,6 +21,7 @@ a reasoning archive and table rows.
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import hashlib
 import json
@@ -57,7 +58,7 @@ from .prompting import (
     render_few_shot,
     render_zero_shot,
 )
-from .schema import VariableSchema, default_schema, load_schema
+from .schema import VariableSchema, default_schema, load_schema, read_json
 from .selection import (
     SupportSet,
     empty_support,
@@ -168,13 +169,7 @@ def config_from_dict(d: dict) -> ExperimentConfig:
 
 
 def load_config(path) -> ExperimentConfig:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except OSError as exc:
-        raise DatasetError(f"{path}: cannot read config: {exc}") from exc
-    except ValueError as exc:
-        raise DatasetError(f"{path}: not valid JSON: {exc}") from exc
+    payload = read_json(path, "config", DatasetError)
     try:
         return config_from_dict(payload)
     except (TypeError, ValueError) as exc:
@@ -279,9 +274,9 @@ def _execute(client: LlmClient, schema: VariableSchema,
             request = requests[i]
             if not isinstance(reply, TravelSatError):
                 ids = [q.record_id for q in request.queries]
+                names = schema.names if request.importance else None
                 try:
-                    reply = (reply, parse_response(reply.content, ids,
-                                                   want_importance=request.importance))
+                    reply = (reply, parse_response(reply.content, ids, names))
                 except ParseError as exc:
                     reply = exc
             outcomes[i] = reply
@@ -336,8 +331,11 @@ def _run(config: ExperimentConfig, experiment: str,
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for name, header, rows in result.tables:
-        lines = [",".join(header)] + [",".join(str(cell) for cell in row) for row in rows]
-        (out / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with open(out / name, "w", newline="", encoding="utf-8") as fh:
+            # quotes only the cells that need it, such as a status with commas
+            table = csv.writer(fh, lineterminator="\n")
+            table.writerow(header)
+            table.writerows(rows)
     (out / "summary.txt").write_text(result.summary, encoding="utf-8")
     if result.reasoning:
         (out / "reasoning").mkdir(exist_ok=True)
@@ -442,7 +440,7 @@ def _sweep_result(config: ExperimentConfig, dataset: Dataset, client: LlmClient,
                         for t, results in screened for r in results]
             cell = (summarize_ks_repeats([results for _, results in screened])
                     if screened else "n/a")
-            aggregate.append(f"\"{cell}\"")
+            aggregate.append(cell)
             table.append(cell)
         agg_rows.append(aggregate)
         table_rows.append(table)

@@ -15,7 +15,9 @@ produce identical bytes on every run. Two scoring modes:
   Accuracy then improves sharply once examples appear, mimicking the
   few-shot vs zero-context contrast.
 
-Prompts that read_prompt rejects raise MockError.
+Replies are written by prompting.write_response, with the rule's fixed
+weights when the prompt asks for importances; prompts that read_prompt
+rejects raise MockError.
 """
 
 from __future__ import annotations
@@ -27,15 +29,8 @@ from numpy.random import default_rng
 from .client import LlmParams, LlmResponse
 from .encoding import encode_matrix, encoding_spec
 from .errors import MockError, PromptError, SchemaError
-from .prompting import IMPORTANCES_OPEN, SCORES_OPEN, Prompt, read_prompt
-from .rules import (
-    REFERENCE_SCALE,
-    SCORE_MAX,
-    SCORE_MIN,
-    get_rule,
-    misaligned_prior,
-    rule_importance,
-)
+from .prompting import Prompt, read_prompt, write_response
+from .rules import REFERENCE_SCALE, clamp, get_rule, misaligned_prior, rule_importance
 from .schema import VariableSchema, default_schema
 
 
@@ -44,8 +39,7 @@ class ScriptedMock:
 
     def __init__(self, rule: str = "linear", mode: str = "nn",
                  schema: VariableSchema | None = None,
-                 noise_seed: int = 0, noise_scale: float = 0.0,
-                 importance: dict[str, float] | None = None):
+                 noise_seed: int = 0, noise_scale: float = 0.0):
         if mode not in ("rule", "nn"):
             raise SchemaError(f"unknown mock mode {mode!r}")
         self.rule_name = rule
@@ -57,10 +51,6 @@ class ScriptedMock:
             name: REFERENCE_SCALE.get(name, (0.0, 1.0)) for name in self.schema.names})
         self.noise_seed = noise_seed
         self.noise_scale = noise_scale
-        if importance is not None:
-            total = sum(importance.values())
-            importance = {k: v / total for k, v in importance.items()}
-        self.importance = importance
         self.calls = 0
 
     def _noise(self, record_id: str) -> float:
@@ -82,7 +72,7 @@ class ScriptedMock:
         else:
             raw = [misaligned_prior(q.values) + self._noise(q.record_id)
                    for q in queries]
-        return [min(SCORE_MAX, max(SCORE_MIN, score)) for score in raw]
+        return [clamp(score) for score in raw]
 
     def complete(self, prompt: Prompt, params: LlmParams) -> LlmResponse:
         self.calls += 1
@@ -90,17 +80,13 @@ class ScriptedMock:
             examples, queries = read_prompt(prompt.user_text, self.schema)
         except PromptError as exc:
             raise MockError(f"unreadable prompt: {exc}") from exc
-        lines = [f"{q.record_id},{score!r}"
-                 for q, score in zip(queries, self._scores(examples, queries))]
-        parts = [SCORES_OPEN, *lines, "```"]
-        if IMPORTANCES_OPEN in prompt.system_text:
-            weights = self.importance or rule_importance(self.rule_name)
-            parts += ["", IMPORTANCES_OPEN]
-            parts += [f"{name.replace('_', ' ')}={weights.get(name, 0.0):.6f}"
-                      for name in self.schema.names]
-            parts.append("```")
-        parts += ["", "Scores follow commuting burden and mode comfort relative "
-                      "to the presented profiles."]
-        return LlmResponse(content="\n".join(parts),
+        scores = dict(zip((q.record_id for q in queries), self._scores(examples, queries)))
+        weights = None
+        if prompt.asks_importances:
+            rule_weights = rule_importance(self.rule_name)
+            weights = {name: rule_weights.get(name, 0.0) for name in self.schema.names}
+        commentary = ("Scores follow commuting burden and mode comfort relative "
+                      "to the presented profiles.")
+        return LlmResponse(content=write_response(scores, weights, commentary),
                            reasoning="Compared each traveler against the "
                                      "presented profiles before scoring.")

@@ -13,10 +13,13 @@ each record's block text by (id(record), with_label), and build every
 prompt by joining cached blocks. Each entry holds its record, so an id in
 the dict cannot be reused by another record while the dict lives.
 
-Responses must follow a strict fenced-block contract (see
-docs/output_contract.md): a ```scores block with one "id,score" line per
-traveler, plus a ```importances block when variable weights were requested.
-Everything else in the response is kept as free-text reasoning.
+Replies follow a strict fenced-block contract (docs/output_contract.md),
+and this module alone writes and reads it: write_response writes a
+```scores block of "id,score" lines, plus a ```importances block of
+"name=weight" lines when weights were asked for; parse_response, its exact
+inverse, reads both through one key=value block reader that checks each
+block's keys against the query ids or the predictor names. Everything else
+in a reply is kept as free-text reasoning.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import math
 import re
 from dataclasses import dataclass
 from importlib import resources
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .dataset import RespondentRecord
 from .errors import ContaminationError, ParseError, PromptError, SchemaError
@@ -55,6 +58,11 @@ class Prompt:
 
     def as_bytes(self) -> bytes:
         return (self.system_text + "\x00" + self.user_text).encode("utf-8")
+
+    @property
+    def asks_importances(self) -> bool:
+        """Whether the output contract asks for an importances block."""
+        return IMPORTANCES_OPEN in self.system_text
 
 
 @dataclass(frozen=True)
@@ -304,93 +312,91 @@ def batched(items: Sequence, batch_size: int) -> Iterable[Sequence]:
         yield items[start:start + batch_size]
 
 
-_BLOCK_RE = {
-    "scores": re.compile(r"```scores[ \t]*\n(.*?)\n?```", re.DOTALL),
-    "importances": re.compile(r"```importances[ \t]*\n(.*?)\n?```", re.DOTALL),
-}
+_BLOCK_RE = {kind: re.compile(rf"```{kind}[ \t]*\n(.*?)\n?```", re.DOTALL)
+             for kind in ("scores", "importances")}
+
+# block kind -> (key/value separator, what a key is, what a value is, the
+# closed range of a value)
+_PAIRS = {"scores": (",", "id", "score", 1.0, 7.0),
+          "importances": ("=", "variable", "importance", 0.0, math.inf)}
 
 
-def _extract_block(text: str, kind: str) -> str | None:
-    m = _BLOCK_RE[kind].search(text)
-    return m.group(1) if m else None
+def write_response(scores: Mapping[str, float],
+                   importances: Mapping[str, float] | None, commentary: str) -> str:
+    """A reply in the output contract: scores as repr, names with spaces
+    for underscores, weights at six decimals (no importances block when
+    importances is None), then the commentary after a blank line."""
+    parts = [SCORES_OPEN, *(f"{i},{float(score)!r}" for i, score in scores.items()), "```"]
+    if importances is not None:
+        parts += ["", IMPORTANCES_OPEN,
+                  *(f"{name.replace('_', ' ')}={weight:.6f}"
+                    for name, weight in importances.items()), "```"]
+    return "\n".join(parts + ["", commentary])
 
 
-def parse_response(text: str, expected_ids: Sequence[str],
-                   want_importance: bool = False) -> PredictionBatch:
-    """Parse a model response against the output contract.
-
-    Raises ParseError (carrying the raw text) when the scores block is
-    missing, ids do not match the expected set exactly, a score falls
-    outside [1, 7], or a requested importance block is absent or does not
-    sum close enough to 1. Importance weights within 2% of unit sum are
-    renormalized to sum exactly 1.
-    """
-    expected = list(expected_ids)
-    scores_block = _extract_block(text, "scores")
-    if scores_block is None:
-        raise ParseError("response has no ```scores block", raw_text=text)
-    scores: dict[str, float] = {}
-    for line in scores_block.splitlines():
+def _read_pairs(text: str, kind: str, keys: Sequence[str]) -> dict[str, float]:
+    """The first ```<kind> block of text as {key: value}, one line per key
+    in keys (blank lines skipped, spaces in importance names read as
+    underscores). A missing block, an unreadable line, a repeated key, a
+    value out of range or other keys than keys raise ParseError."""
+    separator, key_noun, value_noun, low, high = _PAIRS[kind]
+    match = _BLOCK_RE[kind].search(text)
+    if match is None:
+        raise ParseError(f"response has no ```{kind} block", raw_text=text)
+    pairs: dict[str, float] = {}
+    for line in match.group(1).splitlines():
         line = line.strip()
         if not line:
             continue
-        if "," not in line:
-            raise ParseError(f"bad scores line (no comma): {line!r}", raw_text=text)
-        record_id, _, rendered = line.partition(",")
-        record_id = record_id.strip()
-        try:
-            score = float(rendered.strip())
-        except ValueError:
-            raise ParseError(f"bad score for {record_id!r}: {rendered.strip()!r}",
-                             raw_text=text) from None
-        if record_id in scores:
-            raise ParseError(f"duplicate score line for {record_id!r}", raw_text=text)
-        if not 1.0 <= score <= 7.0:
-            raise ParseError(f"score {score} for {record_id!r} outside [1, 7]",
+        if separator not in line:
+            raise ParseError(f"bad {kind} line (no {separator!r}): {line!r}",
                              raw_text=text)
-        scores[record_id] = score
-    missing = [i for i in expected if i not in scores]
-    extra = [i for i in scores if i not in expected]
+        key, _, rendered = line.partition(separator)
+        key = key.strip()
+        if kind == "importances":
+            key = key.replace(" ", "_")
+        try:
+            value = float(rendered)
+        except ValueError:
+            raise ParseError(f"bad {value_noun} for {key!r}: {rendered.strip()!r}",
+                             raw_text=text) from None
+        if key in pairs:
+            raise ParseError(f"duplicate {value_noun} line for {key!r}", raw_text=text)
+        if not low <= value <= high:
+            raise ParseError(f"{value_noun} {value} for {key!r} outside "
+                             f"[{low:g}, {high:g}]", raw_text=text)
+        pairs[key] = value
+    expected = set(keys)
+    missing = [k for k in keys if k not in pairs]
+    extra = [k for k in pairs if k not in expected]
     if missing or extra:
-        raise ParseError(
-            f"id mismatch: missing {missing or 'none'}, unexpected {extra or 'none'}",
-            raw_text=text,
-        )
+        raise ParseError(f"{key_noun} mismatch: missing {missing or 'none'}, "
+                         f"unexpected {extra or 'none'}", raw_text=text)
+    return pairs
 
+
+def parse_response(text: str, expected_ids: Sequence[str],
+                   importance_names: Sequence[str] | None = None) -> PredictionBatch:
+    """Parse a model response against the output contract.
+
+    importance_names, when given, are the predictors whose weights were
+    asked for; the reply must weigh exactly those. Raises ParseError
+    (carrying the raw text) when a block is missing or a line unreadable,
+    ids or names differ from the expected ones, a score falls outside
+    [1, 7], a weight is negative, or the weights sum outside [0.98, 1.02];
+    inside that band they are renormalized to sum exactly 1.
+    """
+    scores = _read_pairs(text, "scores", expected_ids)
     importances = None
-    if want_importance:
-        imp_block = _extract_block(text, "importances")
-        if imp_block is None:
-            raise ParseError("response has no ```importances block", raw_text=text)
-        raw: dict[str, float] = {}
-        for line in imp_block.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ParseError(f"bad importance line (no '='): {line!r}",
-                                 raw_text=text)
-            name, _, rendered = line.partition("=")
-            name = name.strip().replace(" ", "_")
-            try:
-                weight = float(rendered.strip())
-            except ValueError:
-                raise ParseError(f"bad importance weight for {name!r}: "
-                                 f"{rendered.strip()!r}", raw_text=text) from None
-            if weight < 0:
-                raise ParseError(f"negative importance for {name!r}", raw_text=text)
-            if name in raw:
-                raise ParseError(f"duplicate importance line for {name!r}",
-                                 raw_text=text)
-            raw[name] = weight
+    if importance_names is not None:
+        raw = _read_pairs(text, "importances", importance_names)
         total = sum(raw.values())
         if not 0.98 <= total <= 1.02:
             raise ParseError(f"importance weights sum to {total:.4f}, not close to 1",
                              raw_text=text)
         importances = {name: weight / total for name, weight in raw.items()}
-
     reasoning = text
-    for kind in ("scores", "importances"):
-        reasoning = _BLOCK_RE[kind].sub("", reasoning)
+    for pattern in _BLOCK_RE.values():
+        reasoning = pattern.sub("", reasoning)
     return PredictionBatch(scores=scores, importances=importances,
                            reasoning=reasoning.strip())

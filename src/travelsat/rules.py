@@ -39,7 +39,8 @@ def scaled(values: Mapping[str, float], name: str) -> float:
     return (float(values[name]) - center) / scale
 
 
-def _clamp(score: float) -> float:
+def clamp(score: float) -> float:
+    """score limited to [SCORE_MIN, SCORE_MAX], as a float."""
     return float(min(SCORE_MAX, max(SCORE_MIN, score)))
 
 
@@ -78,7 +79,7 @@ def linear_rule(values: Mapping[str, float]) -> float:
         score += weight * scaled(values, name)
     for name, offsets in _LINEAR_OFFSETS.items():
         score += offsets[int(values[name])]
-    return _clamp(score)
+    return clamp(score)
 
 
 def threshold_rule(values: Mapping[str, float]) -> float:
@@ -94,7 +95,7 @@ def threshold_rule(values: Mapping[str, float]) -> float:
         score -= 0.3
     if values["income"] > 25000.0:
         score += 0.2
-    return _clamp(score)
+    return clamp(score)
 
 
 RULES = {
@@ -123,7 +124,7 @@ def misaligned_prior(values: Mapping[str, float]) -> float:
         score += 0.4
     if values["commuting_time"] < 15.0:
         score += 0.2
-    return _clamp(score)
+    return clamp(score)
 
 
 def rule_importance(name: str) -> dict[str, float]:

@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass, field
 from importlib import resources
 
-from .errors import SchemaError
+from .errors import SchemaError, TravelSatError
 
 DIMENSIONS = (
     "socioeconomics",
@@ -161,15 +161,20 @@ def schema_from_dict(d: dict) -> VariableSchema:
     return VariableSchema(predictors=predictors)
 
 
-def load_schema(path) -> VariableSchema:
+def read_json(path, what: str, error: type[TravelSatError]):
+    """The JSON value in the file at path. A file that cannot be read or
+    is not valid JSON raises error, naming the path and what it holds."""
     try:
         with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
-        raise SchemaError(f"{path}: cannot read schema: {exc}") from exc
+        raise error(f"{path}: cannot read {what}: {exc}") from exc
     except ValueError as exc:
-        raise SchemaError(f"{path}: not valid JSON: {exc}") from exc
-    return schema_from_dict(payload)
+        raise error(f"{path}: not valid JSON: {exc}") from exc
+
+
+def load_schema(path) -> VariableSchema:
+    return schema_from_dict(read_json(path, "schema", SchemaError))
 
 
 def save_schema(schema: VariableSchema, path) -> None:

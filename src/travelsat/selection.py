@@ -22,6 +22,7 @@ from scipy.special import kolmogorov
 from .dataset import Dataset, RespondentRecord
 from .encoding import EncodingSpec, encode_matrix
 from .errors import DatasetError
+from .evaluation import significance_stars
 from .schema import VariableSchema
 
 
@@ -108,11 +109,7 @@ class KsResult:
 
     @property
     def stars(self) -> str:
-        if self.p_value < 0.01:
-            return "**"
-        if self.p_value < 0.05:
-            return "*"
-        return ""
+        return significance_stars(self.p_value)
 
     @property
     def significant(self) -> bool:

@@ -17,8 +17,8 @@ import numpy as np
 
 from .dataset import Dataset, RespondentRecord
 from .errors import DatasetError, SchemaError
-from .rules import SCORE_MAX, SCORE_MIN, get_rule
-from .schema import CATEGORICAL, NUMERIC, VariableSchema, default_schema
+from .rules import clamp, get_rule
+from .schema import CATEGORICAL, NUMERIC, VariableSchema, default_schema, read_json
 
 
 @dataclass(frozen=True)
@@ -107,14 +107,7 @@ def marginals_from_dict(d: dict) -> dict[str, Marginal]:
 
 
 def load_marginals(path) -> dict[str, Marginal]:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except OSError as exc:
-        raise SchemaError(f"{path}: cannot read marginals: {exc}") from exc
-    except ValueError as exc:
-        raise SchemaError(f"{path}: not valid JSON: {exc}") from exc
-    return marginals_from_dict(payload)
+    return marginals_from_dict(read_json(path, "marginals", SchemaError))
 
 
 _DEFAULT_MARGINALS = None
@@ -178,11 +171,10 @@ def synthesize(
     records = []
     for i in range(n):
         values = {name: float(columns[name][i]) for name in schema.names}
-        score = rule(values) + float(noise_draws[i])
-        score = min(SCORE_MAX, max(SCORE_MIN, score))
+        score = clamp(rule(values) + float(noise_draws[i]))
         records.append(RespondentRecord(
             record_id=f"s{i + 1:0{width}d}",
             values=values,
-            satisfaction=float(score),
+            satisfaction=score,
         ))
     return Dataset(schema=schema, records=tuple(records))

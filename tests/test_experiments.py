@@ -1,9 +1,11 @@
+import csv
 import dataclasses
 import json
 from pathlib import Path
 
 import pytest
 
+from travelsat.baselines import fraction_sweep
 from travelsat.client import LlmClient, LlmResponse
 from travelsat.errors import DatasetError
 from travelsat.experiments import (
@@ -41,9 +43,8 @@ def _fast_config(tmp_path, name, **overrides):
 
 
 def _read_csv(path: Path):
-    lines = path.read_text("utf-8").splitlines()
-    header = lines[0].split(",")
-    return [dict(zip(header, line.split(","))) for line in lines[1:]]
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.DictReader(fh))
 
 
 def test_config_defaults():
@@ -236,9 +237,9 @@ def test_random_sweep_adds_ks_screening(tmp_path):
     out = Path(config.out_dir)
     agg = _read_csv(out / "aggregate.csv")
     assert agg[0]["condition"] == "0 (zero-shot)"
-    assert agg[0]["ks_flags"] == '"n/a"'
+    assert agg[0]["ks_flags"] == "n/a"
     for row in agg[1:]:
-        assert row["ks_flags"] == "" or row["ks_flags"].startswith('"')
+        assert row["ks_flags"] == "ns" or row["ks_flags"].endswith(")")
     ks = _read_csv(out / "ks.csv")
     # 2 non-zero conditions x 2 repeats x 17 predictors
     assert len(ks) == 2 * 2 * 17
@@ -433,6 +434,24 @@ def test_baseline_sweep_reports_failed_cells(tmp_path, dense_marginals_file):
     assert "failed" in summary
 
 
+def test_refused_lr_cell_reads_back_as_one_cell(tmp_path):
+    # 60 training rows miss some rare categorical levels: LR is refused with
+    # a RankError whose status names several columns, commas between them
+    config = _fast_config(tmp_path, "rank", fractions=(0.3,), repeats=1,
+                          synthetic=SyntheticSpec(n=200, seed=7, noise=0.2))
+    run_baseline_sweep(config)
+    with open(Path(config.out_dir) / "baseline.csv", newline="", encoding="utf-8") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert all(len(row) == len(header) for row in rows)
+    lr = [dict(zip(header, row)) for row in rows if row[0] == "lr"]
+    [expected] = fraction_sweep(load_dataset(config), (0.3,), "lr", seed=config.seed,
+                                repeats=1)
+    assert expected.status.startswith("failed: design matrix is rank deficient")
+    assert expected.status.count(",") >= 2
+    assert [r["status"] for r in lr] == [expected.status]
+    assert lr[0]["mse"] == lr[0]["mape"] == ""
+
+
 def test_importance_study_artifacts(tmp_path):
     config = _fast_config(tmp_path, "imp", repeats=2)
     run_importance_study(config)
@@ -447,6 +466,28 @@ def test_importance_study_artifacts(tmp_path):
     summary = (out / "summary.txt").read_text("utf-8")
     assert "Variable importance study" in summary
     assert "zero_shot vs few_shot" in summary
+
+
+def test_misnamed_importance_reply_fails_only_its_requests(tmp_path, monkeypatch):
+    original = ScriptedMock.complete
+
+    def misnaming(self, prompt, params):
+        response = original(self, prompt, params)
+        return dataclasses.replace(response, content=response.content.replace(
+            "\ncommuting time=", "\ncommute time="))
+
+    monkeypatch.setattr(ScriptedMock, "complete", misnaming)
+    config = _fast_config(tmp_path, "misnamed", repeats=2)
+    summary = run_importance_study(config)
+    failed = summary.split("Failed importance requests:\n")[1].splitlines()
+    assert [line.split(":")[0] for line in failed] == [
+        "  zero_shot repeat 1", "  few_shot repeat 1",
+        "  zero_shot repeat 2", "  few_shot repeat 2"]
+    assert all("variable mismatch" in line and "commute_time" in line for line in failed)
+    assert "insufficient repeats for: few_shot, zero_shot" in summary
+    out = Path(config.out_dir)
+    assert {r["model"] for r in _read_csv(out / "importance.csv")} == {"gbdt"}
+    assert not (out / "importance_tests.csv").exists()
 
 
 def test_importance_study_requires_repeats(tmp_path):

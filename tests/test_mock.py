@@ -151,24 +151,11 @@ def test_importance_emitted_only_when_requested(small_dataset):
     assert "```importances" not in plain.content
     asked = mock.complete(render_zero_shot(queries, schema, want_importance=True),
                           PARAMS)
-    batch = parse_response(asked.content, ids, want_importance=True)
+    batch = parse_response(asked.content, ids, schema.names)
     expected = rule_importance("linear")
     assert set(batch.importances) == set(schema.names)
     for name, weight in expected.items():
         assert batch.importances[name] == pytest.approx(weight, abs=1e-5)
-
-
-def test_importance_override(small_dataset):
-    schema = small_dataset.schema
-    override = {name: (2.0 if name == "age" else 1.0) for name in schema.names}
-    mock = ScriptedMock(rule="linear", mode="rule", schema=schema,
-                        importance=override)
-    queries = small_dataset.records[:2]
-    asked = mock.complete(render_zero_shot(queries, schema, want_importance=True),
-                          PARAMS)
-    batch = parse_response(asked.content, [q.record_id for q in queries],
-                           want_importance=True)
-    assert batch.importances["age"] == pytest.approx(2.0 / 18.0, abs=1e-5)
 
 
 def test_mock_reports_reasoning_and_counts_calls(small_dataset):

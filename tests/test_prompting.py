@@ -1,6 +1,8 @@
 import dataclasses
 import gc
 import math
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +26,7 @@ from travelsat.prompting import (
     render_few_shot,
     render_zero_shot,
     serialize_record,
+    write_response,
 )
 from travelsat.rules import linear_rule
 from travelsat.schema import CATEGORICAL, default_schema
@@ -172,13 +175,13 @@ def test_parse_response_happy_path():
 
 def test_parse_response_importances():
     text = GOOD_RESPONSE + "\n```importances\nage=0.4\ncommuting time=0.6\n```\n"
-    batch = parse_response(text, ["q1", "q2"], want_importance=True)
+    batch = parse_response(text, ["q1", "q2"], ["age", "commuting_time"])
     assert batch.importances == {"age": 0.4, "commuting_time": 0.6}
 
 
 def test_parse_renormalizes_near_unit_sums():
     text = "```scores\nq1,4\n```\n```importances\nage=0.50\nincome=0.51\n```"
-    batch = parse_response(text, ["q1"], want_importance=True)
+    batch = parse_response(text, ["q1"], ["age", "income"])
     assert sum(batch.importances.values()) == 1.0
     assert batch.importances["age"] == pytest.approx(0.50 / 1.01, abs=1e-15)
 
@@ -186,7 +189,7 @@ def test_parse_renormalizes_near_unit_sums():
 def test_parse_rejects_far_from_unit_sums():
     text = "```scores\nq1,4\n```\n```importances\nage=0.5\nincome=0.8\n```"
     with pytest.raises(ParseError) as excinfo:
-        parse_response(text, ["q1"], want_importance=True)
+        parse_response(text, ["q1"], ["age", "income"])
     assert "sum" in str(excinfo.value)
 
 
@@ -227,19 +230,34 @@ def test_parse_unparseable_score():
 
 def test_parse_missing_importance_block():
     with pytest.raises(ParseError):
-        parse_response("```scores\nq1,4\n```", ["q1"], want_importance=True)
+        parse_response("```scores\nq1,4\n```", ["q1"], ["age"])
 
 
 def test_parse_negative_importance():
     text = "```scores\nq1,4\n```\n```importances\nage=-0.1\nincome=1.1\n```"
     with pytest.raises(ParseError):
-        parse_response(text, ["q1"], want_importance=True)
+        parse_response(text, ["q1"], ["age", "income"])
 
 
 def test_parse_duplicate_importance():
     text = "```scores\nq1,4\n```\n```importances\nage=0.5\nage=0.5\n```"
-    with pytest.raises(ParseError):
-        parse_response(text, ["q1"], want_importance=True)
+    with pytest.raises(ParseError) as excinfo:
+        parse_response(text, ["q1"], ["age"])
+    assert "duplicate" in str(excinfo.value)
+
+
+@pytest.mark.parametrize("lines", [
+    "age=0.5\n",                                    # omits income
+    "age=0.4\nincome=0.4\ngender=0.2\n",            # adds gender
+    "age=0.5\nincome level=0.5\n",                  # misnames income
+    "age=0.5\ncommute time=0.5\n",                  # near miss of commuting time
+])
+def test_importances_must_name_exactly_the_predictors(lines):
+    text = f"```scores\nq1,4\n```\n```importances\n{lines}```\n"
+    with pytest.raises(ParseError) as excinfo:
+        parse_response(text, ["q1"], ["age", "income"])
+    assert excinfo.value.raw_text == text
+    assert "variable mismatch" in str(excinfo.value)
 
 
 @pytest.mark.parametrize("batch_size", [1, 3, 5])
@@ -288,17 +306,62 @@ FUZZED_REPLY = st.one_of(
 
 
 @settings(max_examples=300, deadline=None)
-@given(text=FUZZED_REPLY, want_importance=st.booleans())
-def test_parse_response_raises_only_parse_error(text, want_importance):
+@given(text=FUZZED_REPLY, names=st.sampled_from([None, ("age", "income", "commuting_time")]))
+def test_parse_response_raises_only_parse_error(text, names):
     try:
-        batch = parse_response(text, ["q1", "q2"], want_importance=want_importance)
+        batch = parse_response(text, ["q1", "q2"], names)
     except ParseError as exc:
         assert exc.raw_text == text
         return
     assert set(batch.scores) == {"q1", "q2"}
     assert all(1.0 <= score <= 7.0 for score in batch.scores.values())
-    if want_importance:
+    if names is None:
+        assert batch.importances is None
+    else:
+        assert set(batch.importances) == set(names)
         assert math.isclose(sum(batch.importances.values()), 1.0)
+
+
+REPLY_IDS = st.lists(st.text("abcxyz0123456789-_.", min_size=1, max_size=6),
+                    min_size=1, max_size=8, unique=True)
+COMMENTARY = st.text(st.characters(blacklist_characters="`",
+                                   blacklist_categories=("Cs",)),
+                     max_size=40).map(str.strip)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ids=REPLY_IDS, data=st.data(), commentary=COMMENTARY)
+def test_write_response_round_trips_through_parse_response(ids, data, commentary):
+    names = default_schema().names
+    scores = {i: data.draw(st.floats(1.0, 7.0)) for i in ids}
+    weights = None
+    if data.draw(st.booleans()):
+        raw = data.draw(st.lists(st.floats(0.0, 1.0), min_size=len(names),
+                                 max_size=len(names)).filter(lambda w: sum(w) > 0.5))
+        weights = {name: w / sum(raw) for name, w in zip(names, raw)}
+    text = write_response(scores, weights, commentary)
+    batch = parse_response(text, ids, None if weights is None else names)
+    assert batch.scores == scores
+    assert batch.reasoning == commentary
+    if weights is None:
+        assert batch.importances is None
+    else:
+        # six decimals per weight move the sum of 17 by up to 8.5e-6, so a
+        # large weight may move by slightly more than 1e-6 on renormalizing
+        assert list(batch.importances) == list(names)
+        for name, weight in weights.items():
+            assert batch.importances[name] == pytest.approx(weight, rel=2e-5, abs=1e-6)
+
+
+def test_output_contract_examples_parse():
+    doc = (Path(__file__).resolve().parents[1] / "docs" / "output_contract.md").read_text("utf-8")
+    examples = re.findall(r"^~~~\n(.*?)^~~~$", doc, re.DOTALL | re.MULTILINE)
+    assert [e.split("\n")[0] for e in examples] == [SCORES_OPEN, IMPORTANCES_OPEN]
+    batch = parse_response("\n".join(examples), ["r0012", "r0047"],
+                           ["commuting_time", "income"])
+    assert batch.scores == {"r0012": 4.5, "r0047": 3.25}
+    assert set(batch.importances) == {"commuting_time", "income"}
+    assert math.isclose(sum(batch.importances.values()), 1.0)
 
 
 def _six_digit_value(var):

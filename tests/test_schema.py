@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import pytest
 
@@ -105,3 +106,20 @@ def test_codes_computed_once_and_not_a_field():
     assert "codes" not in dataclasses.asdict(mode)
     assert schema.fingerprint() == fingerprint
     assert dataclasses.replace(mode, categories=((3, "car"), (4, "bike"))).codes == (3, 4)
+
+
+@pytest.mark.parametrize("what", ["config", "schema", "marginals"])
+def test_json_file_errors_keep_their_class_and_text(tmp_path, what):
+    from travelsat.errors import DatasetError
+    from travelsat.experiments import load_config
+    from travelsat.synthesize import load_marginals
+    load, error = {"config": (load_config, DatasetError),
+                   "schema": (load_schema, SchemaError),
+                   "marginals": (load_marginals, SchemaError)}[what]
+    missing = tmp_path / "missing.json"
+    with pytest.raises(error, match=f"^{re.escape(str(missing))}: cannot read {what}: "):
+        load(missing)
+    broken = tmp_path / "broken.json"
+    broken.write_text("{not json", encoding="utf-8")
+    with pytest.raises(error, match=f"^{re.escape(str(broken))}: not valid JSON: "):
+        load(broken)
