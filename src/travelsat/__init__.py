@@ -9,7 +9,7 @@ with a CLI.
 
 __version__ = "0.1.0"
 
-from .dataset import Dataset, RespondentRecord, compute_satisfaction, load_survey, split
+from .dataset import Dataset, RespondentRecord, load_survey, split
 from .encoding import EncodingSpec, fit_encoding
 from .evaluation import aggregate_repeats, mape, mse, welch_t
 from .schema import VariableSchema, default_schema
@@ -21,7 +21,6 @@ __all__ = [
     "RespondentRecord",
     "VariableSchema",
     "EncodingSpec",
-    "compute_satisfaction",
     "load_survey",
     "split",
     "fit_encoding",

@@ -2,9 +2,12 @@
 
 Both models are written out in full here. OLS solves the least-squares
 problem through a pivoted QR factorization with an explicit rank check that
-names the dependent columns. The GBDT fits squared-loss gradient boosting
-with greedy variance-reduction splits on midpoints between distinct sorted
-values; with subsample = 1 (the default) the fit is fully deterministic.
+names the dependent columns. Its predictions are the same bits for every
+memory layout of X: BLAS sums a matrix-vector product in an order that
+depends on the layout, so predict_ols always multiplies X column-major.
+The GBDT fits squared-loss gradient boosting with greedy variance-reduction
+splits on midpoints between distinct sorted values; with subsample = 1 (the
+default) the fit is fully deterministic.
 
 Split finding is exact greedy over presorted column blocks (the layout of
 XGBoost's exact split finder, Chen & Guestrin 2016, sections 3.1 and 4.1):
@@ -59,7 +62,6 @@ from .evaluation import MetricPair, evaluate
 class LinearModel:
     intercept: float
     coefficients: np.ndarray
-    columns: tuple[str, ...]
 
 
 def fit_ols(X: np.ndarray, y: np.ndarray,
@@ -91,7 +93,7 @@ def fit_ols(X: np.ndarray, y: np.ndarray,
     w_pivoted = linalg.solve_triangular(R, Q.T @ y)
     w = np.empty(p + 1)
     w[pivots] = w_pivoted
-    return LinearModel(intercept=float(w[0]), coefficients=w[1:], columns=names)
+    return LinearModel(intercept=float(w[0]), coefficients=w[1:])
 
 
 def predict_ols(model: LinearModel, X: np.ndarray) -> np.ndarray:
@@ -99,7 +101,8 @@ def predict_ols(model: LinearModel, X: np.ndarray) -> np.ndarray:
     if X.ndim != 2 or X.shape[1] != len(model.coefficients):
         raise DatasetError(f"X has {X.shape} but model expects "
                            f"{len(model.coefficients)} columns")
-    return model.intercept + X @ model.coefficients
+    # BLAS sums in an order that depends on the memory layout
+    return model.intercept + np.asfortranarray(X) @ model.coefficients
 
 
 @dataclass(frozen=True)
@@ -379,8 +382,8 @@ def _cell(X: np.ndarray, y: np.ndarray, keep: list[int] | slice,
           hyper: GbdtHyper | None) -> tuple[MetricPair | None, str]:
     """Fit one sweep cell on rows train of X[:, keep], y and score it on rows
     test: (metrics, "ok"), or (None, "failed: ...") when the fit is refused."""
-    # rows first, then columns: the memory layout design_matrix gives, on
-    # which the last bit of the OLS prediction's BLAS product depends
+    # rows, then columns: numpy lays this copy out column-major, as predict_ols
+    # multiplies it
     X_train, X_test = X[train][:, keep], X[test][:, keep]
     try:
         if kind == "lr":

@@ -19,14 +19,14 @@ from . import experiments
 from .dataset import save_survey
 from .errors import DatasetError, TravelSatError
 from .experiments import ExperimentConfig, MockSpec, SyntheticSpec
-from .schema import default_schema, load_schema
-from .synthesize import default_marginals, load_marginals, synthesize
 
 
 def _add_shared(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON experiment config file")
-    parser.add_argument("--data", help="survey CSV (otherwise synthetic data)")
-    parser.add_argument("--schema", help="JSON schema file (otherwise built-in)")
+    parser.add_argument("--data", dest="data_path",
+                        help="survey CSV (otherwise synthetic data)")
+    parser.add_argument("--schema", dest="schema_path",
+                        help="JSON schema file (otherwise built-in)")
     parser.add_argument("--mock", metavar="RULE",
                         help="scripted mock backend rule (default: linear)")
     parser.add_argument("--mock-mode", choices=("nn", "rule"),
@@ -34,36 +34,27 @@ def _add_shared(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--live", action="store_true",
                         help="use the real LLM endpoint instead of the mock")
     parser.add_argument("--seed", type=int, help="experiment seed")
-    parser.add_argument("--out", help="output directory for artifacts")
-    parser.add_argument("--cache", help="response cache directory")
+    parser.add_argument("--out", dest="out_dir", help="output directory for artifacts")
+    parser.add_argument("--cache", dest="cache_dir", help="response cache directory")
     parser.add_argument("--batch-size", type=int, help="queries per prompt")
     parser.add_argument("--temperature", type=float, help="sampling temperature")
     parser.add_argument("--repeats", type=int, help="repeats per condition")
-    parser.add_argument("--vary-split", action="store_true",
+    parser.add_argument("--vary-split", action="store_true", default=None,
                         help="redraw the train/test split per repeat")
     parser.add_argument("--verbose", action="store_true")
+
+
+# shared flags stored under their config key; an absent flag (None) or an
+# empty string leaves the config's value
+_OVERRIDES = ("data_path", "schema_path", "seed", "out_dir", "cache_dir",
+              "batch_size", "repeats", "vary_split")
 
 
 def _build_config(args: argparse.Namespace) -> ExperimentConfig:
     config = (experiments.load_config(args.config) if args.config
               else ExperimentConfig())
-    updates: dict = {}
-    if args.data:
-        updates["data_path"] = args.data
-    if args.schema:
-        updates["schema_path"] = args.schema
-    if args.seed is not None:
-        updates["seed"] = args.seed
-    if args.out:
-        updates["out_dir"] = args.out
-    if args.cache:
-        updates["cache_dir"] = args.cache
-    if args.batch_size is not None:
-        updates["batch_size"] = args.batch_size
-    if args.repeats is not None:
-        updates["repeats"] = args.repeats
-    if args.vary_split:
-        updates["vary_split"] = True
+    updates = {key: getattr(args, key) for key in _OVERRIDES
+               if getattr(args, key) not in (None, "")}
     if args.temperature is not None:
         try:
             updates["llm"] = dataclasses.replace(config.llm,
@@ -82,10 +73,10 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
-    schema = load_schema(args.schema) if args.schema else default_schema()
-    marginals = load_marginals(args.marginals) if args.marginals else default_marginals()
-    dataset = synthesize(args.n, seed=args.seed, label_rule=args.rule,
-                         noise=args.noise, marginals=marginals, schema=schema)
+    dataset = experiments.load_dataset(ExperimentConfig(
+        schema_path=args.schema,
+        synthetic=SyntheticSpec(n=args.n, seed=args.seed, label_rule=args.rule,
+                                noise=args.noise, marginals_path=args.marginals)))
     Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     save_survey(dataset, args.out)
     print(f"wrote {len(dataset)} records to {args.out}")

@@ -1,4 +1,4 @@
-"""Survey dataset loading, label computation, and splitting."""
+"""Survey dataset loading, saving, and splitting."""
 
 from __future__ import annotations
 
@@ -9,23 +9,7 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from .errors import DatasetError, RowError, SchemaError
-from .schema import CATEGORICAL, NUMERIC, Variable, VariableSchema, default_schema
-
-SATISFACTION_ITEM_COUNT = 9
-SATISFACTION_MIN = 1.0
-SATISFACTION_MAX = 7.0
-
-
-def compute_satisfaction(items: Sequence[float]) -> float:
-    """Average the nine satisfaction-scale items (each rated 1 to 7)."""
-    if len(items) != SATISFACTION_ITEM_COUNT:
-        raise DatasetError(
-            f"expected {SATISFACTION_ITEM_COUNT} satisfaction items, got {len(items)}"
-        )
-    for item in items:
-        if not SATISFACTION_MIN <= item <= SATISFACTION_MAX:
-            raise DatasetError(f"satisfaction item {item} outside [1, 7]")
-    return float(sum(items)) / SATISFACTION_ITEM_COUNT
+from .schema import CATEGORICAL, Variable, VariableSchema, default_schema
 
 
 @dataclass(frozen=True)

@@ -68,21 +68,21 @@ class EncodingSpec:
         return parents
 
 
-def fit_encoding(dataset: Dataset, schema: VariableSchema | None = None) -> EncodingSpec:
-    """Fit per-variable encoding parameters on the full dataset.
+def fit_encoding(dataset: Dataset) -> EncodingSpec:
+    """Fit per-variable encoding parameters on the full dataset, over its
+    schema.
 
     Numerics get (mean, sample std); a zero-variance numeric is flagged
     constant and later encodes to 0. Categoricals get one indicator column
     per schema code.
     """
-    schema = schema or dataset.schema
     scales = {}
-    for var in schema.predictors:
+    for var in dataset.schema.predictors:
         if var.kind == NUMERIC:
             column = dataset.column(var.name)
             std = float(np.std(column, ddof=1)) if len(column) > 1 else 0.0
             scales[var.name] = (float(np.mean(column)), std)
-    return encoding_spec(schema, scales)
+    return encoding_spec(dataset.schema, scales)
 
 
 def encoding_spec(schema: VariableSchema,

@@ -13,25 +13,28 @@ from scipy.special import stdtr
 from .errors import DatasetError
 
 
-def mse(actual: Sequence[float], predicted: Sequence[float]) -> float:
-    """Mean squared error."""
+def _pairs(metric: str, actual: Sequence[float],
+           predicted: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+    """actual and predicted as float arrays, checked to be matching,
+    non-empty and 1-d; an error names metric."""
     y = np.asarray(actual, dtype=float)
     yhat = np.asarray(predicted, dtype=float)
     if y.shape != yhat.shape or y.ndim != 1:
-        raise DatasetError(f"mse needs matching 1-d arrays, got {y.shape} vs {yhat.shape}")
+        raise DatasetError(f"{metric} needs matching 1-d arrays, got {y.shape} vs {yhat.shape}")
     if len(y) == 0:
-        raise DatasetError("mse needs at least one pair")
+        raise DatasetError(f"{metric} needs at least one pair")
+    return y, yhat
+
+
+def mse(actual: Sequence[float], predicted: Sequence[float]) -> float:
+    """Mean squared error."""
+    y, yhat = _pairs("mse", actual, predicted)
     return float(np.mean((y - yhat) ** 2))
 
 
 def mape(actual: Sequence[float], predicted: Sequence[float]) -> float:
     """Mean absolute percentage error, as a fraction (0.15 means 15%)."""
-    y = np.asarray(actual, dtype=float)
-    yhat = np.asarray(predicted, dtype=float)
-    if y.shape != yhat.shape or y.ndim != 1:
-        raise DatasetError(f"mape needs matching 1-d arrays, got {y.shape} vs {yhat.shape}")
-    if len(y) == 0:
-        raise DatasetError("mape needs at least one pair")
+    y, yhat = _pairs("mape", actual, predicted)
     if np.any(y == 0):
         raise DatasetError("mape undefined: actual value of 0 present")
     return float(np.mean(np.abs(y - yhat) / np.abs(y)))

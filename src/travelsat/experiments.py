@@ -121,6 +121,8 @@ class ExperimentConfig:
         for name in ("synthetic", "llm", "gbdt"):
             if getattr(self, name) is None:
                 raise DatasetError(f"{name} must be an object, not null")
+        if self.seed < 0:
+            raise DatasetError("seed must be non-negative")
         if self.max_in_flight < 1:
             raise DatasetError("max_in_flight must be at least 1")
         if self.repeats < 1:
@@ -151,14 +153,10 @@ class ExperimentConfig:
 
 def config_from_dict(d: dict) -> ExperimentConfig:
     d = dict(d)
-    if "synthetic" in d and d["synthetic"] is not None:
-        d["synthetic"] = SyntheticSpec(**d["synthetic"])
-    if d.get("mock") is not None:
-        d["mock"] = MockSpec(**d["mock"])
-    if "llm" in d and d["llm"] is not None:
-        d["llm"] = LlmParams(**d["llm"])
-    if "gbdt" in d and d["gbdt"] is not None:
-        d["gbdt"] = GbdtHyper(**d["gbdt"])
+    for key, spec in (("synthetic", SyntheticSpec), ("mock", MockSpec),
+                      ("llm", LlmParams), ("gbdt", GbdtHyper)):
+        if d.get(key) is not None:
+            d[key] = spec(**d[key])
     for key in ("support_sizes", "fractions"):
         if key in d and d[key] is not None:
             d[key] = tuple(d[key])
@@ -422,9 +420,9 @@ def _sweep_result(config: ExperimentConfig, dataset: Dataset, client: LlmClient,
     non-empty support set against the full dataset into ks.csv and a K-S
     column.
     """
-    schema = dataset.schema
     labels = {r.record_id: r.satisfaction for r in dataset}
-    outcomes = iter(_execute(client, schema, [r for t in trials for r in t.requests]))
+    outcomes = iter(_execute(client, dataset.schema,
+                             [r for t in trials for r in t.requests]))
     for trial in trials:
         _evaluate_trial(trial, [next(outcomes) for _ in trial.requests], labels)
     agg_rows: list[list] = []
@@ -433,7 +431,7 @@ def _sweep_result(config: ExperimentConfig, dataset: Dataset, client: LlmClient,
     for group in batched(trials, config.repeats):
         aggregate, table = _group_rows([group[0].condition], [t.metrics for t in group])
         if with_ks:
-            screened = [(t, representativeness_report(t.support, dataset, schema))
+            screened = [(t, representativeness_report(t.support, dataset))
                         for t in group if t.support.k > 0]
             ks_rows += [[t.condition, t.repeat, r.variable, f"{r.d:.6f}",
                          f"{r.p_value:.6f}", r.stars]

@@ -51,7 +51,6 @@ class ScriptedMock:
             name: REFERENCE_SCALE.get(name, (0.0, 1.0)) for name in self.schema.names})
         self.noise_seed = noise_seed
         self.noise_scale = noise_scale
-        self.calls = 0
 
     def _noise(self, record_id: str) -> float:
         if self.noise_scale == 0.0:
@@ -75,7 +74,6 @@ class ScriptedMock:
         return [clamp(score) for score in raw]
 
     def complete(self, prompt: Prompt, params: LlmParams) -> LlmResponse:
-        self.calls += 1
         try:
             examples, queries = read_prompt(prompt.user_text, self.schema)
         except PromptError as exc:

@@ -5,7 +5,10 @@ with units and category labels spelled out. One generator, _layout, holds
 that traveler-block format: serialize_record and the renderers write blocks
 by walking it, and read_prompt, their strict inverse (the scripted mock
 reads prompts with it), reads blocks back by the same walk. No other module
-writes or reads the format.
+writes or reads the format. render_zero_shot and render_few_shot are one
+body, _render: it checks the queries, then a few-shot prompt's support,
+and joins the support section, when there is one, and the query section
+under the system template of its kind.
 
 A run writes each traveler block once: the renderers take an optional
 `blocks` dict, owned by the caller for the length of one run, that caches
@@ -33,7 +36,15 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from .dataset import RespondentRecord
 from .errors import ContaminationError, ParseError, PromptError, SchemaError
-from .schema import CATEGORICAL, DIMENSIONS, Variable, VariableSchema, default_schema
+from .schema import (
+    CATEGORICAL,
+    DIMENSIONS,
+    SCORE_MAX,
+    SCORE_MIN,
+    Variable,
+    VariableSchema,
+    default_schema,
+)
 from .selection import SupportSet
 
 DEFAULT_BATCH_SIZE = 20
@@ -88,11 +99,8 @@ def _layout(schema: VariableSchema,
     writes blocks by walking this layout and read_prompt reads them back by
     the same walk.
     """
-    grouped: dict[str, list[Variable]] = {dimension: [] for dimension in DIMENSIONS}
-    for var in schema.predictors:
-        if var.dimension in grouped:
-            grouped[var.dimension].append(var)
-    for dimension, variables in grouped.items():
+    for dimension in DIMENSIONS:
+        variables = schema.by_dimension(dimension)
         if variables:
             yield f"  {dimension.replace('_', ' ').capitalize()}:", None, ""
         for var in variables:
@@ -224,7 +232,7 @@ def _output_contract(schema: VariableSchema, want_importance: bool) -> str:
         "```",
         "",
         "with one line per traveler, in the order the travelers were presented.",
-        "Scores are decimal numbers between 1 and 7.",
+        f"Scores are decimal numbers between {SCORE_MIN:g} and {SCORE_MAX:g}.",
     ]
     if want_importance:
         parts += [
@@ -253,12 +261,36 @@ def _load_template(name: str) -> str:
     return resources.files("travelsat").joinpath(f"templates/{name}").read_text("utf-8")
 
 
-def _check_queries(queries: Sequence[RespondentRecord]) -> None:
-    if not queries:
-        raise PromptError("no query records to render")
+def _render(support: SupportSet | None, queries: Iterable[RespondentRecord],
+            schema: VariableSchema | None, want_importance: bool,
+            blocks: Blocks | None) -> Prompt:
+    """The one body of render_zero_shot (support None) and render_few_shot."""
+    schema = schema or default_schema()
+    queries = list(queries)
     ids = [q.record_id for q in queries]
+    if not ids:
+        raise PromptError("no query records to render")
     if len(set(ids)) != len(ids):
         raise PromptError("duplicate query record ids")
+    user = QUERY_HEADER + "\n\n"
+    template = "zero_shot_system.txt"
+    if support is not None:
+        if support.k == 0:
+            raise PromptError("few-shot prompt needs a non-empty support set; "
+                              "use render_zero_shot for the zero-context case")
+        overlap = sorted(set(support.ids) & set(ids))
+        if overlap:
+            raise ContaminationError(
+                f"support and query sets share record ids: {', '.join(overlap)}"
+            )
+        user = (SUPPORT_HEADER + "\n\n"
+                + _write_section(support.records, schema, True, blocks)
+                + "\n\n" + user)
+        template = "few_shot_system.txt"
+    system = _load_template(template).format(
+        output_contract=_output_contract(schema, want_importance))
+    user += _write_section(queries, schema, False, blocks) + "\n"
+    return Prompt(system_text=system, user_text=user)
 
 
 def render_zero_shot(queries: Sequence[RespondentRecord],
@@ -270,13 +302,7 @@ def render_zero_shot(queries: Sequence[RespondentRecord],
     blocks, when given, caches traveler blocks across the renders of one
     run (one schema); None writes every block.
     """
-    schema = schema or default_schema()
-    queries = list(queries)
-    _check_queries(queries)
-    system = _load_template("zero_shot_system.txt").format(
-        output_contract=_output_contract(schema, want_importance))
-    user = QUERY_HEADER + "\n\n" + _write_section(queries, schema, False, blocks) + "\n"
-    return Prompt(system_text=system, user_text=user)
+    return _render(None, queries, schema, want_importance, blocks)
 
 
 def render_few_shot(support: SupportSet, queries: Sequence[RespondentRecord],
@@ -285,24 +311,7 @@ def render_few_shot(support: SupportSet, queries: Sequence[RespondentRecord],
                     blocks: Blocks | None = None) -> Prompt:
     """Prompt with labeled support examples followed by unlabeled queries;
     blocks as in render_zero_shot."""
-    schema = schema or default_schema()
-    queries = list(queries)
-    _check_queries(queries)
-    if support.k == 0:
-        raise PromptError("few-shot prompt needs a non-empty support set; "
-                          "use render_zero_shot for the zero-context case")
-    overlap = sorted(set(support.ids) & {q.record_id for q in queries})
-    if overlap:
-        raise ContaminationError(
-            f"support and query sets share record ids: {', '.join(overlap)}"
-        )
-    system = _load_template("few_shot_system.txt").format(
-        output_contract=_output_contract(schema, want_importance))
-    user = (SUPPORT_HEADER + "\n\n"
-            + _write_section(support.records, schema, True, blocks)
-            + "\n\n" + QUERY_HEADER + "\n\n"
-            + _write_section(queries, schema, False, blocks) + "\n")
-    return Prompt(system_text=system, user_text=user)
+    return _render(support, queries, schema, want_importance, blocks)
 
 
 def batched(items: Sequence, batch_size: int) -> Iterable[Sequence]:
@@ -317,7 +326,7 @@ _BLOCK_RE = {kind: re.compile(rf"```{kind}[ \t]*\n(.*?)\n?```", re.DOTALL)
 
 # block kind -> (key/value separator, what a key is, what a value is, the
 # closed range of a value)
-_PAIRS = {"scores": (",", "id", "score", 1.0, 7.0),
+_PAIRS = {"scores": (",", "id", "score", SCORE_MIN, SCORE_MAX),
           "importances": ("=", "variable", "importance", 0.0, math.inf)}
 
 

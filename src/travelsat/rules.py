@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Mapping
 
 from .errors import SchemaError
-from .schema import default_schema
+from .schema import SCORE_MAX, SCORE_MIN, default_schema
 
 # (center, scale) per numeric variable, in raw units
 REFERENCE_SCALE: dict[str, tuple[float, float]] = {
@@ -29,9 +29,6 @@ REFERENCE_SCALE: dict[str, tuple[float, float]] = {
     "past_commuting_time": (27.19, 10.0),
     "peer_commuting_time": (27.3, 10.0),
 }
-
-SCORE_MIN = 1.0
-SCORE_MAX = 7.0
 
 
 def scaled(values: Mapping[str, float], name: str) -> float:

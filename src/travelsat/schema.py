@@ -27,6 +27,11 @@ DIMENSIONS = (
 NUMERIC = "numeric"
 CATEGORICAL = "categorical"
 
+# the satisfaction scale: the default label's range, the label rules' clamp
+# and the reply contract's score bounds
+SCORE_MIN = 1.0
+SCORE_MAX = 7.0
+
 
 @dataclass(frozen=True)
 class Variable:
@@ -81,8 +86,8 @@ class VariableSchema:
             name="travel_satisfaction",
             dimension="label",
             kind=NUMERIC,
-            minimum=1.0,
-            maximum=7.0,
+            minimum=SCORE_MIN,
+            maximum=SCORE_MAX,
         )
     )
 
@@ -183,15 +188,10 @@ def save_schema(schema: VariableSchema, path) -> None:
         fh.write("\n")
 
 
-_DEFAULT = None
-
-
+@functools.cache
 def default_schema() -> VariableSchema:
     """Schema of the reference household travel survey (17 predictors),
     loaded once from the JSON file shipped with the package."""
-    global _DEFAULT
-    if _DEFAULT is None:
-        text = resources.files("travelsat").joinpath(
-            "resources/default_schema.json").read_text("utf-8")
-        _DEFAULT = schema_from_dict(json.loads(text))
-    return _DEFAULT
+    text = resources.files("travelsat").joinpath(
+        "resources/default_schema.json").read_text("utf-8")
+    return schema_from_dict(json.loads(text))

@@ -23,7 +23,6 @@ from .dataset import Dataset, RespondentRecord
 from .encoding import EncodingSpec, encode_matrix
 from .errors import DatasetError
 from .evaluation import significance_stars
-from .schema import VariableSchema
 
 
 def similarity_matrix(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -113,7 +112,7 @@ class KsResult:
 
     @property
     def significant(self) -> bool:
-        return self.p_value < 0.05
+        return bool(self.stars)
 
 
 def ks_two_sample(sample: Sequence[float], population: Sequence[float],
@@ -138,23 +137,16 @@ def ks_two_sample(sample: Sequence[float], population: Sequence[float],
     return KsResult(variable=variable, d=d, p_value=min(1.0, max(0.0, p)))
 
 
-def representativeness_report(
-    support: SupportSet, full: Dataset, schema: VariableSchema | None = None
-) -> list[KsResult]:
+def representativeness_report(support: SupportSet, full: Dataset) -> list[KsResult]:
     """Per-variable K-S comparison of the support records against the full
     dataset. Categorical variables are compared on their numeric codes."""
     if support.k == 0:
         raise DatasetError("representativeness needs a non-empty support set")
-    schema = schema or full.schema
     results = []
-    for var in schema.predictors:
+    for var in full.schema.predictors:
         sample = [r.values[var.name] for r in support.records]
         results.append(ks_two_sample(sample, full.column(var.name), variable=var.name))
     return results
-
-
-def significant_variables(results: Sequence[KsResult]) -> list[KsResult]:
-    return [r for r in results if r.significant]
 
 
 def summarize_ks_repeats(per_repeat: Sequence[Sequence[KsResult]]) -> str:
@@ -167,10 +159,11 @@ def summarize_ks_repeats(per_repeat: Sequence[Sequence[KsResult]]) -> str:
     counts: dict[str, int] = {}
     stars: dict[str, str] = {}
     for results in per_repeat:
-        for r in significant_variables(results):
-            counts[r.variable] = counts.get(r.variable, 0) + 1
-            if len(r.stars) > len(stars.get(r.variable, "")):
-                stars[r.variable] = r.stars
+        for r in results:
+            if r.significant:
+                counts[r.variable] = counts.get(r.variable, 0) + 1
+                if len(r.stars) > len(stars.get(r.variable, "")):
+                    stars[r.variable] = r.stars
     if not counts:
         return "ns"
     parts = [f"{name}{stars[name]} ({counts[name]})" for name in sorted(counts)]

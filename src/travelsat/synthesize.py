@@ -8,6 +8,7 @@ reference survey's published summary statistics.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from importlib import resources as importlib_resources
@@ -110,17 +111,17 @@ def load_marginals(path) -> dict[str, Marginal]:
     return marginals_from_dict(read_json(path, "marginals", SchemaError))
 
 
-_DEFAULT_MARGINALS = None
+@functools.cache
+def _shipped_marginals() -> dict[str, Marginal]:
+    text = importlib_resources.files("travelsat").joinpath(
+        "resources/default_marginals.json").read_text("utf-8")
+    return marginals_from_dict(json.loads(text))
 
 
 def default_marginals() -> dict[str, Marginal]:
-    """Marginals shipped with the package, mirroring the reference survey."""
-    global _DEFAULT_MARGINALS
-    if _DEFAULT_MARGINALS is None:
-        text = importlib_resources.files("travelsat").joinpath(
-            "resources/default_marginals.json").read_text("utf-8")
-        _DEFAULT_MARGINALS = marginals_from_dict(json.loads(text))
-    return dict(_DEFAULT_MARGINALS)
+    """Marginals shipped with the package, mirroring the reference survey:
+    read once, returned as a fresh dict on every call."""
+    return dict(_shipped_marginals())
 
 
 def _check_marginals(schema: VariableSchema, marginals: dict[str, Marginal]) -> None:
@@ -149,6 +150,8 @@ def synthesize(
     """Generate n labeled records. Same arguments give byte-identical output."""
     if n <= 0:
         raise DatasetError("n must be positive")
+    if seed < 0:
+        raise DatasetError("seed must be non-negative")
     if noise < 0:
         raise DatasetError("noise must be non-negative")
     schema = schema or default_schema()

@@ -54,6 +54,16 @@ def test_ols_matches_normal_equations():
         assert model.coefficients == pytest.approx(w[1:], rel=1e-8, abs=1e-10)
 
 
+def test_ols_prediction_bits_do_not_depend_on_layout():
+    # BLAS sums a matrix-vector product in an order set by the memory layout
+    rng = np.random.default_rng(23)
+    X = rng.normal(size=(200, 40))
+    model = fit_ols(X, rng.normal(size=200))
+    by_rows = predict_ols(model, np.ascontiguousarray(X))
+    by_columns = predict_ols(model, np.asfortranarray(X))
+    assert by_rows.tobytes() == by_columns.tobytes()
+
+
 def test_ols_residuals_orthogonal_to_design():
     rng = np.random.default_rng(22)
     X = rng.normal(size=(40, 4))

@@ -5,6 +5,7 @@ import pytest
 
 from travelsat.cli import build_parser, main
 from travelsat.dataset import load_survey
+from travelsat.schema import default_schema, save_schema
 
 
 def _shared_args(tmp_path, name, *extra):
@@ -123,13 +124,23 @@ def test_cli_missing_config_and_schema_exit_2(tmp_path, capsys):
     {"synthetic": None},
     {"llm": None},
     {"gbdt": None},
-], ids=["temperature", "max_in_flight", "null-synthetic", "null-llm", "null-gbdt"])
+    {"seed": -1},
+    {"synthetic": {"seed": -1}},
+], ids=["temperature", "max_in_flight", "null-synthetic", "null-llm", "null-gbdt",
+        "negative-seed", "negative-synthetic-seed"])
 def test_bad_config_values_exit_2(tmp_path, capsys, payload):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(payload), encoding="utf-8")
     code = main(["zeroshot", "--config", str(config), *_shared_args(tmp_path, "bad")])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["synth", "fewshot", "baseline-sweep"])
+def test_negative_seed_flag_exits_2(tmp_path, capsys, command):
+    code = main([command, "--seed", "-1", "--out", str(tmp_path / "x")])
+    assert code == 2
+    assert "seed must be non-negative" in capsys.readouterr().err
 
 
 def test_out_of_range_temperature_flag_exits_2(tmp_path, survey_csv, capsys):
@@ -171,3 +182,34 @@ def test_vary_split_flag(tmp_path, survey_csv):
     assert code == 0
     payload = json.loads((tmp_path / "vary" / "provenance.json").read_text("utf-8"))
     assert payload["config"]["vary_split"] is True
+
+
+@pytest.mark.parametrize("args, key, stored", [
+    (["--data", "survey.csv"], "data_path", "survey.csv"),
+    (["--schema", "schema.json"], "schema_path", "schema.json"),
+    (["--seed", "0"], "seed", 0),
+    (["--out", "flagged"], "out_dir", "flagged"),
+    (["--out", ""], "out_dir", "configured"),
+    (["--cache", "cache"], "cache_dir", "cache"),
+    (["--batch-size", "7"], "batch_size", 7),
+    (["--repeats", "1"], "repeats", 1),
+    (["--vary-split"], "vary_split", True),
+], ids=["data", "schema", "seed-0", "out", "empty-out", "cache", "batch-size",
+        "repeats", "vary-split"])
+def test_shared_flag_overrides_config_file(tmp_path, monkeypatch, args, key, stored):
+    # every override differs from the config file's value; an empty string
+    # leaves the file's value in place
+    monkeypatch.chdir(tmp_path)
+    assert main(["synth", "--n", "40", "--seed", "7", "--out", "survey.csv"]) == 0
+    save_schema(default_schema(), "schema.json")
+    Path("config.json").write_text(json.dumps({
+        "synthetic": {"n": 40}, "support_sizes": [0, 3], "seed": 5,
+        "batch_size": 20, "repeats": 2, "vary_split": False,
+        "out_dir": "configured"}), encoding="utf-8")
+    assert main(["fewshot", "--config", "config.json", *args]) == 0
+    run_dir = Path(stored if key == "out_dir" else "configured")
+    config = json.loads((run_dir / "provenance.json").read_text("utf-8"))["config"]
+    if key == "cache_dir":
+        assert list(Path(stored).glob("*.json"))
+    elif key != "out_dir":
+        assert config[key] == stored

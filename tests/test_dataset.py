@@ -2,7 +2,6 @@ import csv
 import tempfile
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,44 +9,12 @@ from hypothesis import strategies as st
 from travelsat.dataset import (
     Dataset,
     RespondentRecord,
-    compute_satisfaction,
     load_survey,
     save_survey,
     split,
 )
 from travelsat.errors import DatasetError, RowError, SchemaError
 from travelsat.schema import CATEGORICAL, default_schema
-
-
-def test_satisfaction_hand_case():
-    assert compute_satisfaction((1, 2, 3, 4, 5, 6, 7, 1, 7)) == 4.0
-
-
-def test_satisfaction_extremes():
-    assert compute_satisfaction([1] * 9) == 1.0
-    assert compute_satisfaction([7] * 9) == 7.0
-
-
-def test_satisfaction_count_checked():
-    with pytest.raises(DatasetError):
-        compute_satisfaction([4] * 8)
-    with pytest.raises(DatasetError):
-        compute_satisfaction([4] * 10)
-
-
-def test_satisfaction_range_checked():
-    with pytest.raises(DatasetError):
-        compute_satisfaction([0, 4, 4, 4, 4, 4, 4, 4, 4])
-    with pytest.raises(DatasetError):
-        compute_satisfaction([4, 4, 4, 4, 8, 4, 4, 4, 4])
-
-
-def test_satisfaction_between_item_extremes():
-    rng = np.random.default_rng(4)
-    for _ in range(200):
-        items = rng.integers(1, 8, size=9)
-        value = compute_satisfaction(items)
-        assert items.min() <= value <= items.max()
 
 
 def _write_rows(path, rows, fieldnames=None):

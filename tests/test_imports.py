@@ -1,0 +1,63 @@
+"""Import hygiene of the package, checked with the standard library's ast.
+
+Every module-level import in src/travelsat must be used: a name listed in
+the module's __all__ counts as used, and an imported name on a line marked
+"# noqa: F401" is exempt. Every name in travelsat.__all__ must resolve.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import travelsat
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "travelsat"
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names bound by the module-level imports of source that nothing uses."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    imported: dict[str, int] = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                if "# noqa: F401" in lines[alias.lineno - 1]:
+                    continue
+                name = alias.asname or alias.name
+                # "import a.b" binds a
+                imported[name if isinstance(node, ast.ImportFrom)
+                         else name.split(".")[0]] = alias.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
+            used |= set(ast.literal_eval(node.value))
+    return sorted(f"{name} (line {line})" for name, line in imported.items()
+                  if name not in used)
+
+
+def test_checker_flags_only_unused_names():
+    source = ("from __future__ import annotations\n"
+              "import os\n"
+              "import os.path\n"
+              "from typing import Any, Mapping as M\n"
+              "from json import dumps  # noqa: F401\n"
+              "from json import loads\n"
+              "__all__ = ['loads']\n"
+              "x: Any = os.sep\n")
+    assert unused_imports(source) == ["M (line 4)"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_unused_module_imports(path):
+    assert unused_imports(path.read_text("utf-8")) == []
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in travelsat.__all__ if not hasattr(travelsat, name)]
+    assert missing == []
