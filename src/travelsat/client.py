@@ -7,6 +7,11 @@ to the cache. Cached responses are content-addressed by a digest of
 (model, temperature, output-token limit, endpoint, prompt bytes, trial
 index), one JSON file per digest, so a cache directory can be renamed or
 copied freely.
+
+LlmClient.complete_many looks each job up in the cache in the caller's
+thread, as it pulls the job: a hit goes straight into the result and never
+enters the thread pool. Only a miss takes a pool slot, where it is sent with
+retries and its reply stored under the key already computed.
 """
 
 from __future__ import annotations
@@ -22,8 +27,6 @@ from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Protocol
-
-import requests
 
 from .errors import (
     CredentialError,
@@ -91,6 +94,9 @@ class HttpChatBackend:
     """Chat-completions POST transport over requests."""
 
     def complete(self, prompt: Prompt, params: LlmParams) -> LlmResponse:
+        # imported here: no offline run needs it, and importing it is slow
+        import requests
+
         url = params.endpoint.rstrip("/") + "/chat/completions"
         payload = {
             "model": params.model_name,
@@ -155,14 +161,18 @@ class ResponseCache:
         path = self._path(key)
         try:
             body = json.loads(path.read_text("utf-8"))
-            return LlmResponse(content=body["content"],
-                               reasoning=body.get("reasoning", ""))
         except FileNotFoundError:
             return None
-        except (ValueError, KeyError, TypeError):
-            # unreadable entry: treat as a miss, refetch will overwrite it
-            logger.warning("discarding corrupted cache entry %s", path.name)
-            return None
+        except ValueError:
+            body = None
+        if isinstance(body, dict):
+            content = body.get("content")
+            reasoning = body.get("reasoning", "")
+            if isinstance(content, str) and isinstance(reasoning, str):
+                return LlmResponse(content=content, reasoning=reasoning)
+        # unreadable entry: treat as a miss, refetch will overwrite it
+        logger.warning("discarding corrupted cache entry %s", path.name)
+        return None
 
     def put(self, key: str, response: LlmResponse) -> None:
         payload = json.dumps(
@@ -195,7 +205,8 @@ class LlmClient:
         self.retry = retry or RetryPolicy()
         self.max_in_flight = max_in_flight
         self._sleep = sleep
-        # complete_many's pool threads update the counters below
+        # complete_many's pool threads count transport calls, and any thread
+        # may call cached_complete
         self._count_lock = threading.Lock()
         self.transport_calls = 0
         self.cache_hits = 0
@@ -219,47 +230,65 @@ class LlmClient:
             f"gave up after {self.retry.max_attempts} attempts: {last}"
         ) from last
 
-    def cached_complete(self, prompt: Prompt, trial_index: int) -> LlmResponse:
+    def _lookup(self, prompt: Prompt, trial_index: int
+                ) -> tuple[str | None, LlmResponse | None]:
+        """A job's cache key and cached reply; (None, None) without a cache.
+        Counts the hit or miss."""
         if self.cache is None:
-            return self.complete(prompt)
+            return None, None
         key = cache_key(self.params, prompt, trial_index)
         hit = self.cache.get(key)
-        if hit is not None:
-            with self._count_lock:
-                self.cache_hits += 1
-            return hit
         with self._count_lock:
-            self.cache_misses += 1
+            if hit is None:
+                self.cache_misses += 1
+            else:
+                self.cache_hits += 1
+        return key, hit
+
+    def _send(self, prompt: Prompt, key: str | None) -> LlmResponse:
+        """Send a job that missed the cache, and store its reply under key."""
         response = self.complete(prompt)
-        self.cache.put(key, response)
+        if key is not None:
+            self.cache.put(key, response)
         return response
+
+    def cached_complete(self, prompt: Prompt, trial_index: int) -> LlmResponse:
+        key, hit = self._lookup(prompt, trial_index)
+        return hit if hit is not None else self._send(prompt, key)
 
     def complete_many(self, jobs: Iterable[tuple[Prompt, int]]
                       ) -> list[LlmResponse | TravelSatError]:
         """Run (prompt, trial_index) jobs concurrently, preserving order.
 
-        At most max_in_flight requests are in flight at a time, across every
-        job of the call. A job is taken from the iterable only as the pool
-        frees up, so no more than 2 * max_in_flight jobs are ever submitted
-        and unfinished: a lazy iterable holds only that many prompts at once.
-        A job that fails with a TravelSatError has that error in its place in
-        the result, and the other jobs still complete; any other exception
-        propagates.
+        Each job is looked up in the cache once, in the calling thread, as it
+        is taken from the iterable; a hit is its own result and never enters
+        the pool. Only misses are sent, at most max_in_flight at a time
+        across every job of the call. A miss is submitted only once fewer
+        than 2 * max_in_flight submitted jobs are unfinished, so a lazy
+        iterable holds only that many prompts at once. A job that fails with
+        a TravelSatError has that error in its place in the result, and the
+        other jobs still complete; any other exception propagates.
         """
-        futures = []
+        results: list = []
         pending: set = set()
         with ThreadPoolExecutor(max_workers=self.max_in_flight) as pool:
             for prompt, trial in jobs:
+                key, hit = self._lookup(prompt, trial)
+                if hit is not None:
+                    results.append(hit)
+                    continue
                 if len(pending) >= 2 * self.max_in_flight:
                     _, pending = wait(pending, return_when=FIRST_COMPLETED)
-                future = pool.submit(self.cached_complete, prompt, trial)
-                futures.append(future)
+                future = pool.submit(self._send, prompt, key)
+                results.append(future)
                 pending.add(future)
-        return [_outcome(f) for f in futures]
+        return [_outcome(r) for r in results]
 
 
-def _outcome(future: Future) -> LlmResponse | TravelSatError:
+def _outcome(result: LlmResponse | Future) -> LlmResponse | TravelSatError:
+    if not isinstance(result, Future):
+        return result
     try:
-        return future.result()
+        return result.result()
     except TravelSatError as exc:
         return exc

@@ -1,10 +1,14 @@
 import json
+import logging
 import sys
+import tempfile
 import threading
 import time
 
 import pytest
 import requests
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from travelsat.client import (
     API_KEY_ENV,
@@ -113,6 +117,25 @@ def test_cache_corrupt_entry_is_a_miss(tmp_path):
     key = cache_key(PARAMS, PROMPT, 0)
     (tmp_path / f"{key}.json").write_text("{not json", encoding="utf-8")
     assert cache.get(key) is None
+
+
+@pytest.mark.parametrize("stored", [
+    {"content": 5},
+    {"content": "kept", "reasoning": 5},
+    ["content", "kept"],
+], ids=["content-not-str", "reasoning-not-str", "not-an-object"])
+def test_cache_entry_of_wrong_shape_is_a_miss_and_refetched(tmp_path, caplog, stored):
+    key = cache_key(PARAMS, PROMPT, 0)
+    (tmp_path / f"{key}.json").write_text(json.dumps(stored), encoding="utf-8")
+    with caplog.at_level(logging.WARNING, logger="travelsat.client"):
+        assert ResponseCache(tmp_path).get(key) is None
+    assert "corrupted cache entry" in caplog.text
+    backend = FakeBackend([LlmResponse(content="fresh", reasoning="why")])
+    client = LlmClient(backend, PARAMS, cache_dir=tmp_path)
+    assert client.cached_complete(PROMPT, trial_index=0).content == "fresh"
+    assert (client.cache_misses, backend.calls) == (1, 1)
+    # the re-fetch overwrote the entry
+    assert client.cache.get(key) == LlmResponse(content="fresh", reasoning="why")
 
 
 def test_cache_directory_is_relocatable(tmp_path):
@@ -266,6 +289,132 @@ def test_complete_many_pulls_jobs_only_as_the_pool_frees():
     assert [r.content for r in out] == [f"u{i}" for i in range(30)]
     # job i is pulled only once all but 2 * max_in_flight earlier jobs are done
     assert all(i - done <= 2 * max_in_flight for i, done in pulls)
+
+
+def _prefill(client, prompts, hits):
+    """Store each prompt's echo reply for the jobs marked as hits."""
+    for prompt, hit in zip(prompts, hits):
+        if hit:
+            client.cache.put(cache_key(PARAMS, prompt, 0),
+                             LlmResponse(content=prompt.user_text))
+
+
+@settings(max_examples=40, deadline=None)
+@given(hits=st.lists(st.booleans(), max_size=24),
+       max_in_flight=st.sampled_from([1, 2, 3]))
+def test_complete_many_mixed_hits_match_an_uncached_run(hits, max_in_flight):
+    lock = threading.Lock()
+    sent: list[str] = []
+
+    class RecordingEcho:
+        def complete(self, prompt, params):
+            with lock:
+                sent.append(prompt.user_text)
+            time.sleep(0)
+            return LlmResponse(content=prompt.user_text)
+
+    prompts = [Prompt(system_text="s", user_text=f"u{i}") for i in range(len(hits))]
+    jobs = [(p, 0) for p in prompts]
+    plain = LlmClient(EchoBackend(), PARAMS, max_in_flight=max_in_flight)
+    expected = plain.complete_many(jobs)
+    with tempfile.TemporaryDirectory() as cache_dir:
+        client = LlmClient(RecordingEcho(), PARAMS, cache_dir=cache_dir,
+                           max_in_flight=max_in_flight)
+        _prefill(client, prompts, hits)
+        out = client.complete_many(iter(jobs))
+    assert out == expected
+    assert [r.content for r in out] == [p.user_text for p in prompts]
+    assert (client.cache_hits, client.cache_misses) == (sum(hits), hits.count(False))
+    # the backend sees each miss once and no hit
+    assert sorted(sent) == sorted(p.user_text for p, hit in zip(prompts, hits) if not hit)
+    assert client.transport_calls == len(sent)
+
+
+def test_complete_many_looks_up_the_cache_in_the_calling_thread(tmp_path, monkeypatch):
+    lookups = []
+    get = ResponseCache.get
+
+    def recording_get(self, key):
+        lookups.append(threading.current_thread())
+        return get(self, key)
+
+    class SlowEcho:
+        def complete(self, prompt, params):
+            time.sleep(0.002)
+            return LlmResponse(content=prompt.user_text)
+
+    monkeypatch.setattr(ResponseCache, "get", recording_get)
+    client = LlmClient(SlowEcho(), PARAMS, cache_dir=tmp_path, max_in_flight=2)
+    prompts = [Prompt(system_text="s", user_text=f"u{i}") for i in range(12)]
+    _prefill(client, prompts, [i % 3 == 0 for i in range(12)])
+    results = {}
+
+    def drive():
+        results["out"] = client.complete_many((p, 0) for p in prompts)
+
+    caller = threading.Thread(target=drive)
+    caller.start()
+    caller.join(timeout=30)
+    assert not caller.is_alive()
+    assert [r.content for r in results["out"]] == [p.user_text for p in prompts]
+    assert len(lookups) == 12 and set(lookups) == {caller}
+
+
+def test_complete_many_bounds_pending_misses_among_hits(tmp_path):
+    lock = threading.Lock()
+    finished = []
+    pulls = []
+    max_in_flight = 2
+
+    class SlowEcho:
+        def complete(self, prompt, params):
+            time.sleep(0.005)
+            with lock:
+                finished.append(prompt.user_text)
+            return LlmResponse(content=prompt.user_text)
+
+    client = LlmClient(SlowEcho(), PARAMS, cache_dir=tmp_path,
+                       max_in_flight=max_in_flight)
+    prompts = [Prompt(system_text="s", user_text=f"u{i}") for i in range(40)]
+    hits = [i % 4 in (1, 2) for i in range(40)]
+    _prefill(client, prompts, hits)
+
+    def jobs():
+        for i, prompt in enumerate(prompts):
+            with lock:
+                pulls.append((hits[:i].count(False), len(finished)))
+            yield prompt, 0
+
+    out = client.complete_many(jobs())
+    assert [r.content for r in out] == [p.user_text for p in prompts]
+    # when a job is pulled, at most 2 * max_in_flight earlier misses are unfinished
+    assert all(missed - done <= 2 * max_in_flight for missed, done in pulls)
+    assert (client.cache_hits, client.cache_misses) == (20, 20)
+
+
+def test_complete_many_answers_hits_while_every_slot_waits(tmp_path):
+    """Hits need no pool slot: with the pool full of misses, the hits behind
+    them are still answered and the rest of the jobs pulled."""
+    all_pulled = threading.Event()
+    released = []
+
+    class BlockedEcho:
+        def complete(self, prompt, params):
+            released.append(all_pulled.wait(timeout=5))
+            return LlmResponse(content=prompt.user_text)
+
+    client = LlmClient(BlockedEcho(), PARAMS, cache_dir=tmp_path, max_in_flight=1)
+    prompts = [Prompt(system_text="s", user_text=f"u{i}") for i in range(10)]
+    _prefill(client, prompts, [i >= 2 for i in range(10)])
+
+    def jobs():
+        yield from ((p, 0) for p in prompts)
+        all_pulled.set()
+
+    out = client.complete_many(jobs())
+    assert released == [True, True]
+    assert [r.content for r in out] == [p.user_text for p in prompts]
+    assert (client.cache_hits, client.cache_misses) == (8, 2)
 
 
 class _YieldingCounter:

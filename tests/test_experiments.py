@@ -302,6 +302,7 @@ def test_cache_warm_run_issues_no_backend_calls(tmp_path, monkeypatch):
 
 
 def test_run_writes_each_block_once_and_renders_once_per_request(tmp_path, monkeypatch):
+    import travelsat.client as client_module
     import travelsat.experiments as experiments
     import travelsat.prompting as prompting
 
@@ -325,16 +326,17 @@ def test_run_writes_each_block_once_and_renders_once_per_request(tmp_path, monke
             return render(*args, **kwargs)
         return wrapper
 
-    cached_complete = LlmClient.cached_complete
+    # the client computes one cache key per request, as it looks the request up
+    key = client_module.cache_key
 
-    def counting_request(self, prompt, trial_index):
+    def counting_request(params, prompt, trial_index):
         requests["n"] += 1
-        return cached_complete(self, prompt, trial_index)
+        return key(params, prompt, trial_index)
 
     monkeypatch.setattr(prompting, "_write_block", counting_write)
     monkeypatch.setattr(experiments, "render_few_shot", counting(prompting.render_few_shot))
     monkeypatch.setattr(experiments, "render_zero_shot", counting(prompting.render_zero_shot))
-    monkeypatch.setattr(LlmClient, "cached_complete", counting_request)
+    monkeypatch.setattr(client_module, "cache_key", counting_request)
     monkeypatch.setattr(ScriptedMock, "complete", None)
     warm = dataclasses.replace(cold, out_dir=str(tmp_path / "warm"))
     run_few_shot_sweep(warm)
@@ -365,15 +367,18 @@ def test_unparseable_reply_is_resent_at_next_slot(tmp_path, monkeypatch):
         return original(self, prompt, params)
 
     slots = []
-    cached_complete = LlmClient.cached_complete
+    complete_many = LlmClient.complete_many
 
-    def recording(self, prompt, trial_index):
-        if target in prompt.user_text:
-            slots.append(trial_index)
-        return cached_complete(self, prompt, trial_index)
+    def recording(self, jobs):
+        def seen():
+            for prompt, trial_index in jobs:
+                if target in prompt.user_text:
+                    slots.append(trial_index)
+                yield prompt, trial_index
+        return complete_many(self, seen())
 
     monkeypatch.setattr(ScriptedMock, "complete", garbled_once)
-    monkeypatch.setattr(LlmClient, "cached_complete", recording)
+    monkeypatch.setattr(LlmClient, "complete_many", recording)
     run_few_shot_sweep(config)
     rows = _read_csv(Path(config.out_dir) / "report.csv")
     assert [r["status"] for r in rows] == ["ok", "ok"]

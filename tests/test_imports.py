@@ -2,10 +2,14 @@
 
 Every module-level import in src/travelsat must be used: a name listed in
 the module's __all__ counts as used, and an imported name on a line marked
-"# noqa: F401" is exempt. Every name in travelsat.__all__ must resolve.
+"# noqa: F401" is exempt. Every name in travelsat.__all__ must resolve. An
+offline run never imports requests, which only the HTTP backend uses.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -61,3 +65,18 @@ def test_no_unused_module_imports(path):
 def test_every_exported_name_resolves():
     missing = [name for name in travelsat.__all__ if not hasattr(travelsat, name)]
     assert missing == []
+
+
+def test_offline_run_does_not_import_requests(tmp_path):
+    script = (
+        "import sys\n"
+        "from travelsat.experiments import ExperimentConfig, SyntheticSpec, run_zero_shot\n"
+        "run_zero_shot(ExperimentConfig(synthetic=SyntheticSpec(n=60, seed=7),\n"
+        f"    cache_dir={str(tmp_path / 'cache')!r}, out_dir={str(tmp_path / 'run')!r}))\n"
+        "print('requests' in sys.modules)\n"
+    )
+    path = os.pathsep.join([str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")])
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=120, env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
