@@ -114,14 +114,11 @@ class GbdtHyper:
     subsample: float = 1.0
 
     def __post_init__(self):
-        if self.n_trees < 1:
-            raise DatasetError("n_trees must be at least 1")
-        if self.max_depth < 1:
-            raise DatasetError("max_depth must be at least 1")
+        for name in ("n_trees", "max_depth", "min_leaf"):
+            if getattr(self, name) < 1:
+                raise DatasetError(f"{name} must be at least 1")
         if not 0.0 < self.learning_rate <= 1.0:
             raise DatasetError("learning_rate must be in (0, 1]")
-        if self.min_leaf < 1:
-            raise DatasetError("min_leaf must be at least 1")
         if not 0.0 < self.subsample <= 1.0:
             raise DatasetError("subsample must be in (0, 1]")
 
@@ -381,7 +378,7 @@ def _cell(X: np.ndarray, y: np.ndarray, keep: list[int] | slice,
           train: np.ndarray, test: np.ndarray, seed: int,
           hyper: GbdtHyper | None) -> tuple[MetricPair | None, str]:
     """Fit one sweep cell on rows train of X[:, keep], y and score it on rows
-    test: (metrics, "ok"), or (None, "failed: ...") when the fit is refused."""
+    test: (metrics, "ok"), or (None, "failed: ...") if fit or metrics refuse."""
     # rows, then columns: numpy lays this copy out column-major, as predict_ols
     # multiplies it
     X_train, X_test = X[train][:, keep], X[test][:, keep]
@@ -393,9 +390,9 @@ def _cell(X: np.ndarray, y: np.ndarray, keep: list[int] | slice,
             model = fit_gbdt(X_train, y[train], hyper=hyper, seed=seed,
                              column_variables=columns)
             predicted = predict_gbdt(model, X_test)
+        return evaluate(y[test], predicted), "ok"
     except (RankError, DatasetError) as exc:
         return None, f"failed: {exc}"
-    return evaluate(y[test], predicted), "ok"
 
 
 def fraction_sweep(dataset: Dataset, fractions: Sequence[float], kind: str,

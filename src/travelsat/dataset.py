@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
@@ -72,6 +73,8 @@ def parse_value(variable: Variable, raw: str | float) -> float:
             raise ValueError(f"{variable.name}: not a number: {raw!r}") from None
     else:
         value = float(raw)
+    if not math.isfinite(value):  # nan, inf, and overflows such as 1e400
+        raise ValueError(f"{variable.name}: not a finite number: {raw!r}")
     if variable.kind == CATEGORICAL:
         code = int(value)
         if code != value or code not in variable.codes:

@@ -16,13 +16,15 @@ from .errors import DatasetError
 def _pairs(metric: str, actual: Sequence[float],
            predicted: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
     """actual and predicted as float arrays, checked to be matching,
-    non-empty and 1-d; an error names metric."""
+    non-empty, 1-d and finite; an error names metric."""
     y = np.asarray(actual, dtype=float)
     yhat = np.asarray(predicted, dtype=float)
     if y.shape != yhat.shape or y.ndim != 1:
         raise DatasetError(f"{metric} needs matching 1-d arrays, got {y.shape} vs {yhat.shape}")
     if len(y) == 0:
         raise DatasetError(f"{metric} needs at least one pair")
+    if not (np.isfinite(y).all() and np.isfinite(yhat).all()):
+        raise DatasetError(f"{metric} needs finite values")
     return y, yhat
 
 

@@ -58,7 +58,7 @@ from .prompting import (
     render_few_shot,
     render_zero_shot,
 )
-from .schema import VariableSchema, default_schema, load_schema, read_json
+from .schema import VariableSchema, default_schema, load_schema, read_json, spec_from_dict
 from .selection import (
     SupportSet,
     empty_support,
@@ -118,23 +118,15 @@ class ExperimentConfig:
     out_dir: str = "runs/out"
 
     def __post_init__(self):
-        for name in ("synthetic", "llm", "gbdt"):
-            if getattr(self, name) is None:
-                raise DatasetError(f"{name} must be an object, not null")
         if self.seed < 0:
             raise DatasetError("seed must be non-negative")
-        if self.max_in_flight < 1:
-            raise DatasetError("max_in_flight must be at least 1")
-        if self.repeats < 1:
-            raise DatasetError("repeats must be at least 1")
+        for name in ("max_in_flight", "repeats", "batch_size", "best_k"):
+            if getattr(self, name) < 1:
+                raise DatasetError(f"{name} must be at least 1")
         if not 0.0 < self.train_fraction < 1.0:
             raise DatasetError("train_fraction must be in (0, 1)")
         if any(k < 0 for k in self.support_sizes):
             raise DatasetError("support sizes must be non-negative")
-        if self.batch_size < 1:
-            raise DatasetError("batch_size must be at least 1")
-        if self.best_k < 1:
-            raise DatasetError("best_k must be at least 1")
         if not 0.0 < self.importance_subsample <= 1.0:
             raise DatasetError("importance_subsample must be in (0, 1]")
 
@@ -151,28 +143,12 @@ class ExperimentConfig:
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-def config_from_dict(d: dict) -> ExperimentConfig:
-    d = dict(d)
-    for key, spec in (("synthetic", SyntheticSpec), ("mock", MockSpec),
-                      ("llm", LlmParams), ("gbdt", GbdtHyper)):
-        if d.get(key) is not None:
-            d[key] = spec(**d[key])
-    for key in ("support_sizes", "fractions"):
-        if key in d and d[key] is not None:
-            d[key] = tuple(d[key])
-    unknown = set(d) - {f.name for f in dataclasses.fields(ExperimentConfig)}
-    if unknown:
-        raise DatasetError(f"unknown config keys: {sorted(unknown)}")
-    return ExperimentConfig(**d)
+def config_from_dict(d) -> ExperimentConfig:
+    return spec_from_dict(ExperimentConfig, d, DatasetError, "config")
 
 
 def load_config(path) -> ExperimentConfig:
-    payload = read_json(path, "config", DatasetError)
-    try:
-        return config_from_dict(payload)
-    except (TypeError, ValueError) as exc:
-        # ValueError: LlmParams rejects an out-of-range value
-        raise DatasetError(f"{path}: bad config: {exc}") from exc
+    return config_from_dict(read_json(path, "config", DatasetError))
 
 
 def load_dataset(config: ExperimentConfig) -> Dataset:

@@ -79,19 +79,22 @@ def linear_rule(values: Mapping[str, float]) -> float:
     return clamp(score)
 
 
+# (variable, test, step) of the threshold rule; rule_importance uses |step|
+_THRESHOLD_STEPS = (
+    ("commuting_time", lambda v: v > 35.0, -1.4),
+    ("public_transit_station", lambda v: v > 12.0, -0.6),
+    ("commuting_mode", lambda v: int(v) in (1, 2), 0.5),
+    ("trips_per_weekday", lambda v: v > 7.0, -0.3),
+    ("income", lambda v: v > 25000.0, 0.2),
+)
+
+
 def threshold_rule(values: Mapping[str, float]) -> float:
     """Piecewise-constant rule; tree ensembles fit it, linear models cannot."""
     score = 5.2
-    if values["commuting_time"] > 35.0:
-        score -= 1.4
-    if values["public_transit_station"] > 12.0:
-        score -= 0.6
-    if int(values["commuting_mode"]) in (1, 2):
-        score += 0.5
-    if values["trips_per_weekday"] > 7.0:
-        score -= 0.3
-    if values["income"] > 25000.0:
-        score += 0.2
+    for name, fires, step in _THRESHOLD_STEPS:
+        if fires(values[name]):
+            score += step
     return clamp(score)
 
 
@@ -132,8 +135,7 @@ def rule_importance(name: str) -> dict[str, float]:
         for var, offsets in _LINEAR_OFFSETS.items():
             raw[var] = max(offsets.values()) - min(offsets.values())
     else:
-        raw = {"commuting_time": 1.4, "public_transit_station": 0.6,
-               "commuting_mode": 0.5, "trips_per_weekday": 0.3, "income": 0.2}
+        raw = {name: abs(step) for name, _, step in _THRESHOLD_STEPS}
     schema = default_schema()
     full = {v.name: raw.get(v.name, 0.0) for v in schema.predictors}
     total = sum(full.values())

@@ -4,7 +4,8 @@ The default schema describes a household travel survey with 17 predictor
 variables grouped into four dimensions (socioeconomics, built environment,
 travel characteristics, reference points) plus a continuous travel
 satisfaction label on a 1-7 scale. It ships with the package as
-resources/default_schema.json, the same format load_schema reads.
+resources/default_schema.json. The dataclasses define the settings file
+formats: spec_from_dict reads any of them, checked, and spec_to_dict writes.
 """
 
 from __future__ import annotations
@@ -12,7 +13,10 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
-from dataclasses import dataclass, field
+import math
+import re
+import typing
+from dataclasses import dataclass, field, fields, is_dataclass
 from importlib import resources
 
 from .errors import SchemaError, TravelSatError
@@ -116,54 +120,24 @@ class VariableSchema:
 
     def fingerprint(self) -> str:
         """Stable hash of the schema contents, for provenance records."""
-        payload = json.dumps(_schema_to_dict(self), sort_keys=True)
+        payload = json.dumps(spec_to_dict(self), sort_keys=True)
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-def _schema_to_dict(schema: VariableSchema) -> dict:
-    def var(v: Variable) -> dict:
-        d = {"name": v.name, "dimension": v.dimension, "kind": v.kind}
-        if v.unit:
-            d["unit"] = v.unit
-        if v.categories:
-            d["categories"] = [[c, lab] for c, lab in v.categories]
-        if v.minimum is not None:
-            d["minimum"] = v.minimum
-        if v.maximum is not None:
-            d["maximum"] = v.maximum
-        if v.exclusive_minimum:
-            d["exclusive_minimum"] = True
-        return d
-
-    return {
-        "predictors": [var(v) for v in schema.predictors],
-        "label": var(schema.label),
-    }
+def spec_to_dict(value):
+    """A dataclass spec as the JSON value spec_from_dict reads back: each
+    nested spec, and each other field that differs from its default."""
+    if isinstance(value, tuple):
+        return [spec_to_dict(item) for item in value]
+    if not is_dataclass(value):
+        return value
+    items = ((f, getattr(value, f.name)) for f in fields(value))
+    return {f.name: spec_to_dict(v) for f, v in items
+            if is_dataclass(v) or v != f.default}
 
 
-def _variable_from_dict(d: dict) -> Variable:
-    try:
-        return Variable(
-            name=d["name"],
-            dimension=d["dimension"],
-            kind=d["kind"],
-            unit=d.get("unit", ""),
-            categories=tuple((int(c), str(lab)) for c, lab in d.get("categories", [])),
-            minimum=d.get("minimum"),
-            maximum=d.get("maximum"),
-            exclusive_minimum=bool(d.get("exclusive_minimum", False)),
-        )
-    except KeyError as exc:
-        raise SchemaError(f"schema entry missing key {exc}") from exc
-
-
-def schema_from_dict(d: dict) -> VariableSchema:
-    if "predictors" not in d:
-        raise SchemaError("schema file needs a 'predictors' list")
-    predictors = tuple(_variable_from_dict(v) for v in d["predictors"])
-    if "label" in d:
-        return VariableSchema(predictors=predictors, label=_variable_from_dict(d["label"]))
-    return VariableSchema(predictors=predictors)
+def schema_from_dict(d) -> VariableSchema:
+    return spec_from_dict(VariableSchema, d, SchemaError, "schema")
 
 
 def read_json(path, what: str, error: type[TravelSatError]):
@@ -178,14 +152,59 @@ def read_json(path, what: str, error: type[TravelSatError]):
         raise error(f"{path}: not valid JSON: {exc}") from exc
 
 
+@functools.cache
+def _type_hints(cls) -> dict:
+    # evaluating the annotations is slow: once a class, not once a read
+    return typing.get_type_hints(cls, include_extras=True)
+
+
+def spec_from_dict(cls, payload, error: type[TravelSatError], where: str):
+    """The dataclass cls read from a JSON object by its type hints: a list
+    as a tuple, an object as a nested spec, an Annotated field as (code,
+    value) pairs written {"code": value}. A value of another type, an unknown
+    or missing key, a non-finite float or a value cls refuses raises error
+    naming the key path, such as "config.seed: 1.5 is not a int"."""
+    if not isinstance(payload, dict):
+        raise error(f"{where}: {payload!r} is not an object")
+    hints = _type_hints(cls)
+    unknown = set(payload) - set(hints)
+    if unknown:
+        raise error(f"{where}: unknown keys: {sorted(unknown)}")
+    values = {key: _read(hints[key], value, error, f"{where}.{key}")
+              for key, value in payload.items()}
+    try:
+        return cls(**values)
+    except (TravelSatError, TypeError, ValueError) as exc:  # TypeError: missing key
+        raise error(f"{where}: {exc}") from exc
+
+
+def _read(hint, value, error: type[TravelSatError], where: str):
+    args, origin = typing.get_args(hint), typing.get_origin(hint)
+    if origin is typing.Annotated:  # written {"code": value}
+        if not (isinstance(value, dict)
+                and all(re.fullmatch(r"-?[0-9]+", code) for code in value)):
+            raise error(f"{where}: {value!r} is not an object keyed by integer codes")
+        return _read(args[0], [[int(c), v] for c, v in value.items()], error, where)
+    if type(None) in args:  # X | None
+        return None if value is None else _read(args[0], value, error, where)
+    if is_dataclass(hint):
+        return spec_from_dict(hint, value, error, where)
+    if origin is tuple and isinstance(value, (list, tuple)):
+        hints = args[:1] * len(value) if args[1:] == (...,) else args
+        if len(hints) == len(value):
+            return tuple(_read(h, item, error, f"{where}[{i}]")
+                         for i, (h, item) in enumerate(zip(hints, value)))
+    # exact types, so a bool is no int; a float field also takes an int
+    if not (type(value) is hint or hint is float and type(value) is int):
+        name = hint if origin else hint.__name__
+        raise error(f"{where}: {value!r} is not a {name}")
+    if type(value) is float and not math.isfinite(value):
+        raise error(f"{where}: {value} is not finite")
+    return value
+
+
 def load_schema(path) -> VariableSchema:
     return schema_from_dict(read_json(path, "schema", SchemaError))
-
-
-def save_schema(schema: VariableSchema, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_schema_to_dict(schema), fh, indent=2)
-        fh.write("\n")
 
 
 @functools.cache

@@ -12,6 +12,7 @@ import functools
 import json
 from dataclasses import dataclass
 from importlib import resources as importlib_resources
+from typing import Annotated
 
 from numpy.random import Generator, default_rng
 import numpy as np
@@ -19,7 +20,14 @@ import numpy as np
 from .dataset import Dataset, RespondentRecord
 from .errors import DatasetError, SchemaError
 from .rules import clamp, get_rule
-from .schema import CATEGORICAL, NUMERIC, VariableSchema, default_schema, read_json
+from .schema import (
+    CATEGORICAL,
+    NUMERIC,
+    VariableSchema,
+    default_schema,
+    read_json,
+    spec_from_dict,
+)
 
 
 @dataclass(frozen=True)
@@ -33,6 +41,10 @@ class NumericMarginal:
     clip_min: float | None = None
     clip_max: float | None = None
 
+    def __post_init__(self):
+        if self.kind not in ("normal", "lognormal", "uniform"):
+            raise SchemaError(f"unknown numeric marginal kind {self.kind!r}")
+
     def sample(self, rng: Generator, n: int) -> np.ndarray:
         if self.kind == "normal":
             draws = rng.normal(self.mean, self.std, size=n)
@@ -40,10 +52,8 @@ class NumericMarginal:
             # parameterized by the target arithmetic mean
             mu = np.log(self.mean) - self.sigma ** 2 / 2.0
             draws = rng.lognormal(mu, self.sigma, size=n)
-        elif self.kind == "uniform":
-            draws = rng.uniform(self.low, self.high, size=n)
         else:
-            raise SchemaError(f"unknown numeric marginal kind {self.kind!r}")
+            draws = rng.uniform(self.low, self.high, size=n)
         if self.clip_min is not None:
             draws = np.maximum(draws, self.clip_min)
         if self.clip_max is not None:
@@ -58,13 +68,14 @@ class NumericMarginal:
 
 @dataclass(frozen=True)
 class CategoricalMarginal:
-    # (code, probability) pairs; probabilities normalized at construction
-    probs: tuple[tuple[int, float], ...]
+    # (code, probability) pairs, written {"code": weight}; weights are
+    # normalized at construction
+    probs: Annotated[tuple[tuple[int, float], ...], "written as an object"]
 
     def __post_init__(self):
         total = sum(p for _, p in self.probs)
-        if total <= 0:
-            raise SchemaError("categorical marginal needs positive probabilities")
+        if total <= 0 or any(p < 0 for _, p in self.probs):
+            raise SchemaError("categorical marginal needs weights >= 0, not all 0")
         object.__setattr__(
             self, "probs", tuple((c, p / total) for c, p in self.probs)
         )
@@ -84,26 +95,16 @@ class CategoricalMarginal:
 Marginal = NumericMarginal | CategoricalMarginal
 
 
-def _marginal_from_dict(name: str, d: dict) -> Marginal:
-    kind = d.get("kind")
-    if kind == "categorical":
-        probs = tuple((int(code), float(p)) for code, p in d["probs"].items())
-        return CategoricalMarginal(probs=probs)
-    if kind in ("normal", "lognormal", "uniform"):
-        return NumericMarginal(
-            kind=kind,
-            mean=float(d.get("mean", 0.0)),
-            std=float(d.get("std", 1.0)),
-            sigma=float(d.get("sigma", 0.5)),
-            low=float(d.get("low", 0.0)),
-            high=float(d.get("high", 1.0)),
-            clip_min=d.get("clip_min"),
-            clip_max=d.get("clip_max"),
-        )
-    raise SchemaError(f"{name}: unknown marginal kind {kind!r}")
+def _marginal_from_dict(name: str, d) -> Marginal:
+    if isinstance(d, dict) and d.get("kind") == "categorical":
+        d = {key: value for key, value in d.items() if key != "kind"}
+        return spec_from_dict(CategoricalMarginal, d, SchemaError, f"marginals.{name}")
+    return spec_from_dict(NumericMarginal, d, SchemaError, f"marginals.{name}")
 
 
-def marginals_from_dict(d: dict) -> dict[str, Marginal]:
+def marginals_from_dict(d) -> dict[str, Marginal]:
+    if not isinstance(d, dict):
+        raise SchemaError("marginals: the file must hold a JSON object")
     return {name: _marginal_from_dict(name, spec) for name, spec in d.items()}
 
 
@@ -152,8 +153,8 @@ def synthesize(
         raise DatasetError("n must be positive")
     if seed < 0:
         raise DatasetError("seed must be non-negative")
-    if noise < 0:
-        raise DatasetError("noise must be non-negative")
+    if not 0.0 <= noise < np.inf:
+        raise DatasetError("noise must be finite and non-negative")
     schema = schema or default_schema()
     marginals = marginals if marginals is not None else default_marginals()
     _check_marginals(schema, marginals)

@@ -5,7 +5,7 @@ import pytest
 
 from travelsat.cli import build_parser, main
 from travelsat.dataset import load_survey
-from travelsat.schema import default_schema, save_schema
+from travelsat.schema import default_schema, spec_to_dict
 
 
 def _shared_args(tmp_path, name, *extra):
@@ -118,22 +118,89 @@ def test_cli_missing_config_and_schema_exit_2(tmp_path, capsys):
     assert capsys.readouterr().err.count("error:") == 3
 
 
-@pytest.mark.parametrize("payload", [
-    {"llm": {"temperature": 9}},
-    {"max_in_flight": 0},
-    {"synthetic": None},
-    {"llm": None},
-    {"gbdt": None},
-    {"seed": -1},
-    {"synthetic": {"seed": -1}},
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("payload, where", [
+    ({"llm": {"temperature": 9}}, "config.llm:"),
+    ({"max_in_flight": 0}, "config:"),
+    ({"synthetic": None}, "config.synthetic:"),
+    ({"llm": None}, "config.llm:"),
+    ({"gbdt": None}, "config.gbdt:"),
+    ({"seed": -1}, "config:"),
+    ({"synthetic": {"seed": -1}}, "seed must be non-negative"),
+    ({"synthetic": {"n": "x"}}, "config.synthetic.n:"),
+    ({"repeats": 2.5}, "config.repeats:"),
+    ({"support_sizes": [0, 3.5]}, "config.support_sizes[1]:"),
+    ({"batch_size": 2.5}, "config.batch_size:"),
+    ({"fractions": [NAN]}, "config.fractions[0]:"),
+    ({"llm": {"request_timeout": NAN}}, "config.llm.request_timeout:"),
+    ({"llm": {"max_output_tokens": INF}}, "config.llm.max_output_tokens:"),
+    ({"synthetic": {"noise": NAN}}, "config.synthetic.noise:"),
+    ({"seed": 1.5}, "config.seed:"),
+    ({"vary_split": 1}, "config.vary_split:"),
+    ({"mock": {"rule": "linear", "surprise": 1}}, "config.mock:"),
+    ([0, 3], "config:"),
 ], ids=["temperature", "max_in_flight", "null-synthetic", "null-llm", "null-gbdt",
-        "negative-seed", "negative-synthetic-seed"])
-def test_bad_config_values_exit_2(tmp_path, capsys, payload):
+        "negative-seed", "negative-synthetic-seed", "string-n", "float-repeats",
+        "float-support-size", "float-batch-size", "nan-fraction", "nan-timeout",
+        "infinite-max-tokens", "nan-noise", "float-seed", "int-flag",
+        "unknown-nested-key", "not-an-object"])
+def test_bad_config_values_exit_2(tmp_path, capsys, payload, where):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(payload), encoding="utf-8")
     code = main(["zeroshot", "--config", str(config), *_shared_args(tmp_path, "bad")])
     assert code == 2
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error:" in err and where in err
+
+
+def _shipped(name):
+    from importlib import resources
+    return json.loads(resources.files("travelsat").joinpath(f"resources/{name}")
+                      .read_text("utf-8"))
+
+
+def _schema_with(**age):
+    schema = _shipped("default_schema.json")
+    schema["predictors"][1].update(age)
+    return schema
+
+
+def _marginals_with(name, **spec):
+    marginals = _shipped("default_marginals.json")
+    marginals[name].update(spec)
+    return marginals
+
+
+@pytest.mark.parametrize("flag, payload, where", [
+    ("--schema", _schema_with(maximun=5), "schema.predictors[1]: unknown keys"),
+    ("--schema", _schema_with(minimum="zero"), "schema.predictors[1].minimum:"),
+    ("--schema", _schema_with(exclusive_minimum=1), "schema.predictors[1].exclusive_minimum:"),
+    ("--schema", _schema_with(minimum=NAN), "schema.predictors[1].minimum:"),
+    ("--schema", {"label": _shipped("default_schema.json")["label"]}, "schema:"),
+    ("--marginals", _marginals_with("age", clip_min="12"), "marginals.age.clip_min:"),
+    ("--marginals", _marginals_with("age", mena=3), "marginals.age: unknown keys"),
+    ("--marginals", _marginals_with("age", std=INF), "marginals.age.std:"),
+    ("--marginals", _marginals_with("age", kind="cauchy"), "marginals.age:"),
+    ("--marginals", _marginals_with("gender", probs={"a": 1}), "marginals.gender.probs:"),
+    ("--marginals", _marginals_with("gender", probs=[54.71, 45.29]),
+     "marginals.gender.probs:"),
+    ("--marginals", _marginals_with("gender", probs={"0": NAN, "1": 1}),
+     "marginals.gender.probs[0][1]:"),
+    ("--marginals", _marginals_with("gender", probs={"0": -1, "1": 2}),
+     "marginals.gender:"),
+    ("--marginals", [], "marginals:"),
+], ids=["misspelt-key", "string-minimum", "int-flag", "nan-minimum", "no-predictors",
+        "string-clip", "misspelt-marginal-key", "infinite-std", "unknown-kind",
+        "letter-code", "probs-list", "nan-weight", "negative-weight", "not-an-object"])
+def test_bad_schema_and_marginals_exit_2(tmp_path, capsys, flag, payload, where):
+    path = tmp_path / "settings.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    code = main(["synth", "--n", "20", flag, str(path), "--out", str(tmp_path / "x.csv")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and where in err
 
 
 @pytest.mark.parametrize("command", ["synth", "fewshot", "baseline-sweep"])
@@ -201,7 +268,8 @@ def test_shared_flag_overrides_config_file(tmp_path, monkeypatch, args, key, sto
     # leaves the file's value in place
     monkeypatch.chdir(tmp_path)
     assert main(["synth", "--n", "40", "--seed", "7", "--out", "survey.csv"]) == 0
-    save_schema(default_schema(), "schema.json")
+    Path("schema.json").write_text(json.dumps(spec_to_dict(default_schema())),
+                                   encoding="utf-8")
     Path("config.json").write_text(json.dumps({
         "synthetic": {"n": 40}, "support_sizes": [0, 3], "seed": 5,
         "batch_size": 20, "repeats": 2, "vary_split": False,

@@ -1,4 +1,7 @@
+import contextlib
 import csv
+import io
+import math
 import tempfile
 from pathlib import Path
 
@@ -6,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from travelsat.cli import main
 from travelsat.dataset import (
     Dataset,
     RespondentRecord,
@@ -188,8 +192,9 @@ def test_empty_dataset_rejected():
 def _any_value(var):
     if var.kind == CATEGORICAL:
         return st.sampled_from(var.codes).map(float)
+    # load_survey refuses non-finite cells, so a saved dataset holds none
     return st.floats(min_value=var.minimum, max_value=var.maximum,
-                     exclude_min=var.exclusive_minimum)
+                     exclude_min=var.exclusive_minimum, allow_infinity=False)
 
 
 # ids load_survey keeps as they are: non-empty, no surrounding whitespace,
@@ -214,3 +219,39 @@ def test_save_load_round_trip(data):
         path = Path(tmp) / "survey.csv"
         save_survey(dataset, path)
         assert load_survey(path, schema) == dataset
+
+
+NON_FINITE = ["nan", "NaN", " nan ", "inf", "-inf", "+Infinity", "1e400", "-1e400"]
+FINITE = ["-0.0", "0.0", " 4.5 ", "\t3e1 ", "1E1", "2", "6.5"]
+COLUMNS = [*default_schema().names, default_schema().label.name]
+
+
+@settings(max_examples=40, deadline=None)
+@given(cells=st.lists(st.tuples(st.integers(1, 6), st.sampled_from(COLUMNS),
+                                st.sampled_from(NON_FINITE + FINITE)),
+                      min_size=1, max_size=4))
+def test_non_finite_cells_are_refused_with_their_row(cells):
+    rows = [_complete_row(f"r{i}") for i in range(1, 7)]
+    for row, column, form in cells:
+        rows[row - 1][column] = form
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "survey.csv"
+        _write_rows(path, rows)
+        try:
+            dataset = load_survey(path)
+        except RowError as exc:
+            assert exc.row_index in {row for row, _, _ in cells}
+            assert str(exc).startswith(f"row {exc.row_index}: ")
+            refused = True
+        else:
+            assert all(math.isfinite(value) for record in dataset
+                       for value in [record.satisfaction, *record.values.values()])
+            refused = False
+        if any(form in NON_FINITE for _, _, form in cells):
+            assert refused
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            code = main(["zeroshot", "--data", str(path), "--repeats", "1",
+                         "--out", str(Path(tmp) / "out")])
+        assert code == (2 if refused else 0)
+        assert ("error: row " in err.getvalue()) == refused

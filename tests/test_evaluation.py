@@ -72,6 +72,12 @@ def test_metric_errors():
         mse([], [])
     with pytest.raises(DatasetError):
         mape([0.0, 1.0], [1.0, 1.0])
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        for metric in (mse, mape, evaluate):
+            with pytest.raises(DatasetError, match="finite"):
+                metric([2.0, bad], [2.0, 3.0])
+            with pytest.raises(DatasetError, match="finite"):
+                metric([2.0, 3.0], [bad, 3.0])
 
 
 def test_evaluate_bundles_both():

@@ -4,9 +4,11 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from travelsat.baselines import fraction_sweep
-from travelsat.client import LlmClient, LlmResponse
+from travelsat.baselines import GbdtHyper, fraction_sweep
+from travelsat.client import LlmClient, LlmParams, LlmResponse
 from travelsat.errors import DatasetError
 from travelsat.experiments import (
     DEFAULT_FRACTIONS,
@@ -94,6 +96,34 @@ def test_config_unknown_key_rejected():
     with pytest.raises(DatasetError) as excinfo:
         config_from_dict({"surprise": 1})
     assert "surprise" in str(excinfo.value)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=2)),
+    max_leaves=6)
+
+
+def _json_object(cls, values):
+    names = [f.name for f in dataclasses.fields(cls)]
+    return st.dictionaries(st.sampled_from(names), values, max_size=len(names))
+
+
+SPEC_OBJECTS = st.one_of(*(_json_object(cls, JSON_VALUES) for cls in
+                           (SyntheticSpec, MockSpec, LlmParams, GbdtHyper)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(payload=_json_object(ExperimentConfig, JSON_VALUES | SPEC_OBJECTS))
+def test_config_from_any_json_builds_or_raises_dataset_error(payload):
+    try:
+        config = config_from_dict(payload)
+    except DatasetError as exc:
+        assert str(exc).startswith("config")
+    else:
+        assert isinstance(config, ExperimentConfig)
+        assert config.content_hash() == config_from_dict(payload).content_hash()
 
 
 def test_config_bad_json_and_bad_fields(tmp_path):

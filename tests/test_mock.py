@@ -7,8 +7,14 @@ from travelsat.encoding import fit_encoding
 from travelsat.errors import MockError, SchemaError
 from travelsat.mock import ScriptedMock
 from travelsat.prompting import parse_response, render_few_shot, render_zero_shot
-from travelsat.rules import REFERENCE_SCALE, linear_rule, misaligned_prior, rule_importance
-from travelsat.schema import CATEGORICAL
+from travelsat.rules import (
+    REFERENCE_SCALE,
+    linear_rule,
+    misaligned_prior,
+    rule_importance,
+    threshold_rule,
+)
+from travelsat.schema import CATEGORICAL, default_schema
 from travelsat.selection import SupportSet, rank_support
 
 PARAMS = LlmParams()
@@ -156,6 +162,42 @@ def test_importance_emitted_only_when_requested(small_dataset):
     assert set(batch.importances) == set(schema.names)
     for name, weight in expected.items():
         assert batch.importances[name] == pytest.approx(weight, abs=1e-5)
+
+
+def test_threshold_importance_bits_are_pinned():
+    weights = rule_importance("threshold")
+    assert list(weights) == list(default_schema().names)
+    assert {k: v.hex() for k, v in weights.items() if v} == {
+        "income": "0x1.1111111111111p-4",
+        "public_transit_station": "0x1.9999999999999p-3",
+        "commuting_time": "0x1.dddddddddddddp-2",
+        "commuting_mode": "0x1.5555555555555p-3",
+        "trips_per_weekday": "0x1.9999999999999p-4",
+    }
+
+
+def _threshold_oracle(values):
+    score = 5.2
+    if values["commuting_time"] > 35.0:
+        score -= 1.4
+    if values["public_transit_station"] > 12.0:
+        score -= 0.6
+    if int(values["commuting_mode"]) in (1, 2):
+        score += 0.5
+    if values["trips_per_weekday"] > 7.0:
+        score -= 0.3
+    if values["income"] > 25000.0:
+        score += 0.2
+    return min(7.0, max(1.0, score))
+
+
+def test_threshold_rule_matches_its_written_out_form(small_dataset):
+    for record in small_dataset:
+        expected = _threshold_oracle(record.values)
+        assert threshold_rule(record.values).hex() == expected.hex()
+    edges = dict(small_dataset[0].values, commuting_time=36.0, public_transit_station=13.0,
+                 commuting_mode=2.0, trips_per_weekday=8.0, income=30000.0)
+    assert threshold_rule(edges).hex() == _threshold_oracle(edges).hex()
 
 
 def test_mock_reports_reasoning(small_dataset):

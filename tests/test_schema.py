@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import re
 
 import pytest
@@ -11,7 +12,8 @@ from travelsat.schema import (
     VariableSchema,
     default_schema,
     load_schema,
-    save_schema,
+    schema_from_dict,
+    spec_to_dict,
 )
 
 EXPECTED_NAMES = (
@@ -79,8 +81,29 @@ def test_unknown_dimension_rejected():
 
 def test_schema_file_round_trip(tmp_path):
     path = tmp_path / "schema.json"
-    save_schema(default_schema(), path)
+    path.write_text(json.dumps(spec_to_dict(default_schema()), indent=2),
+                    encoding="utf-8")
     assert load_schema(path) == default_schema()
+
+
+SHIPPED_FINGERPRINT = "7c60faf2b0714575b197f628f9ddc289198158d966fbd2d3e6758daf49630533"
+
+
+def test_schema_dict_round_trip_keeps_the_shipped_format():
+    from importlib import resources
+    schema = default_schema()
+    assert schema.fingerprint() == SHIPPED_FINGERPRINT
+    assert schema_from_dict(spec_to_dict(schema)) == schema
+    shipped = resources.files("travelsat").joinpath("resources/default_schema.json")
+    assert spec_to_dict(schema) == json.loads(shipped.read_text("utf-8"))
+    custom = VariableSchema(
+        predictors=(Variable("dist", "built_environment", NUMERIC, unit="km",
+                             minimum=0, maximum=2.5, exclusive_minimum=True),
+                    Variable("mode", "travel_characteristics", CATEGORICAL,
+                             categories=((-1, "none"), (2, "bus")))),
+        label=Variable("score", "label", NUMERIC, minimum=0.0))
+    assert schema_from_dict(spec_to_dict(custom)) == custom
+    assert type(schema_from_dict(spec_to_dict(custom)).predictors[0].minimum) is int
 
 
 def test_fingerprint_changes_with_content():

@@ -113,6 +113,9 @@ def test_bad_arguments_rejected():
         synthesize(0, seed=0)
     with pytest.raises(DatasetError):
         synthesize(10, seed=0, noise=-0.1)
+    for noise in (float("nan"), float("inf")):
+        with pytest.raises(DatasetError, match="finite"):
+            synthesize(10, seed=0, noise=noise)
 
 
 def test_marginal_parsing_rejects_unknown_kind():
