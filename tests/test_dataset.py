@@ -229,7 +229,9 @@ COLUMNS = [*default_schema().names, default_schema().label.name]
 @settings(max_examples=40, deadline=None)
 @given(cells=st.lists(st.tuples(st.integers(1, 6), st.sampled_from(COLUMNS),
                                 st.sampled_from(NON_FINITE + FINITE)),
-                      min_size=1, max_size=4))
+                      min_size=1, max_size=4,
+                      # one form per cell, so every drawn form is in the file
+                      unique_by=lambda cell: cell[:2]))
 def test_non_finite_cells_are_refused_with_their_row(cells):
     rows = [_complete_row(f"r{i}") for i in range(1, 7)]
     for row, column, form in cells:
