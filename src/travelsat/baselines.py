@@ -7,7 +7,9 @@ memory layout of X: BLAS sums a matrix-vector product in an order that
 depends on the layout, so predict_ols always multiplies X column-major.
 The GBDT fits squared-loss gradient boosting with greedy variance-reduction
 splits on midpoints between distinct sorted values; with subsample = 1 (the
-default) the fit is fully deterministic.
+default) the fit is fully deterministic. A fitted model knows its columns
+only by index: importance_gbdt takes each column's parent variable from its
+caller (EncodingSpec.column_variables), so no fit or worker carries labels.
 
 Split finding is exact greedy over presorted column blocks (the layout of
 XGBoost's exact split finder, Chen & Guestrin 2016, sections 3.1 and 4.1):
@@ -53,7 +55,7 @@ from numpy.random import default_rng
 from scipy import linalg
 
 from .dataset import Dataset, split_indices
-from .encoding import design_columns, encode_matrix, fit_encoding
+from .encoding import design_matrix, encode_matrix, fit_encoding
 from .errors import DatasetError, RankError
 from .evaluation import MetricPair, evaluate
 
@@ -131,10 +133,6 @@ class _Node:
     left: "_Node | None" = None
     right: "_Node | None" = None
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.left is None
-
 
 @dataclass
 class GbdtModel:
@@ -144,7 +142,6 @@ class GbdtModel:
     column_gains: np.ndarray
     # training MSE before any tree and after each boosting step
     train_losses: list[float] = field(default_factory=list)
-    column_variables: tuple[str, ...] | None = None
 
 
 def _best_split(values: np.ndarray, prefix: np.ndarray, min_leaf: int):
@@ -232,7 +229,7 @@ def _tree_predict(root: _Node, X: np.ndarray) -> np.ndarray:
         node, idx = stack.pop()
         if len(idx) == 0:
             continue
-        if node.is_leaf:
+        if node.left is None:
             out[idx] = node.value
         else:
             mask = X[idx, node.feature] <= node.threshold
@@ -242,8 +239,7 @@ def _tree_predict(root: _Node, X: np.ndarray) -> np.ndarray:
 
 
 def fit_gbdt(X: np.ndarray, y: np.ndarray, hyper: GbdtHyper | None = None,
-             seed: int = 0,
-             column_variables: Sequence[str] | None = None) -> GbdtModel:
+             seed: int = 0) -> GbdtModel:
     """Squared-loss gradient boosting with per-column split-gain tracking."""
     hyper = hyper or GbdtHyper()
     X = np.asarray(X, dtype=float)
@@ -253,8 +249,6 @@ def fit_gbdt(X: np.ndarray, y: np.ndarray, hyper: GbdtHyper | None = None,
     n, p = X.shape
     if n < 2 * hyper.min_leaf:
         raise DatasetError(f"need at least {2 * hyper.min_leaf} rows, got {n}")
-    if column_variables is not None and len(column_variables) != p:
-        raise DatasetError(f"{p} columns but {len(column_variables)} column labels")
 
     rng = default_rng(seed)
     base = float(np.mean(y))
@@ -281,8 +275,7 @@ def fit_gbdt(X: np.ndarray, y: np.ndarray, hyper: GbdtHyper | None = None,
         prediction = prediction + hyper.learning_rate * _tree_predict(tree, X)
         losses.append(float(np.mean((y - prediction) ** 2)))
     return GbdtModel(base_prediction=base, trees=trees, hyper=hyper,
-                     column_gains=gains, train_losses=losses,
-                     column_variables=tuple(column_variables) if column_variables else None)
+                     column_gains=gains, train_losses=losses)
 
 
 def predict_gbdt(model: GbdtModel, X: np.ndarray) -> np.ndarray:
@@ -296,18 +289,17 @@ def predict_gbdt(model: GbdtModel, X: np.ndarray) -> np.ndarray:
     return out
 
 
-def importance_gbdt(model: GbdtModel) -> dict[str, float]:
+def importance_gbdt(model: GbdtModel, column_variables: Sequence[str]) -> dict[str, float]:
     """Split-gain importance, aggregated to parent variables and normalized
-    to sum 1. A model that never split yields a uniform vector (with a
-    warning)."""
+    to sum 1. column_variables names the parent variable of each column of
+    the fitted X, as EncodingSpec.column_variables gives it. A model that
+    never split yields a uniform vector (with a warning)."""
     gains = model.column_gains
-    if model.column_variables is not None:
-        keys = list(dict.fromkeys(model.column_variables))
-        totals = {k: 0.0 for k in keys}
-        for parent, gain in zip(model.column_variables, gains):
-            totals[parent] += float(gain)
-    else:
-        totals = {f"x{j}": float(g) for j, g in enumerate(gains)}
+    if len(column_variables) != len(gains):
+        raise DatasetError(f"{len(gains)} columns but {len(column_variables)} column labels")
+    totals = dict.fromkeys(column_variables, 0.0)
+    for parent, gain in zip(column_variables, gains):
+        totals[parent] += float(gain)
     grand = sum(totals.values())
     if grand <= 0.0:
         warnings.warn("model contains no splits; importance is uniform")
@@ -373,22 +365,19 @@ def _map_cells(cell: Callable, shared: tuple, tasks: Sequence[tuple],
             raise
 
 
-def _cell(X: np.ndarray, y: np.ndarray, keep: list[int] | slice,
-          columns: Sequence[str], kind: str,
+def _cell(X: np.ndarray, y: np.ndarray, columns: Sequence[str] | None, kind: str,
           train: np.ndarray, test: np.ndarray, seed: int,
           hyper: GbdtHyper | None) -> tuple[MetricPair | None, str]:
-    """Fit one sweep cell on rows train of X[:, keep], y and score it on rows
-    test: (metrics, "ok"), or (None, "failed: ...") if fit or metrics refuse."""
-    # rows, then columns: numpy lays this copy out column-major, as predict_ols
-    # multiplies it
-    X_train, X_test = X[train][:, keep], X[test][:, keep]
+    """Fit one sweep cell on rows train of X, y and score it on rows test:
+    (metrics, "ok"), or (None, "failed: ...") if fit or metrics refuse.
+    columns names X's columns for an LR cell's RankError."""
+    X_train, X_test = X[train], X[test]
     try:
         if kind == "lr":
             model = fit_ols(X_train, y[train], columns=columns)
             predicted = predict_ols(model, X_test)
         else:
-            model = fit_gbdt(X_train, y[train], hyper=hyper, seed=seed,
-                             column_variables=columns)
+            model = fit_gbdt(X_train, y[train], hyper=hyper, seed=seed)
             predicted = predict_gbdt(model, X_test)
         return evaluate(y[test], predicted), "ok"
     except (RankError, DatasetError) as exc:
@@ -413,15 +402,13 @@ def fraction_sweep(dataset: Dataset, fractions: Sequence[float], kind: str,
     tasks = [(*split_indices(len(dataset), fraction, seed + repeat), seed + repeat, hyper)
              for fraction, repeat in cells]
     spec = fit_encoding(dataset)
-    X, y = encode_matrix(dataset, spec), dataset.labels()
+    y = dataset.labels()
     if kind == "lr":
-        keep = design_columns(spec)
-        names = spec.column_names()
+        X, names, _ = design_matrix(dataset, spec)
         # in this process, see the module docstring
-        outcomes = [_cell(X, y, keep, [names[i] for i in keep], kind, *task)
-                    for task in tasks]
+        outcomes = [_cell(X, y, names, kind, *task) for task in tasks]
     else:
-        outcomes = _map_cells(_cell, (X, y, slice(None), spec.column_variables(), kind),
+        outcomes = _map_cells(_cell, (encode_matrix(dataset, spec), y, None, kind),
                               tasks, cost=[len(train) for train, *_ in tasks])
     return [FractionResult(fraction=fraction, repeat=repeat, metrics=metrics,
                            status=status)
@@ -429,8 +416,8 @@ def fraction_sweep(dataset: Dataset, fractions: Sequence[float], kind: str,
 
 
 def fit_gbdt_repeats(X: np.ndarray, y: np.ndarray, seeds: Sequence[int],
-                     hyper: GbdtHyper | None = None,
-                     column_variables: Sequence[str] | None = None) -> list[GbdtModel]:
+                     hyper: GbdtHyper | None = None) -> list[GbdtModel]:
     """One fit_gbdt on X, y per seed, in seed order, in worker processes
-    (see the module docstring)."""
-    return _map_cells(fit_gbdt, (X, y), [(hyper, seed, column_variables) for seed in seeds])
+    (see the module docstring). The models carry no column labels: pass
+    them to importance_gbdt."""
+    return _map_cells(fit_gbdt, (X, y), [(hyper, seed) for seed in seeds])

@@ -39,16 +39,6 @@ class EncodingSpec:
     groups: tuple[ColumnGroup, ...]
     width: int
 
-    def group(self, variable: str) -> ColumnGroup:
-        for g in self.groups:
-            if g.variable == variable:
-                return g
-        raise EncodingError(f"no encoded variable named {variable!r}")
-
-    @property
-    def constant_variables(self) -> tuple[str, ...]:
-        return tuple(g.variable for g in self.groups if g.constant)
-
     def column_names(self) -> list[str]:
         """One name per encoded column, e.g. 'income', 'commuting_mode=subway'."""
         names = []
@@ -145,16 +135,6 @@ def encode_matrix(records: Dataset | Sequence[RespondentRecord], spec: EncodingS
     return out
 
 
-def design_columns(spec: EncodingSpec) -> list[int]:
-    """Indices of the encoded columns a regression design keeps: all but
-    each categorical's first (reference) indicator."""
-    keep = []
-    for g in spec.groups:
-        first = g.start + (1 if g.kind == CATEGORICAL else 0)
-        keep.extend(range(first, g.start + g.width))
-    return keep
-
-
 def design_matrix(
     records: Dataset | Sequence[RespondentRecord],
     spec: EncodingSpec,
@@ -168,5 +148,6 @@ def design_matrix(
     full = encode_matrix(records, spec)
     names = spec.column_names()
     parents = spec.column_variables()
-    keep = design_columns(spec)
+    keep = [i for g in spec.groups
+            for i in range(g.start + (g.kind == CATEGORICAL), g.start + g.width)]
     return full[:, keep], [names[i] for i in keep], [parents[i] for i in keep]

@@ -2,13 +2,13 @@
 
 Records are serialized as plain text grouped by the four survey dimensions,
 with units and category labels spelled out. One generator, _layout, holds
-that traveler-block format: serialize_record and the renderers write blocks
-by walking it, and read_prompt, their strict inverse (the scripted mock
-reads prompts with it), reads blocks back by the same walk. No other module
-writes or reads the format. render_zero_shot and render_few_shot are one
-body, _render: it checks the queries, then a few-shot prompt's support,
-and joins the support section, when there is one, and the query section
-under the system template of its kind.
+that traveler-block format: the renderers write blocks by walking it, and
+read_prompt, their strict inverse (the scripted mock reads prompts with it),
+reads blocks back by the same walk. No other module writes or reads the
+format. render_zero_shot and render_few_shot are one body, _render: it
+checks the queries, then a few-shot prompt's support, and joins the support
+section, when there is one, and the query section under the system template
+of its kind.
 
 A run writes each traveler block once: the renderers take an optional
 `blocks` dict, owned by the caller for the length of one run, that caches
@@ -95,8 +95,8 @@ def _layout(schema: VariableSchema,
 
     A dimension heading is fixed text with no variable. A predictor line
     holds a category label or a number and its unit; the label line, last
-    and only when with_label, holds the satisfaction label. serialize_record
-    writes blocks by walking this layout and read_prompt reads them back by
+    and only when with_label, holds the satisfaction label. The renderers
+    write blocks by walking this layout and read_prompt reads them back by
     the same walk.
     """
     for dimension in DIMENSIONS:
@@ -155,17 +155,11 @@ def _read_block(block: str, layout, label: Variable) -> RespondentRecord:
                           f"expected {len(layout)}")
     record = RespondentRecord(record_id=record_id, values=values,
                               satisfaction=satisfaction)
-    # only the exact text serialize_record writes reads back
+    # only the exact text the renderers write reads back
     if _write_block(record, layout, label) != block:
         raise PromptError(f"traveler {record_id}: a value is not written as "
-                          f"serialize_record writes it")
+                          f"the renderers write it")
     return record
-
-
-def serialize_record(record: RespondentRecord, schema: VariableSchema,
-                     with_label: bool) -> str:
-    """One traveler as an indented text block grouped by dimension."""
-    return _write_block(record, _layout(schema, with_label), schema.label)
 
 
 # (id(record), with_label) -> (record, block text), for one schema
@@ -202,8 +196,8 @@ def read_prompt(user_text: str, schema: VariableSchema
 
     Returns (labeled examples, queries): no examples for zero-shot, and NaN
     satisfaction on every query. Strict: text that the renderers would not
-    write raises PromptError, down to a value not written in the form
-    serialize_record gives it.
+    write raises PromptError, down to a value not written in the form they
+    give it.
     """
     if not user_text.endswith("\n"):
         raise PromptError("prompt text does not end in a newline")

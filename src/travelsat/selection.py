@@ -69,13 +69,15 @@ def rank_order(train: Dataset, query: Dataset, spec: EncodingSpec) -> list[int]:
     return sorted(range(len(train)), key=lambda i: (-scores[i], i))
 
 
+def _support(train: Dataset, indices: Sequence[int]) -> SupportSet:
+    """The training records at indices, in training order."""
+    return SupportSet(records=tuple(train[int(i)] for i in sorted(indices)))
+
+
 def top_support(train: Dataset, order: Sequence[int], k: int) -> SupportSet:
     """The first k training records of a rank_order ranking, in training order."""
     _check_k(train, k)
-    if k == 0:
-        return empty_support()
-    chosen = sorted(order[:k])
-    return SupportSet(records=tuple(train[i] for i in chosen))
+    return _support(train, order[:k])
 
 
 def rank_support(train: Dataset, query: Dataset, spec: EncodingSpec, k: int) -> SupportSet:
@@ -85,19 +87,13 @@ def rank_support(train: Dataset, query: Dataset, spec: EncodingSpec, k: int) -> 
     support set (the zero-context case).
     """
     _check_k(train, k)
-    if k == 0:
-        return empty_support()
     return top_support(train, rank_order(train, query, spec), k)
 
 
 def random_support(train: Dataset, k: int, seed: int) -> SupportSet:
     """k training records drawn uniformly without replacement."""
     _check_k(train, k)
-    if k == 0:
-        return empty_support()
-    rng = default_rng(seed)
-    chosen = sorted(int(i) for i in rng.choice(len(train), size=k, replace=False))
-    return SupportSet(records=tuple(train[i] for i in chosen))
+    return _support(train, default_rng(seed).choice(len(train), size=k, replace=False))
 
 
 @dataclass(frozen=True)
@@ -109,10 +105,6 @@ class KsResult:
     @property
     def stars(self) -> str:
         return significance_stars(self.p_value)
-
-    @property
-    def significant(self) -> bool:
-        return bool(self.stars)
 
 
 def ks_two_sample(sample: Sequence[float], population: Sequence[float],
@@ -160,7 +152,7 @@ def summarize_ks_repeats(per_repeat: Sequence[Sequence[KsResult]]) -> str:
     stars: dict[str, str] = {}
     for results in per_repeat:
         for r in results:
-            if r.significant:
+            if r.stars:
                 counts[r.variable] = counts.get(r.variable, 0) + 1
                 if len(r.stars) > len(stars.get(r.variable, "")):
                     stars[r.variable] = r.stars

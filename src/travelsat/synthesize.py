@@ -44,6 +44,14 @@ class NumericMarginal:
     def __post_init__(self):
         if self.kind not in ("normal", "lognormal", "uniform"):
             raise SchemaError(f"unknown numeric marginal kind {self.kind!r}")
+        if self.kind == "normal" and self.std < 0:
+            raise SchemaError(f"normal marginal with std {self.std} < 0")
+        if self.kind == "lognormal" and (self.mean <= 0 or self.sigma < 0):
+            raise SchemaError("lognormal marginal needs mean > 0 and sigma >= 0")
+        if self.kind == "uniform" and self.low > self.high:
+            raise SchemaError(f"uniform marginal with low {self.low} > high {self.high}")
+        if None not in (self.clip_min, self.clip_max) and self.clip_min > self.clip_max:
+            raise SchemaError(f"clip_min {self.clip_min} > clip_max {self.clip_max}")
 
     def sample(self, rng: Generator, n: int) -> np.ndarray:
         if self.kind == "normal":
@@ -59,11 +67,6 @@ class NumericMarginal:
         if self.clip_max is not None:
             draws = np.minimum(draws, self.clip_max)
         return draws
-
-    def specified_mean(self) -> float:
-        if self.kind == "uniform":
-            return (self.low + self.high) / 2.0
-        return self.mean
 
 
 @dataclass(frozen=True)
@@ -84,12 +87,6 @@ class CategoricalMarginal:
         codes = np.array([c for c, _ in self.probs])
         weights = np.array([p for _, p in self.probs])
         return rng.choice(codes, size=n, p=weights)
-
-    def share(self, code: int) -> float:
-        for c, p in self.probs:
-            if c == code:
-                return p
-        raise SchemaError(f"no category code {code} in marginal")
 
 
 Marginal = NumericMarginal | CategoricalMarginal

@@ -191,9 +191,20 @@ def _marginals_with(name, **spec):
     ("--marginals", _marginals_with("gender", probs={"0": -1, "1": 2}),
      "marginals.gender:"),
     ("--marginals", [], "marginals:"),
+    ("--marginals", _marginals_with("age", std=-1), "marginals.age: normal marginal with std"),
+    ("--marginals", _marginals_with("income", sigma=-0.5),
+     "marginals.income: lognormal marginal needs"),
+    ("--marginals", _marginals_with("income", mean=-5),
+     "marginals.income: lognormal marginal needs"),
+    ("--marginals", _marginals_with("age", kind="uniform", low=5, high=1),
+     "marginals.age: uniform marginal with low"),
+    ("--marginals", _marginals_with("age", clip_min=50, clip_max=10),
+     "marginals.age: clip_min 50 > clip_max 10"),
 ], ids=["misspelt-key", "string-minimum", "int-flag", "nan-minimum", "no-predictors",
         "string-clip", "misspelt-marginal-key", "infinite-std", "unknown-kind",
-        "letter-code", "probs-list", "nan-weight", "negative-weight", "not-an-object"])
+        "letter-code", "probs-list", "nan-weight", "negative-weight", "not-an-object",
+        "negative-std", "negative-sigma", "negative-lognormal-mean", "inverted-uniform",
+        "inverted-clip"])
 def test_bad_schema_and_marginals_exit_2(tmp_path, capsys, flag, payload, where):
     path = tmp_path / "settings.json"
     path.write_text(json.dumps(payload), encoding="utf-8")

@@ -24,7 +24,8 @@ def _tiny_dataset():
 
 def test_numeric_mean_and_sample_std():
     spec = fit_encoding(_tiny_dataset())
-    g = spec.group("minutes")
+    g = spec.groups[0]
+    assert g.variable == "minutes"
     assert g.mean == 2.0
     assert g.std == 1.0  # sample std with ddof=1
 
@@ -32,23 +33,23 @@ def test_numeric_mean_and_sample_std():
 def test_constant_column_flagged_and_zero_encoded():
     dataset = _tiny_dataset()
     spec = fit_encoding(dataset)
-    assert spec.constant_variables == ("steady",)
+    assert [g.variable for g in spec.groups if g.constant] == ["steady"]
     X = encode_matrix(dataset, spec)
-    assert np.all(X[:, spec.group("steady").start] == 0.0)
+    assert np.all(X[:, spec.groups[1].start] == 0.0)
 
 
 def test_zscore_of_mean_is_zero():
     dataset = _tiny_dataset()
     spec = fit_encoding(dataset)
     vec = encode_matrix([dataset[1]], spec)[0]  # minutes = 2.0 = mean
-    assert vec[spec.group("minutes").start] == 0.0
+    assert vec[spec.groups[0].start] == 0.0
 
 
 def test_one_hot_position():
     dataset = _tiny_dataset()
     spec = fit_encoding(dataset)
-    g = spec.group("mode")
-    assert g.width == 3
+    g = spec.groups[2]
+    assert (g.variable, g.width) == ("mode", 3)
     vec = encode_matrix([dataset[1]], spec)[0]  # mode = 2 (bus)
     assert list(vec[g.start:g.start + g.width]) == [0.0, 1.0, 0.0]
 

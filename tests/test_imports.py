@@ -1,9 +1,14 @@
-"""Import hygiene of the package, checked with the standard library's ast.
+"""Import and name hygiene of the package, checked with the standard
+library's ast.
 
 Every module-level import in src/travelsat must be used: a name listed in
 the module's __all__ counts as used, and an imported name on a line marked
-"# noqa: F401" is exempt. Every name in travelsat.__all__ must resolve. An
-offline run never imports requests, which only the HTTP backend uses.
+"# noqa: F401" is exempt. Every function and class that src/travelsat
+defines at module or class level must be referred to somewhere in
+src/travelsat or perfbench/*.py, which hooks names by string; names in
+travelsat.__all__ and dunders are exempt. Every name in travelsat.__all__
+must resolve. An offline run never imports requests, which only the HTTP
+backend uses.
 """
 
 import ast
@@ -16,7 +21,8 @@ import pytest
 
 import travelsat
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "travelsat"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "travelsat"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -60,6 +66,57 @@ def test_checker_flags_only_unused_names():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text("utf-8")) == []
+
+
+def referenced_names(source: str) -> set[str]:
+    """Every name source refers to: as a name, an attribute, an imported
+    name or a whole string constant."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+    return names
+
+
+def dead_definitions(source: str, referenced: set[str]) -> list[str]:
+    """Functions and classes source defines at module or class level whose
+    names are not in referenced; dunders are exempt."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    nodes = [n for n in ast.parse(source).body if isinstance(n, kinds)]
+    nodes += [m for n in nodes if isinstance(n, ast.ClassDef)
+              for m in n.body if isinstance(m, kinds)]
+    return sorted(n.name for n in nodes if n.name not in referenced
+                  and not (n.name.startswith("__") and n.name.endswith("__")))
+
+
+def test_dead_name_checker_flags_only_unreferenced_definitions():
+    source = ("class Kept:\n"
+              "    def used(self): pass\n"
+              "    def dead(self): pass\n"
+              "    def __repr__(self): return ''\n"
+              "def hooked(): pass\n"
+              "def exported(): pass\n"
+              "def imported(): pass\n"
+              "def orphan():\n"
+              "    def inner(): pass\n"
+              "    return Kept().used(), inner\n")
+    elsewhere = "from m import imported\nhook('hooked')\n"
+    referenced = referenced_names(source) | referenced_names(elsewhere) | {"exported"}
+    assert dead_definitions(source, referenced) == ["dead", "orphan"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_dead_definitions(path):
+    referenced = set(travelsat.__all__)
+    for source in sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py")):
+        referenced |= referenced_names(source.read_text("utf-8"))
+    assert dead_definitions(path.read_text("utf-8"), referenced) == []
 
 
 def test_every_exported_name_resolves():

@@ -25,7 +25,6 @@ from travelsat.prompting import (
     read_prompt,
     render_few_shot,
     render_zero_shot,
-    serialize_record,
     write_response,
 )
 from travelsat.rules import linear_rule
@@ -44,21 +43,24 @@ def prompt_parts(small_dataset):
 
 
 def test_serialize_record_layout(small_dataset):
-    record = small_dataset.records[0]
-    text = serialize_record(record, small_dataset.schema, with_label=True)
+    record, query = small_dataset.records[:2]
+    # the user text's sections: header, the one example block, header, query
+    text = render_few_shot(SupportSet(records=(record,)), [query],
+                           small_dataset.schema).user_text.split("\n\n")[1]
     lines = text.splitlines()
     assert lines[0] == f"Traveler {record.record_id}"
     assert sum(1 for l in lines if l.endswith(":") and l.startswith("  ")) == 4
     assert text.count("Observed travel satisfaction:") == 1
     assert "commuting mode: " in text
     assert "minutes" in text  # units rendered for walk-time numerics
-    unlabeled = serialize_record(record, small_dataset.schema, with_label=False)
+    unlabeled = render_zero_shot([record], small_dataset.schema).user_text.split("\n\n")[1]
+    assert lines[:-1] == unlabeled.splitlines()
     assert "Observed travel satisfaction:" not in unlabeled
 
 
 def test_serialize_categories_as_words(small_dataset):
-    text = serialize_record(small_dataset.records[0], small_dataset.schema,
-                            with_label=False)
+    text = render_zero_shot(small_dataset.records[:1],
+                            small_dataset.schema).user_text.split("\n\n")[1]
     # codes never leak into the prompt for the gender field
     assert "gender: male" in text or "gender: female" in text
 

@@ -249,7 +249,7 @@ def test_representativeness_flags_skewed_support(small_dataset):
     from travelsat.selection import SupportSet
     support = SupportSet(records=tuple(small_dataset[int(i)] for i in order))
     results = {r.variable: r for r in representativeness_report(support, small_dataset)}
-    assert results["commuting_time"].significant
+    assert results["commuting_time"].stars
 
 
 def test_summarize_ks_repeats_ns():

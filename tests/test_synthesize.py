@@ -55,10 +55,10 @@ def test_marginal_means_within_three_standard_errors():
         marginal = marginals[var.name]
         if var.kind == NUMERIC:
             se = column.std(ddof=1) / np.sqrt(len(column))
-            assert abs(column.mean() - marginal.specified_mean()) < 3 * se, var.name
+            assert abs(column.mean() - marginal.mean) < 3 * se, var.name
         else:
             for code in var.codes:
-                p = marginal.share(code)
+                p = dict(marginal.probs)[code]
                 se = np.sqrt(p * (1 - p) / len(column)) if 0 < p < 1 else 0.0
                 observed = np.mean(column == float(code))
                 assert abs(observed - p) <= 3 * se + 1e-12, (var.name, code)
@@ -125,5 +125,5 @@ def test_marginal_parsing_rejects_unknown_kind():
 
 def test_categorical_probs_normalized():
     marginal = CategoricalMarginal(probs=((0, 60.0), (1, 40.0)))
-    assert marginal.share(0) == pytest.approx(0.6)
+    assert dict(marginal.probs)[0] == pytest.approx(0.6)
     assert sum(p for _, p in marginal.probs) == pytest.approx(1.0)
