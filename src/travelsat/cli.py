@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import experiments
 from .dataset import save_survey
-from .errors import DatasetError, TravelSatError
+from .errors import TravelSatError
 from .experiments import ExperimentConfig, MockSpec, SyntheticSpec
 
 
@@ -56,11 +56,7 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
     updates = {key: getattr(args, key) for key in _OVERRIDES
                if getattr(args, key) not in (None, "")}
     if args.temperature is not None:
-        try:
-            updates["llm"] = dataclasses.replace(config.llm,
-                                                 temperature=args.temperature)
-        except ValueError as exc:
-            raise DatasetError(f"--temperature: {exc}") from exc
+        updates["llm"] = dataclasses.replace(config.llm, temperature=args.temperature)
     if args.live:
         updates["mock"] = None
     elif args.mock or args.mock_mode:

@@ -30,6 +30,7 @@ from typing import Callable, Iterable, Protocol
 
 from .errors import (
     CredentialError,
+    DatasetError,
     TransientTransportError,
     TransportError,
     TravelSatError,
@@ -52,11 +53,11 @@ class LlmParams:
 
     def __post_init__(self):
         if not 0.0 <= self.temperature <= 2.0:
-            raise ValueError(f"temperature {self.temperature} outside [0, 2]")
+            raise DatasetError(f"temperature {self.temperature} outside [0, 2]")
         if self.request_timeout <= 0:
-            raise ValueError("request_timeout must be positive")
+            raise DatasetError("request_timeout must be positive")
         if self.max_output_tokens <= 0:
-            raise ValueError("max_output_tokens must be positive")
+            raise DatasetError("max_output_tokens must be positive")
 
 
 @dataclass(frozen=True)

@@ -45,10 +45,6 @@ class Dataset:
     def __getitem__(self, index: int) -> RespondentRecord:
         return self.records[index]
 
-    @property
-    def ids(self) -> tuple[str, ...]:
-        return tuple(r.record_id for r in self.records)
-
     def labels(self) -> np.ndarray:
         return np.array([r.satisfaction for r in self.records], dtype=float)
 
@@ -98,14 +94,15 @@ def load_survey(path, schema: VariableSchema | None = None) -> Dataset:
     """Load a survey CSV into a Dataset.
 
     The file needs a header with one snake_case column per schema variable and
-    the label column; an optional record_id column carries stable ids. Rows
-    with missing values are dropped (counted in Dataset.dropped); rows with
-    unparseable or out-of-range values, or a record_id with a comma, raise
-    RowError with the row index.
+    the label column; an optional record_id column carries stable ids. A
+    UTF-8 byte-order mark is skipped. Rows with missing values are dropped
+    (counted in Dataset.dropped); rows with unparseable or out-of-range
+    values, or a record_id with a comma or a line break, raise RowError with
+    the row index.
     """
     schema = schema or default_schema()
     try:
-        fh = open(path, newline="", encoding="utf-8")
+        fh = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise DatasetError(f"{path}: cannot read survey: {exc}") from exc
     with fh:
@@ -136,6 +133,9 @@ def load_survey(path, schema: VariableSchema | None = None) -> Dataset:
             if "," in record_id:
                 # a reply lists each score as id,score
                 raise RowError(row_index, f"record_id {record_id!r} contains a comma")
+            if record_id.splitlines() != [record_id]:
+                # and each pair on its own line, split as str.splitlines does
+                raise RowError(row_index, f"record_id {record_id!r} contains a line break")
             records.append(RespondentRecord(record_id=record_id, values=values,
                                             satisfaction=satisfaction))
     if not records:

@@ -60,8 +60,6 @@ from .prompting import (
 )
 from .schema import VariableSchema, default_schema, load_schema, read_json, spec_from_dict
 from .selection import (
-    SupportSet,
-    empty_support,
     random_support,
     rank_order,
     rank_support,
@@ -180,14 +178,14 @@ def make_client(config: ExperimentConfig, schema: VariableSchema) -> LlmClient:
 class Request:
     """One prompt to send, not yet rendered: support, query batch, cache slot."""
 
-    support: SupportSet
+    support: tuple[RespondentRecord, ...]
     queries: tuple[RespondentRecord, ...]
     slot: int
     importance: bool = False
 
     def render(self, schema: VariableSchema, blocks: Blocks) -> Prompt:
         """The prompt, its traveler blocks taken from or added to blocks."""
-        if self.support.k > 0:
+        if self.support:
             return render_few_shot(self.support, self.queries, schema,
                                    want_importance=self.importance, blocks=blocks)
         return render_zero_shot(self.queries, schema, want_importance=self.importance,
@@ -198,7 +196,7 @@ class Request:
 class Trial:
     condition: str
     repeat: int
-    support: SupportSet
+    support: tuple[RespondentRecord, ...]
     requests: list[Request]
     status: str = "ok"
     metrics: MetricPair | None = None
@@ -207,7 +205,8 @@ class Trial:
 
 def _plan_trials(config: ExperimentConfig, support_sizes: Sequence[int],
                  splits: Sequence[tuple[Dataset, Dataset]],
-                 pick: Callable[[Dataset, Dataset, int, int], SupportSet] | None
+                 pick: Callable[[Dataset, Dataset, int, int],
+                                tuple[RespondentRecord, ...]] | None
                  ) -> list[Trial]:
     """Every (k, repeat) trial and its requests, k-major; renders nothing.
 
@@ -217,7 +216,7 @@ def _plan_trials(config: ExperimentConfig, support_sizes: Sequence[int],
     trials = []
     for k_index, k in enumerate(support_sizes):
         for repeat, (train, test) in enumerate(splits, start=1):
-            support = pick(train, test, k, repeat) if k else empty_support()
+            support = pick(train, test, k, repeat) if k else ()
             slot = (k_index * 1000 + repeat) * 10
             trials.append(Trial(_condition_label(k), repeat, support, [
                 Request(support, tuple(batch), slot)
@@ -408,7 +407,7 @@ def _sweep_result(config: ExperimentConfig, dataset: Dataset, client: LlmClient,
         aggregate, table = _group_rows([group[0].condition], [t.metrics for t in group])
         if with_ks:
             screened = [(t, representativeness_report(t.support, dataset))
-                        for t in group if t.support.k > 0]
+                        for t in group if t.support]
             ks_rows += [[t.condition, t.repeat, r.variable, f"{r.d:.6f}",
                          f"{r.p_value:.6f}", r.stars]
                         for t, results in screened for r in results]
@@ -533,7 +532,7 @@ def _importance_result(config: ExperimentConfig, dataset: Dataset,
     support = rank_support(train, test, spec, config.best_k)
     repeats = range(1, config.repeats + 1)
     # cache slots repeat * 10 and 100000 + repeat * 10
-    asked = {"zero_shot": (empty_support(), 0), "few_shot": (support, 10000)}
+    asked = {"zero_shot": ((), 0), "few_shot": (support, 10000)}
     requests = [Request(support_set, probe, (base + repeat) * 10, importance=True)
                 for repeat in repeats for support_set, base in asked.values()]
     outcomes = iter(_execute(client, dataset.schema, requests))

@@ -45,7 +45,6 @@ from .schema import (
     VariableSchema,
     default_schema,
 )
-from .selection import SupportSet
 
 DEFAULT_BATCH_SIZE = 20
 
@@ -255,7 +254,7 @@ def _load_template(name: str) -> str:
     return resources.files("travelsat").joinpath(f"templates/{name}").read_text("utf-8")
 
 
-def _render(support: SupportSet | None, queries: Iterable[RespondentRecord],
+def _render(support: Sequence[RespondentRecord] | None, queries: Iterable[RespondentRecord],
             schema: VariableSchema | None, want_importance: bool,
             blocks: Blocks | None) -> Prompt:
     """The one body of render_zero_shot (support None) and render_few_shot."""
@@ -269,16 +268,16 @@ def _render(support: SupportSet | None, queries: Iterable[RespondentRecord],
     user = QUERY_HEADER + "\n\n"
     template = "zero_shot_system.txt"
     if support is not None:
-        if support.k == 0:
+        if not support:
             raise PromptError("few-shot prompt needs a non-empty support set; "
                               "use render_zero_shot for the zero-context case")
-        overlap = sorted(set(support.ids) & set(ids))
+        overlap = sorted({r.record_id for r in support} & set(ids))
         if overlap:
             raise ContaminationError(
                 f"support and query sets share record ids: {', '.join(overlap)}"
             )
         user = (SUPPORT_HEADER + "\n\n"
-                + _write_section(support.records, schema, True, blocks)
+                + _write_section(support, schema, True, blocks)
                 + "\n\n" + user)
         template = "few_shot_system.txt"
     system = _load_template(template).format(
@@ -299,7 +298,7 @@ def render_zero_shot(queries: Sequence[RespondentRecord],
     return _render(None, queries, schema, want_importance, blocks)
 
 
-def render_few_shot(support: SupportSet, queries: Sequence[RespondentRecord],
+def render_few_shot(support: Sequence[RespondentRecord], queries: Sequence[RespondentRecord],
                     schema: VariableSchema | None = None,
                     want_importance: bool = False, *,
                     blocks: Blocks | None = None) -> Prompt:

@@ -60,6 +60,15 @@ class Variable:
             raise SchemaError(f"categorical {self.name} needs at least 2 categories")
         if self.kind == NUMERIC and self.categories:
             raise SchemaError(f"numeric {self.name} must not define categories")
+        # a repeated label renders two codes alike; a repeated code gets no column
+        for what, items in zip(("codes", "labels"), zip(*self.categories)):
+            dupes = sorted({item for item in items if items.count(item) > 1})
+            if dupes:
+                raise SchemaError(f"duplicate category {what} for {self.name}: {dupes}")
+        if (self.minimum is not None and self.maximum is not None
+                and self.minimum > self.maximum):
+            raise SchemaError(
+                f"{self.name}: minimum {self.minimum} is above maximum {self.maximum}")
 
     @functools.cached_property
     def codes(self) -> tuple[int, ...]:
@@ -172,9 +181,10 @@ def spec_from_dict(cls, payload, error: type[TravelSatError], where: str):
         raise error(f"{where}: unknown keys: {sorted(unknown)}")
     values = {key: _read(hints[key], value, error, f"{where}.{key}")
               for key, value in payload.items()}
+    # every spec refuses a bad value with a TravelSatError; TypeError: a missing key
     try:
         return cls(**values)
-    except (TravelSatError, TypeError, ValueError) as exc:  # TypeError: missing key
+    except (TravelSatError, TypeError) as exc:
         raise error(f"{where}: {exc}") from exc
 
 

@@ -32,25 +32,6 @@ def similarity_matrix(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return 1.0 / np.sqrt(d2 + 1.0)
 
 
-@dataclass(frozen=True)
-class SupportSet:
-    """Labeled records chosen for few-shot prompting."""
-
-    records: tuple[RespondentRecord, ...]
-
-    @property
-    def k(self) -> int:
-        return len(self.records)
-
-    @property
-    def ids(self) -> tuple[str, ...]:
-        return tuple(r.record_id for r in self.records)
-
-
-def empty_support() -> SupportSet:
-    return SupportSet(records=())
-
-
 def _check_k(train: Dataset, k: int) -> None:
     if k < 0:
         raise DatasetError("k must be non-negative")
@@ -69,28 +50,28 @@ def rank_order(train: Dataset, query: Dataset, spec: EncodingSpec) -> list[int]:
     return sorted(range(len(train)), key=lambda i: (-scores[i], i))
 
 
-def _support(train: Dataset, indices: Sequence[int]) -> SupportSet:
+def _support(train: Dataset, indices: Sequence[int]) -> tuple[RespondentRecord, ...]:
     """The training records at indices, in training order."""
-    return SupportSet(records=tuple(train[int(i)] for i in sorted(indices)))
+    return tuple(train[int(i)] for i in sorted(indices))
 
 
-def top_support(train: Dataset, order: Sequence[int], k: int) -> SupportSet:
+def top_support(train: Dataset, order: Sequence[int], k: int) -> tuple[RespondentRecord, ...]:
     """The first k training records of a rank_order ranking, in training order."""
     _check_k(train, k)
     return _support(train, order[:k])
 
 
-def rank_support(train: Dataset, query: Dataset, spec: EncodingSpec, k: int) -> SupportSet:
+def rank_support(train: Dataset, query: Dataset, spec: EncodingSpec,
+                 k: int) -> tuple[RespondentRecord, ...]:
     """Top-k training records by mean similarity to the whole query set.
 
-    Ties break toward the lower training index. k = 0 gives an empty
-    support set (the zero-context case).
+    Ties break toward the lower training index. k = 0 gives no records
+    (the zero-context case).
     """
-    _check_k(train, k)
     return top_support(train, rank_order(train, query, spec), k)
 
 
-def random_support(train: Dataset, k: int, seed: int) -> SupportSet:
+def random_support(train: Dataset, k: int, seed: int) -> tuple[RespondentRecord, ...]:
     """k training records drawn uniformly without replacement."""
     _check_k(train, k)
     return _support(train, default_rng(seed).choice(len(train), size=k, replace=False))
@@ -129,14 +110,15 @@ def ks_two_sample(sample: Sequence[float], population: Sequence[float],
     return KsResult(variable=variable, d=d, p_value=min(1.0, max(0.0, p)))
 
 
-def representativeness_report(support: SupportSet, full: Dataset) -> list[KsResult]:
+def representativeness_report(support: Sequence[RespondentRecord],
+                              full: Dataset) -> list[KsResult]:
     """Per-variable K-S comparison of the support records against the full
     dataset. Categorical variables are compared on their numeric codes."""
-    if support.k == 0:
+    if not support:
         raise DatasetError("representativeness needs a non-empty support set")
     results = []
     for var in full.schema.predictors:
-        sample = [r.values[var.name] for r in support.records]
+        sample = [r.values[var.name] for r in support]
         results.append(ks_two_sample(sample, full.column(var.name), variable=var.name))
     return results
 

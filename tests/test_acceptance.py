@@ -115,7 +115,7 @@ def test_criterion_2_support_ranking_against_brute_force(capfd):
             query = _numeric_dataset(rng.normal(size=(m, width)), "q")
             spec = fit_encoding(train)
             chosen = {int(r.record_id[1:])
-                      for r in rank_support(train, query, spec, k).records}
+                      for r in rank_support(train, query, spec, k)}
             expected = _brute_force_rank(encode_matrix(train, spec),
                                          encode_matrix(query, spec), k)
             assert chosen == expected

@@ -167,6 +167,13 @@ def _schema_with(**age):
     return schema
 
 
+def _education_with(category):
+    # replaces [2, "middle school"], the second of education_level's codes
+    schema = _shipped("default_schema.json")
+    schema["predictors"][3]["categories"][1] = category
+    return schema
+
+
 def _marginals_with(name, **spec):
     marginals = _shipped("default_marginals.json")
     marginals[name].update(spec)
@@ -179,6 +186,12 @@ def _marginals_with(name, **spec):
     ("--schema", _schema_with(exclusive_minimum=1), "schema.predictors[1].exclusive_minimum:"),
     ("--schema", _schema_with(minimum=NAN), "schema.predictors[1].minimum:"),
     ("--schema", {"label": _shipped("default_schema.json")["label"]}, "schema:"),
+    ("--schema", _education_with([2, "primary school"]),
+     "schema.predictors[3]: duplicate category labels for education_level"),
+    ("--schema", _education_with([1, "middle school"]),
+     "schema.predictors[3]: duplicate category codes for education_level"),
+    ("--schema", _schema_with(minimum=90.0, maximum=10.0),
+     "schema.predictors[1]: age: minimum 90.0 is above maximum 10.0"),
     ("--marginals", _marginals_with("age", clip_min="12"), "marginals.age.clip_min:"),
     ("--marginals", _marginals_with("age", mena=3), "marginals.age: unknown keys"),
     ("--marginals", _marginals_with("age", std=INF), "marginals.age.std:"),
@@ -201,6 +214,7 @@ def _marginals_with(name, **spec):
     ("--marginals", _marginals_with("age", clip_min=50, clip_max=10),
      "marginals.age: clip_min 50 > clip_max 10"),
 ], ids=["misspelt-key", "string-minimum", "int-flag", "nan-minimum", "no-predictors",
+        "collided-label", "duplicate-code", "inverted-range",
         "string-clip", "misspelt-marginal-key", "infinite-std", "unknown-kind",
         "letter-code", "probs-list", "nan-weight", "negative-weight", "not-an-object",
         "negative-std", "negative-sigma", "negative-lognormal-mean", "inverted-uniform",

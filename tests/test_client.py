@@ -22,6 +22,7 @@ from travelsat.client import (
 )
 from travelsat.errors import (
     CredentialError,
+    DatasetError,
     ParseError,
     TransientTransportError,
     TransportError,
@@ -48,11 +49,11 @@ class FakeBackend:
 
 
 def test_params_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(DatasetError):
         LlmParams(temperature=2.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(DatasetError):
         LlmParams(request_timeout=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(DatasetError):
         LlmParams(max_output_tokens=0)
     assert PARAMS.temperature == 0.7
     assert PARAMS.model_name == "deepseek-reasoner"

@@ -50,7 +50,7 @@ def test_load_round_trip(tmp_path, small_dataset):
     path = tmp_path / "survey.csv"
     save_survey(small_dataset, path)
     loaded = load_survey(path)
-    assert loaded.ids == small_dataset.ids
+    assert [r.record_id for r in loaded] == [r.record_id for r in small_dataset]
     assert loaded.dropped == 0
     for a, b in zip(loaded, small_dataset):
         assert a.satisfaction == b.satisfaction
@@ -67,7 +67,7 @@ def test_missing_value_drops_row(tmp_path):
     dataset = load_survey(path)
     assert len(dataset) == 2
     assert dataset.dropped == 1
-    assert dataset.ids == ("r1", "r3")
+    assert [r.record_id for r in dataset] == ["r1", "r3"]
 
 
 def test_invalid_code_raises_with_row_index(tmp_path):
@@ -100,14 +100,24 @@ def test_bad_cell_message_names_row_variable_and_value(tmp_path, overrides, mess
     assert err.value.row_index == 2
 
 
-def test_record_id_with_comma_raises_with_row_index(tmp_path):
-    # replies list scores as id,score, so such an id could never be scored
+@pytest.mark.parametrize("record_id", ["a,b", "a\nb", "a\rb", "a\u2028b"],
+                         ids=["comma", "newline", "carriage-return", "line-separator"])
+def test_record_id_with_comma_raises_with_row_index(tmp_path, record_id):
+    # replies list scores as one id,score pair a line, so such an id could
+    # never be scored
     path = tmp_path / "survey.csv"
-    _write_rows(path, [_complete_row("r1"), _complete_row("a,b")])
+    _write_rows(path, [_complete_row("r1"), _complete_row(record_id)])
     with pytest.raises(RowError) as err:
         load_survey(path)
     assert err.value.row_index == 2
-    assert "'a,b'" in str(err.value)
+    assert repr(record_id) in str(err.value)
+
+
+def test_byte_order_mark_is_skipped(tmp_path, small_dataset):
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    save_survey(small_dataset, plain)
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    assert load_survey(marked) == load_survey(plain) == small_dataset
 
 
 def test_unparseable_number_raises(tmp_path):
@@ -158,23 +168,26 @@ def test_generated_ids_when_column_absent(tmp_path):
     row.pop("record_id")
     _write_rows(path, [row], fieldnames=names)
     dataset = load_survey(path)
-    assert dataset.ids == ("r0001",)
+    assert [r.record_id for r in dataset] == ["r0001"]
 
 
 def test_split_sizes_and_partition(small_dataset):
     train, test = split(small_dataset, 0.8, seed=0)
     assert len(train) == round(0.8 * len(small_dataset))
     assert len(test) == len(small_dataset) - len(train)
-    assert set(train.ids) | set(test.ids) == set(small_dataset.ids)
-    assert not set(train.ids) & set(test.ids)
+    train_ids = {r.record_id for r in train}
+    test_ids = {r.record_id for r in test}
+    assert train_ids | test_ids == {r.record_id for r in small_dataset}
+    assert not train_ids & test_ids
 
 
 def test_split_deterministic(small_dataset):
     a = split(small_dataset, 0.7, seed=9)
     b = split(small_dataset, 0.7, seed=9)
-    assert a[0].ids == b[0].ids and a[1].ids == b[1].ids
+    assert [r.record_id for r in a[0]] == [r.record_id for r in b[0]]
+    assert [r.record_id for r in a[1]] == [r.record_id for r in b[1]]
     c = split(small_dataset, 0.7, seed=10)
-    assert c[0].ids != a[0].ids
+    assert [r.record_id for r in c[0]] != [r.record_id for r in a[0]]
 
 
 def test_split_degenerate_fraction(small_dataset):

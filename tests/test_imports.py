@@ -4,8 +4,10 @@ library's ast.
 Every module-level import in src/travelsat must be used: a name listed in
 the module's __all__ counts as used, and an imported name on a line marked
 "# noqa: F401" is exempt. Every function and class that src/travelsat
-defines at module or class level must be referred to somewhere in
-src/travelsat or perfbench/*.py, which hooks names by string; names in
+defines at module level must be referred to somewhere in src/travelsat or
+perfbench/*.py, which hooks names by string; one defined at class level
+must be referred to there as an attribute or a whole string constant, since
+a bare name of the same spelling is some other variable. Names in
 travelsat.__all__ and dunders are exempt. Every name in travelsat.__all__
 must resolve. An offline run never imports requests, which only the HTTP
 backend uses.
@@ -68,37 +70,40 @@ def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text("utf-8")) == []
 
 
-def referenced_names(source: str) -> set[str]:
-    """Every name source refers to: as a name, an attribute, an imported
-    name or a whole string constant."""
-    names = set()
+def referenced_names(source: str) -> tuple[set[str], set[str]]:
+    """What source refers to: (the attributes and whole string constants,
+    the bare and imported names)."""
+    members, names = set(), set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Name):
             names.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
         elif isinstance(node, ast.alias):
             names.add(node.name)
+        elif isinstance(node, ast.Attribute):
+            members.add(node.attr)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            names.add(node.value)
-    return names
+            members.add(node.value)
+    return members, names
 
 
-def dead_definitions(source: str, referenced: set[str]) -> list[str]:
-    """Functions and classes source defines at module or class level whose
-    names are not in referenced; dunders are exempt."""
+def dead_definitions(source: str, members: set[str], names: set[str]) -> list[str]:
+    """Functions and classes source defines at module level that are in
+    neither members nor names, and those it defines at class level that are
+    not in members; dunders are exempt."""
     kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     nodes = [n for n in ast.parse(source).body if isinstance(n, kinds)]
-    nodes += [m for n in nodes if isinstance(n, ast.ClassDef)
-              for m in n.body if isinstance(m, kinds)]
-    return sorted(n.name for n in nodes if n.name not in referenced
-                  and not (n.name.startswith("__") and n.name.endswith("__")))
+    dead = [n.name for n in nodes if n.name not in members | names]
+    dead += [m.name for n in nodes if isinstance(n, ast.ClassDef)
+             for m in n.body if isinstance(m, kinds) and m.name not in members]
+    return sorted(name for name in dead
+                  if not (name.startswith("__") and name.endswith("__")))
 
 
 def test_dead_name_checker_flags_only_unreferenced_definitions():
     source = ("class Kept:\n"
               "    def used(self): pass\n"
               "    def dead(self): pass\n"
+              "    def shadowed(self): pass\n"
               "    def __repr__(self): return ''\n"
               "def hooked(): pass\n"
               "def exported(): pass\n"
@@ -106,17 +111,22 @@ def test_dead_name_checker_flags_only_unreferenced_definitions():
               "def orphan():\n"
               "    def inner(): pass\n"
               "    return Kept().used(), inner\n")
-    elsewhere = "from m import imported\nhook('hooked')\n"
-    referenced = referenced_names(source) | referenced_names(elsewhere) | {"exported"}
-    assert dead_definitions(source, referenced) == ["dead", "orphan"]
+    elsewhere = ("from m import imported\nhook('hooked')\n"
+                 "def f():\n    shadowed = 1\n    return shadowed\n")
+    members, names = referenced_names(source)
+    other_members, other_names = referenced_names(elsewhere)
+    assert dead_definitions(source, members | other_members | {"exported"},
+                            names | other_names) == ["dead", "orphan", "shadowed"]
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_dead_definitions(path):
-    referenced = set(travelsat.__all__)
+    members, names = set(travelsat.__all__), set()
     for source in sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py")):
-        referenced |= referenced_names(source.read_text("utf-8"))
-    assert dead_definitions(path.read_text("utf-8"), referenced) == []
+        more_members, more_names = referenced_names(source.read_text("utf-8"))
+        members |= more_members
+        names |= more_names
+    assert dead_definitions(path.read_text("utf-8"), members, names) == []
 
 
 def test_every_exported_name_resolves():

@@ -15,7 +15,7 @@ from travelsat.rules import (
     threshold_rule,
 )
 from travelsat.schema import CATEGORICAL, default_schema
-from travelsat.selection import SupportSet, rank_support
+from travelsat.selection import rank_support
 
 PARAMS = LlmParams()
 
@@ -40,7 +40,7 @@ def test_rule_mode_recovers_generator_labels(noiseless_dataset):
 def test_rule_mode_ignores_support(noiseless_dataset):
     schema = noiseless_dataset.schema
     mock = ScriptedMock(rule="linear", mode="rule", schema=schema)
-    support = SupportSet(records=noiseless_dataset.records[:3])
+    support = noiseless_dataset.records[:3]
     queries = noiseless_dataset.records[5:9]
     few = _scores(mock, render_few_shot(support, queries, schema),
                   [q.record_id for q in queries])
@@ -53,7 +53,7 @@ def test_nn_mode_returns_nearest_example_label(small_dataset):
     schema = small_dataset.schema
     mock = ScriptedMock(rule="linear", mode="nn", schema=schema)
     anchor = small_dataset.records[0]
-    support = SupportSet(records=small_dataset.records[:4])
+    support = small_dataset.records[:4]
     twin = RespondentRecord("copycat", dict(anchor.values), 1.0)
     scores = _scores(mock, render_few_shot(support, [twin], schema), ["copycat"])
     assert scores["copycat"] == min(7.0, max(1.0, anchor.satisfaction))
@@ -93,8 +93,7 @@ def test_nn_mode_matches_loop_oracle(small_dataset):
     queries = [*records[40:70], query]
     ids = [q.record_id for q in queries]
     for support in ((first, *records[1:18], twin), (twin, *records[1:18], first)):
-        scores = _scores(mock, render_few_shot(SupportSet(records=support), queries,
-                                               schema), ids)
+        scores = _scores(mock, render_few_shot(support, queries, schema), ids)
         for q in queries:
             assert scores[q.record_id] == _nearest_label(support, q, schema), q.record_id
         assert scores["q-first"] == min(7.0, max(1.0, support[0].satisfaction))
@@ -266,7 +265,7 @@ def test_mock_rejects_label_on_query(small_dataset):
 def test_mock_requires_labels_on_examples(small_dataset):
     schema = small_dataset.schema
     mock = ScriptedMock(rule="linear", mode="nn", schema=schema)
-    support = SupportSet(records=small_dataset.records[:2])
+    support = small_dataset.records[:2]
     queries = small_dataset.records[5:7]
     good = render_few_shot(support, queries, schema)
     label = f"  Observed travel satisfaction: {small_dataset.records[0].satisfaction!r}"

@@ -29,7 +29,7 @@ from travelsat.prompting import (
 )
 from travelsat.rules import linear_rule
 from travelsat.schema import CATEGORICAL, default_schema
-from travelsat.selection import SupportSet, rank_support
+from travelsat.selection import rank_support
 from travelsat.encoding import fit_encoding
 
 
@@ -45,7 +45,7 @@ def prompt_parts(small_dataset):
 def test_serialize_record_layout(small_dataset):
     record, query = small_dataset.records[:2]
     # the user text's sections: header, the one example block, header, query
-    text = render_few_shot(SupportSet(records=(record,)), [query],
+    text = render_few_shot((record,), [query],
                            small_dataset.schema).user_text.split("\n\n")[1]
     lines = text.splitlines()
     assert lines[0] == f"Traveler {record.record_id}"
@@ -85,10 +85,10 @@ def test_few_shot_prompt_contents(prompt_parts):
     assert prompt.user_text.index("Labeled example travelers:") < \
         prompt.user_text.index("Travelers to score:")
     # labels attach to support records only
-    assert prompt.user_text.count("Observed travel satisfaction:") == support.k
+    assert prompt.user_text.count("Observed travel satisfaction:") == len(support)
     support_part = prompt.user_text.partition("Travelers to score:")[0]
-    for record_id in support.ids:
-        assert f"Traveler {record_id}\n" in support_part
+    for record in support:
+        assert f"Traveler {record.record_id}\n" in support_part
 
 
 def test_importance_request_lists_variables(prompt_parts):
@@ -134,15 +134,15 @@ def test_empty_queries_rejected(prompt_parts):
 def test_empty_support_rejected(prompt_parts):
     schema, _, queries = prompt_parts
     with pytest.raises(PromptError):
-        render_few_shot(SupportSet(records=()), queries, schema)
+        render_few_shot((), queries, schema)
 
 
 def test_support_query_overlap_rejected(prompt_parts):
     schema, support, _ = prompt_parts
     for blocks in (None, {}):
         with pytest.raises(ContaminationError) as excinfo:
-            render_few_shot(support, [support.records[0]], schema, blocks=blocks)
-        assert support.records[0].record_id in str(excinfo.value)
+            render_few_shot(support, [support[0]], schema, blocks=blocks)
+        assert support[0].record_id in str(excinfo.value)
 
 
 def test_batched():
@@ -395,7 +395,7 @@ def test_render_read_prompt_round_trip(data):
     records = data.draw(travelers(schema))
     k = data.draw(st.integers(0, len(records) - 1))
     support, queries = records[:k], records[k:]
-    prompt = (render_few_shot(SupportSet(records=tuple(support)), queries, schema)
+    prompt = (render_few_shot(support, queries, schema)
               if k else render_zero_shot(queries, schema))
     examples, read = read_prompt(prompt.user_text, schema)
     assert [(r.record_id, r.values, r.satisfaction) for r in examples] == \
@@ -427,8 +427,8 @@ def _render(records, call, schema, blocks):
     support, queries, want_importance = call
     queries = [records[i] for i in queries]
     if support:
-        return render_few_shot(SupportSet(records=tuple(records[i] for i in support)),
-                               queries, schema, want_importance, blocks=blocks)
+        return render_few_shot([records[i] for i in support], queries, schema,
+                               want_importance, blocks=blocks)
     return render_zero_shot(queries, schema, want_importance, blocks=blocks)
 
 
@@ -456,7 +456,7 @@ def test_blocks_follow_the_record_not_its_id(small_dataset):
     # the cached entry keeps the twin alive, so changed cannot reuse its id
     del twin
     gc.collect()
-    support = SupportSet(records=(changed,))
+    support = (changed,)
     for render in (lambda b: render_zero_shot([changed], schema, blocks=b),
                    lambda b: render_few_shot(support, small_dataset.records[1:3],
                                              schema, blocks=b)):
@@ -472,12 +472,12 @@ def _tampered_forms(dataset):
     schema = dataset.schema
     queries = dataset.records[:2]
     zero = render_zero_shot(queries, schema).user_text
-    support = SupportSet(records=dataset.records[5:7])
+    support = dataset.records[5:7]
     few = render_few_shot(support, queries, schema).user_text
     gender = schema.variable("gender").label_for(int(queries[0].values["gender"]))
     header = f"Traveler {queries[0].record_id}\n"
-    label = f"  {LABEL_LINE} {support.records[0].satisfaction!r}\n"
-    age = format(support.records[0].values["age"], ".6g")
+    label = f"  {LABEL_LINE} {support[0].satisfaction!r}\n"
+    age = format(support[0].values["age"], ".6g")
     edits = {
         "missing query header": (zero, QUERY_HEADER, "Score these:"),
         "unknown variable": (zero, "    commuting time:", "    commute minutes:"),

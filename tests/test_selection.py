@@ -116,7 +116,7 @@ def test_rank_support_matches_brute_force():
         encoded_train = encode_matrix(train, spec)
         encoded_query = encode_matrix(query, spec)
         expected = brute_force_rank(encoded_train, encoded_query, k)
-        got = {int(r.record_id[1:]) for r in chosen.records}
+        got = {int(r.record_id[1:]) for r in chosen}
         assert got == expected
 
 
@@ -129,10 +129,10 @@ def test_rank_support_prefix_property(small_dataset):
     previous: set[str] = set()
     for k in range(0, len(train) + 1):
         support = rank_support(train, test, spec, k)
-        assert previous <= set(support.ids)
-        previous = set(support.ids)
+        assert previous <= {r.record_id for r in support}
+        previous = {r.record_id for r in support}
         # every top-k is the first k of the one ranking, in training order
-        assert support.records == tuple(train[i] for i in sorted(order[:k]))
+        assert support == tuple(train[i] for i in sorted(order[:k]))
 
 
 def test_rank_support_tie_breaks_to_lower_index():
@@ -141,15 +141,15 @@ def test_rank_support_tie_breaks_to_lower_index():
     query = _numeric_dataset(np.array([[0.0]]), "q")
     spec = fit_encoding(train)
     support = rank_support(train, query, spec, 2)
-    assert support.ids == ("t0", "t1")
+    assert [r.record_id for r in support] == ["t0", "t1"]
 
 
 def test_rank_support_bounds(small_dataset):
     from travelsat.dataset import split
     spec = fit_encoding(small_dataset)
     train, test = split(small_dataset, 0.8, seed=0)
-    assert rank_support(train, test, spec, 0).k == 0
-    assert rank_support(train, test, spec, len(train)).k == len(train)
+    assert len(rank_support(train, test, spec, 0)) == 0
+    assert len(rank_support(train, test, spec, len(train))) == len(train)
     with pytest.raises(DatasetError):
         rank_support(train, test, spec, len(train) + 1)
     with pytest.raises(DatasetError):
@@ -159,10 +159,10 @@ def test_rank_support_bounds(small_dataset):
 def test_random_support_deterministic(small_dataset):
     a = random_support(small_dataset, 6, seed=5)
     b = random_support(small_dataset, 6, seed=5)
-    assert a.ids == b.ids
-    assert len(set(a.ids)) == 6
+    assert [r.record_id for r in a] == [r.record_id for r in b]
+    assert len({r.record_id for r in a}) == 6
     c = random_support(small_dataset, 6, seed=6)
-    assert c.ids != a.ids
+    assert [r.record_id for r in c] != [r.record_id for r in a]
 
 
 def test_random_support_uniform():
@@ -170,13 +170,13 @@ def test_random_support_uniform():
     pool = _numeric_dataset(X, "t")
     counts = {f"t{i}": 0 for i in range(4)}
     for seed in range(10_000):
-        counts[random_support(pool, 1, seed=seed).ids[0]] += 1
+        counts[random_support(pool, 1, seed=seed)[0].record_id] += 1
     for record_id, count in counts.items():
         assert abs(count - 2500) <= 150, (record_id, count)
 
 
 def test_random_support_bounds(small_dataset):
-    assert random_support(small_dataset, 0, seed=0).k == 0
+    assert len(random_support(small_dataset, 0, seed=0)) == 0
     with pytest.raises(DatasetError):
         random_support(small_dataset, len(small_dataset) + 1, seed=0)
 
@@ -236,18 +236,20 @@ def test_ks_stars_thresholds():
 
 
 def test_representativeness_identical_sample(small_dataset):
-    from travelsat.selection import SupportSet
-    support = SupportSet(records=small_dataset.records)
-    results = representativeness_report(support, small_dataset)
+    results = representativeness_report(small_dataset.records, small_dataset)
     assert len(results) == 17
     for r in results:
         assert r.d == 0.0 and r.p_value == 1.0 and r.stars == ""
 
 
+def test_representativeness_refuses_empty_support(small_dataset):
+    with pytest.raises(DatasetError, match="non-empty support set"):
+        representativeness_report((), small_dataset)
+
+
 def test_representativeness_flags_skewed_support(small_dataset):
     order = np.argsort(small_dataset.column("commuting_time"))[-12:]
-    from travelsat.selection import SupportSet
-    support = SupportSet(records=tuple(small_dataset[int(i)] for i in order))
+    support = tuple(small_dataset[int(i)] for i in order)
     results = {r.variable: r for r in representativeness_report(support, small_dataset)}
     assert results["commuting_time"].stars
 
