@@ -85,12 +85,18 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
+# subcommand -> (runner, help text), in --help order
 _RUNNERS = {
-    "zeroshot": experiments.run_zero_shot,
-    "fewshot": experiments.run_few_shot_sweep,
-    "random-fewshot": experiments.run_random_sweep,
-    "baseline-sweep": experiments.run_baseline_sweep,
-    "importance": experiments.run_importance_study,
+    "zeroshot": (experiments.run_zero_shot,
+                 "score a dataset with no labeled examples"),
+    "fewshot": (experiments.run_few_shot_sweep,
+                "sweep support sizes with similarity-ranked support"),
+    "random-fewshot": (experiments.run_random_sweep,
+                       "sweep support sizes with random support and K-S checks"),
+    "baseline-sweep": (experiments.run_baseline_sweep,
+                       "LR and GBDT across train fractions"),
+    "importance": (experiments.run_importance_study,
+                   "compare LLM and GBDT variable importances"),
 }
 
 
@@ -111,16 +117,10 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--out", required=True, help="output CSV path")
     synth.set_defaults(func=_cmd_synth)
 
-    for name, help_text in [
-        ("zeroshot", "score a dataset with no labeled examples"),
-        ("fewshot", "sweep support sizes with similarity-ranked support"),
-        ("random-fewshot", "sweep support sizes with random support and K-S checks"),
-        ("baseline-sweep", "LR and GBDT across train fractions"),
-        ("importance", "compare LLM and GBDT variable importances"),
-    ]:
+    for name, (runner, help_text) in _RUNNERS.items():
         p = sub.add_parser(name, help=help_text)
         _add_shared(p)
-        p.set_defaults(func=None, runner=_RUNNERS[name])
+        p.set_defaults(func=None, runner=runner)
 
     report = sub.add_parser("report", help="print the summary of a run directory")
     report.add_argument("--out", required=True, help="run directory")

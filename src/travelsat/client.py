@@ -1,5 +1,9 @@
 """LLM transport: HTTP backend, retries, response cache, concurrency cap.
 
+A transient transport failure (timeout, connection error, HTTP 429 or 5xx)
+is retried on a fixed schedule: at most MAX_ATTEMPTS = 4 attempts, 1, 2 and
+4 s apart. Other failures are not retried.
+
 The HTTP backend speaks the common chat-completions JSON shape. API keys
 come from the environment only (TRAVELSAT_API_KEY, falling back to
 DEEPSEEK_API_KEY); they are never read from config files and never written
@@ -42,6 +46,8 @@ logger = logging.getLogger(__name__)
 API_KEY_ENV = "TRAVELSAT_API_KEY"
 _FALLBACK_KEY_ENVS = ("DEEPSEEK_API_KEY", "OPENAI_API_KEY")
 
+MAX_ATTEMPTS = 4
+
 
 @dataclass(frozen=True)
 class LlmParams:
@@ -65,16 +71,6 @@ class LlmResponse:
     content: str
     # separate reasoning channel, when the provider exposes one
     reasoning: str = ""
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    max_attempts: int = 4
-    base_delay: float = 1.0
-    max_delay: float = 30.0
-
-    def delay(self, attempt: int) -> float:
-        return min(self.max_delay, self.base_delay * (2 ** attempt))
 
 
 class Backend(Protocol):
@@ -195,15 +191,13 @@ class LlmClient:
     """Retrying, caching, concurrency-bounded front end over a backend."""
 
     def __init__(self, backend: Backend, params: LlmParams,
-                 cache_dir=None, retry: RetryPolicy | None = None,
-                 max_in_flight: int = 4,
+                 cache_dir=None, max_in_flight: int = 4,
                  sleep: Callable[[float], None] = time.sleep):
         if max_in_flight < 1:
             raise ValueError("max_in_flight must be at least 1")
         self.backend = backend
         self.params = params
         self.cache = ResponseCache(cache_dir) if cache_dir else None
-        self.retry = retry or RetryPolicy()
         self.max_in_flight = max_in_flight
         self._sleep = sleep
         # complete_many's pool threads count transport calls, and any thread
@@ -216,20 +210,18 @@ class LlmClient:
     def complete(self, prompt: Prompt) -> LlmResponse:
         """One completion with retries on transient transport failures."""
         last: Exception | None = None
-        for attempt in range(self.retry.max_attempts):
+        for attempt in range(MAX_ATTEMPTS):
             try:
                 with self._count_lock:
                     self.transport_calls += 1
                 return self.backend.complete(prompt, self.params)
             except TransientTransportError as exc:
                 last = exc
-                if attempt + 1 < self.retry.max_attempts:
-                    delay = self.retry.delay(attempt)
+                if attempt + 1 < MAX_ATTEMPTS:
+                    delay = 2.0 ** attempt
                     logger.warning("transient failure (%s), retrying in %.1fs", exc, delay)
                     self._sleep(delay)
-        raise TransportError(
-            f"gave up after {self.retry.max_attempts} attempts: {last}"
-        ) from last
+        raise TransportError(f"gave up after {MAX_ATTEMPTS} attempts: {last}") from last
 
     def _lookup(self, prompt: Prompt, trial_index: int
                 ) -> tuple[str | None, LlmResponse | None]:

@@ -125,6 +125,13 @@ class ExperimentConfig:
             raise DatasetError("train_fraction must be in (0, 1)")
         if any(k < 0 for k in self.support_sizes):
             raise DatasetError("support sizes must be non-negative")
+        # a repeated grid point writes its rows twice, and its later trials
+        # overwrite the earlier ones' reasoning archives
+        for name in ("support_sizes", "fractions"):
+            grid = getattr(self, name)
+            if not grid or len(set(grid)) != len(grid):
+                raise DatasetError(f"{name} must be non-empty, without repeats: "
+                                   f"{list(grid)}")
         if not 0.0 < self.importance_subsample <= 1.0:
             raise DatasetError("importance_subsample must be in (0, 1]")
 

@@ -9,9 +9,10 @@ produce identical bytes on every run. Two scoring modes:
   without labeled examples in the prompt. With the same rule and zero noise
   the generator's labels are recovered exactly.
 - "nn": with labeled examples present, each query gets the label of its
-  nearest example (squared Euclidean distance in the encoding of
-  encoding.encoding_spec with the rules' fixed reference scales; the first
-  example wins a tie); with none, a deliberately misaligned prior is used.
+  most similar example by selection.similarity_matrix, the similarity that
+  ranks few-shot support, in the encoding of encoding.encoding_spec with
+  the rules' fixed reference scales (the first of equally similar examples
+  wins); with none, a deliberately misaligned prior is used.
   Accuracy then improves sharply once examples appear, mimicking the
   few-shot vs zero-context contrast.
 
@@ -32,6 +33,7 @@ from .errors import MockError, PromptError, SchemaError
 from .prompting import Prompt, read_prompt, write_response
 from .rules import REFERENCE_SCALE, clamp, get_rule, misaligned_prior, rule_importance
 from .schema import VariableSchema, default_schema
+from .selection import similarity_matrix
 
 
 class ScriptedMock:
@@ -46,7 +48,7 @@ class ScriptedMock:
         self.rule = get_rule(rule)
         self.mode = mode
         self.schema = schema or default_schema()
-        # numerics without a reference scale enter the distance unscaled
+        # numerics without a reference scale enter the similarity unscaled
         self.spec = encoding_spec(self.schema, {
             name: REFERENCE_SCALE.get(name, (0.0, 1.0)) for name in self.schema.names})
         self.noise_seed = noise_seed
@@ -63,10 +65,9 @@ class ScriptedMock:
         if self.mode == "rule":
             raw = [self.rule(q.values) + self._noise(q.record_id) for q in queries]
         elif examples:
-            diff = (encode_matrix(examples, self.spec)[None, :, :]
-                    - encode_matrix(queries, self.spec)[:, None, :])
-            # argmin takes the first of equal distances: earlier examples win
-            nearest = (diff ** 2).sum(axis=2).argmin(axis=1)
+            # argmax takes the first of equal similarities: earlier examples win
+            nearest = similarity_matrix(encode_matrix(queries, self.spec),
+                                        encode_matrix(examples, self.spec)).argmax(axis=1)
             raw = [examples[i].satisfaction for i in nearest]
         else:
             raw = [misaligned_prior(q.values) + self._noise(q.record_id)

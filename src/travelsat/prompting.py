@@ -3,12 +3,13 @@
 Records are serialized as plain text grouped by the four survey dimensions,
 with units and category labels spelled out. One generator, _layout, holds
 that traveler-block format: the renderers write blocks by walking it, and
-read_prompt, their strict inverse (the scripted mock reads prompts with it),
-reads blocks back by the same walk. No other module writes or reads the
-format. render_zero_shot and render_few_shot are one body, _render: it
-checks the queries, then a few-shot prompt's support, and joins the support
-section, when there is one, and the query section under the system template
-of its kind.
+read_prompt, their inverse (the scripted mock reads prompts with it), reads
+each value back by the same walk. It is strict by round trip: a block reads
+back only if writing its values again gives the same text. No other module
+writes or reads the format. render_zero_shot and render_few_shot are one
+body, _render: it checks the queries, then a few-shot prompt's support, and
+joins the support section, when there is one, and the query section under
+the system template of its kind.
 
 A run writes each traveler block once: the renderers take an optional
 `blocks` dict, owned by the caller for the length of one run, that caches
@@ -133,18 +134,13 @@ def _read_block(block: str, layout, label: Variable) -> RespondentRecord:
     satisfaction = math.nan
     for line, (head, var, tail) in zip(lines[1:], layout):
         if var is None:
-            if line != head:
-                raise PromptError(f"traveler {record_id}: expected {head!r}, "
-                                  f"got {line!r}")
             continue
         text = line[len(head):len(line) - len(tail)]
         try:
             value = float(var.code_for(text) if var.kind == CATEGORICAL else text)
         except (SchemaError, ValueError):
-            value = None
-        if value is None or not (line.startswith(head) and line.endswith(tail)):
             raise PromptError(f"traveler {record_id}: unreadable line {line!r}, "
-                              f"expected {head!r}<value>{tail!r}")
+                              f"expected {head!r}<value>{tail!r}") from None
         if var is label:
             satisfaction = value
         else:
@@ -155,9 +151,12 @@ def _read_block(block: str, layout, label: Variable) -> RespondentRecord:
     record = RespondentRecord(record_id=record_id, values=values,
                               satisfaction=satisfaction)
     # only the exact text the renderers write reads back
-    if _write_block(record, layout, label) != block:
-        raise PromptError(f"traveler {record_id}: a value is not written as "
-                          f"the renderers write it")
+    written = _write_block(record, layout, label)
+    if written != block:
+        got, expected = next(pair for pair in zip(lines, written.split("\n"))
+                             if pair[0] != pair[1])
+        raise PromptError(f"traveler {record_id}: got {got!r}, expected "
+                          f"{expected!r}, as the renderers write it")
     return record
 
 

@@ -65,10 +65,13 @@ class Variable:
             dupes = sorted({item for item in items if items.count(item) > 1})
             if dupes:
                 raise SchemaError(f"duplicate category {what} for {self.name}: {dupes}")
-        if (self.minimum is not None and self.maximum is not None
-                and self.minimum > self.maximum):
-            raise SchemaError(
-                f"{self.name}: minimum {self.minimum} is above maximum {self.maximum}")
+        if self.minimum is not None and self.maximum is not None:
+            if self.minimum > self.maximum:
+                raise SchemaError(
+                    f"{self.name}: minimum {self.minimum} is above maximum {self.maximum}")
+            if self.exclusive_minimum and self.minimum == self.maximum:
+                raise SchemaError(f"{self.name}: no value is above minimum "
+                                  f"{self.minimum} and at most maximum {self.maximum}")
 
     @functools.cached_property
     def codes(self) -> tuple[int, ...]:

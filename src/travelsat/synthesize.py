@@ -17,12 +17,13 @@ from typing import Annotated
 from numpy.random import Generator, default_rng
 import numpy as np
 
-from .dataset import Dataset, RespondentRecord
+from .dataset import Dataset, RespondentRecord, parse_value
 from .errors import DatasetError, SchemaError
 from .rules import clamp, get_rule
 from .schema import (
     CATEGORICAL,
     NUMERIC,
+    Variable,
     VariableSchema,
     default_schema,
     read_json,
@@ -137,6 +138,13 @@ def _check_marginals(schema: VariableSchema, marginals: dict[str, Marginal]) -> 
                 raise SchemaError(f"{var.name}: marginal codes {bad} not in schema")
 
 
+def _checked(var: Variable, value: float) -> float:
+    try:
+        return parse_value(var, value)
+    except ValueError as exc:
+        raise SchemaError(f"synthesized {exc}") from None
+
+
 def synthesize(
     n: int,
     seed: int,
@@ -163,8 +171,9 @@ def synthesize(
     for var in schema.predictors:
         draws = marginals[var.name].sample(rng, n)
         if var.kind == NUMERIC:
-            # survey-grade precision; also survives prompt round-trips exactly
-            draws = np.array([float(format(x, ".6g")) for x in draws])
+            # survey-grade precision; also survives prompt round-trips exactly.
+            # A value load_survey would refuse is refused here, by its rule
+            draws = np.array([_checked(var, float(format(x, ".6g"))) for x in draws])
         columns[var.name] = draws
     noise_draws = rng.normal(0.0, noise, size=n) if noise > 0 else np.zeros(n)
 

@@ -192,6 +192,8 @@ def _marginals_with(name, **spec):
      "schema.predictors[3]: duplicate category codes for education_level"),
     ("--schema", _schema_with(minimum=90.0, maximum=10.0),
      "schema.predictors[1]: age: minimum 90.0 is above maximum 10.0"),
+    ("--schema", _schema_with(minimum=40.0, maximum=40.0), "schema.predictors[1]:"),
+    ("--schema", _schema_with(minimum=40.0, maximum=80.0), "synthesized age:"),
     ("--marginals", _marginals_with("age", clip_min="12"), "marginals.age.clip_min:"),
     ("--marginals", _marginals_with("age", mena=3), "marginals.age: unknown keys"),
     ("--marginals", _marginals_with("age", std=INF), "marginals.age.std:"),
@@ -214,7 +216,7 @@ def _marginals_with(name, **spec):
     ("--marginals", _marginals_with("age", clip_min=50, clip_max=10),
      "marginals.age: clip_min 50 > clip_max 10"),
 ], ids=["misspelt-key", "string-minimum", "int-flag", "nan-minimum", "no-predictors",
-        "collided-label", "duplicate-code", "inverted-range",
+        "collided-label", "duplicate-code", "inverted-range", "empty-range", "narrowed-range",
         "string-clip", "misspelt-marginal-key", "infinite-std", "unknown-kind",
         "letter-code", "probs-list", "nan-weight", "negative-weight", "not-an-object",
         "negative-std", "negative-sigma", "negative-lognormal-mean", "inverted-uniform",

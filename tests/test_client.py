@@ -16,8 +16,8 @@ from travelsat.client import (
     LlmClient,
     LlmParams,
     LlmResponse,
+    MAX_ATTEMPTS,
     ResponseCache,
-    RetryPolicy,
     cache_key,
 )
 from travelsat.errors import (
@@ -60,8 +60,14 @@ def test_params_validation():
 
 
 def test_retry_policy_backoff():
-    policy = RetryPolicy(max_attempts=5, base_delay=1.0, max_delay=30.0)
-    assert [policy.delay(a) for a in range(6)] == [1.0, 2.0, 4.0, 8.0, 16.0, 30.0]
+    # the fixed schedule: 2 ** attempt seconds between MAX_ATTEMPTS = 4 tries
+    backend = FakeBackend([TransientTransportError("HTTP 503")] * 4)
+    delays = []
+    client = LlmClient(backend, PARAMS, sleep=delays.append)
+    with pytest.raises(TransportError):
+        client.complete(PROMPT)
+    assert MAX_ATTEMPTS == 4
+    assert delays == [1.0, 2.0, 4.0]
 
 
 def test_retries_then_succeeds():
@@ -71,21 +77,19 @@ def test_retries_then_succeeds():
         LlmResponse(content="ok"),
     ])
     delays = []
-    client = LlmClient(backend, PARAMS, retry=RetryPolicy(max_attempts=4),
-                       sleep=delays.append)
+    client = LlmClient(backend, PARAMS, sleep=delays.append)
     assert client.complete(PROMPT).content == "ok"
     assert backend.calls == 3
     assert delays == [1.0, 2.0]
 
 
 def test_gives_up_after_max_attempts():
-    backend = FakeBackend([TransientTransportError("down")] * 3)
-    client = LlmClient(backend, PARAMS, retry=RetryPolicy(max_attempts=3),
-                       sleep=lambda _: None)
+    backend = FakeBackend([TransientTransportError("down")] * 5)
+    client = LlmClient(backend, PARAMS, sleep=lambda _: None)
     with pytest.raises(TransportError) as excinfo:
         client.complete(PROMPT)
-    assert "3 attempts" in str(excinfo.value)
-    assert backend.calls == 3
+    assert "4 attempts" in str(excinfo.value)
+    assert backend.calls == 4
 
 
 def test_credential_errors_are_not_retried():

@@ -62,7 +62,8 @@ def test_config_defaults():
 def test_config_validation():
     for bad in (dict(repeats=0), dict(train_fraction=0.0), dict(train_fraction=1.0),
                 dict(support_sizes=(-1,)), dict(batch_size=0), dict(best_k=0),
-                dict(importance_subsample=0.0)):
+                dict(importance_subsample=0.0), dict(support_sizes=()),
+                dict(support_sizes=(3, 3)), dict(fractions=()), dict(fractions=(0.5, 0.5))):
         with pytest.raises(DatasetError):
             ExperimentConfig(**bad)
 

@@ -9,11 +9,15 @@ perfbench/*.py, which hooks names by string; one defined at class level
 must be referred to there as an attribute or a whole string constant, since
 a bare name of the same spelling is some other variable. Names in
 travelsat.__all__ and dunders are exempt. Every name in travelsat.__all__
-must resolve. An offline run never imports requests, which only the HTTP
-backend uses.
+must resolve. Every parameter with a default, of a function or method in
+src/travelsat, must be passed by position or keyword in some call there or
+in perfbench/*.py (matched by the callee's name, a class's for __init__),
+save the listed test seams. An offline run never imports requests, which
+only the HTTP backend uses.
 """
 
 import ast
+import math
 import os
 import subprocess
 import sys
@@ -127,6 +131,96 @@ def test_no_dead_definitions(path):
         members |= more_members
         names |= more_names
     assert dead_definitions(path.read_text("utf-8"), members, names) == []
+
+
+def defaulted_parameters(source: str) -> list[tuple[str, str, int | None]]:
+    """(callee, parameter, position in a call, or None when keyword-only) for
+    each parameter with a default of each function or method source
+    defines; the callee of a method is its name, of __init__ its class."""
+    found = []
+
+    def visit(body, cls):
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                visit(node.body, node.name)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                callee = cls if node.name == "__init__" else node.name
+                # a method's call does not pass self (or cls) by position
+                bound = cls is not None and not any(
+                    isinstance(d, ast.Name) and d.id == "staticmethod"
+                    for d in node.decorator_list)
+                positional = args.posonlyargs + args.args
+                for index in range(len(positional) - len(args.defaults), len(positional)):
+                    found.append((callee, positional[index].arg, index - bound))
+                found.extend((callee, arg.arg, None)
+                             for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+                             if default is not None)
+                visit(node.body, None)
+
+    visit(ast.parse(source).body, None)
+    return found
+
+
+def passed_arguments(source: str) -> dict[str, tuple[float, set[str]]]:
+    """Callee name -> (the most positional arguments any call in source
+    passes, the keywords some call passes); a *args call passes every
+    position, a **kwargs call every keyword ("**")."""
+    passed: dict[str, tuple[float, set[str]]] = {}
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = (func.id if isinstance(func, ast.Name)
+                else func.attr if isinstance(func, ast.Attribute) else None)
+        if name is None:
+            continue
+        count = (math.inf if any(isinstance(a, ast.Starred) for a in node.args)
+                 else len(node.args))
+        most, keywords = passed.get(name, (0, set()))
+        passed[name] = (max(most, count),
+                        keywords | {k.arg or "**" for k in node.keywords})
+    return passed
+
+
+def unpassed_parameters(source: str, passed: dict[str, tuple[float, set[str]]],
+                        allowed: set[str]) -> list[str]:
+    """Parameters with a default, of functions source defines, that no call
+    in passed sets, as "callee(parameter=)"; those in allowed are exempt."""
+    unpassed = []
+    for callee, param, position in defaulted_parameters(source):
+        most, keywords = passed.get(callee, (0, set()))
+        by_position = position is not None and position < most
+        if not (by_position or param in keywords or "**" in keywords):
+            unpassed.append(f"{callee}({param}=)")
+    return sorted(set(unpassed) - allowed)
+
+
+def test_unpassed_parameter_checker():
+    source = ("def f(a, b=1, c=2, *, d=3, e=4): pass\n"
+              "class K:\n"
+              "    def __init__(self, x=0, y=0): pass\n"
+              "    def m(self, p=0, q=0): pass\n"
+              "    @staticmethod\n"
+              "    def s(u=0, v=0): pass\n"
+              "def g(seam=None, *, spread=0): pass\n")
+    calls = "f(0, 1, d=5)\nK(1).m(q=2)\nK.s(1)\ng(*[1], **{})\n"
+    assert unpassed_parameters(source, passed_arguments(source + calls),
+                               {"f(e=)"}) == ["K(y=)", "f(c=)", "m(p=)", "s(v=)"]
+
+
+# a test seam: the tests pass a fake sleep to see the retry schedule
+TEST_SEAMS = {"LlmClient(sleep=)"}
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_every_defaulted_parameter_is_passed(path):
+    passed: dict[str, tuple[float, set[str]]] = {}
+    for source in sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py")):
+        for callee, (count, keywords) in passed_arguments(source.read_text("utf-8")).items():
+            most, known = passed.get(callee, (0, set()))
+            passed[callee] = (max(most, count), known | keywords)
+    assert unpassed_parameters(path.read_text("utf-8"), passed, TEST_SEAMS) == []
 
 
 def test_every_exported_name_resolves():
