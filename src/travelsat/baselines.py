@@ -90,8 +90,8 @@ def fit_ols(X: np.ndarray, y: np.ndarray,
     tol = max(A.shape) * np.finfo(float).eps * (diag[0] if diag.size else 0.0)
     rank = int(np.sum(diag > tol))
     if rank < p + 1:
-        offending = [full_names[j] for j in sorted(pivots[rank:])]
-        raise RankError(offending)
+        offending = ", ".join(full_names[j] for j in sorted(pivots[rank:]))
+        raise RankError(f"design matrix is rank deficient; dependent columns: {offending}")
     w_pivoted = linalg.solve_triangular(R, Q.T @ y)
     w = np.empty(p + 1)
     w[pivots] = w_pivoted

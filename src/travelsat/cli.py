@@ -142,7 +142,8 @@ def main(argv: list[str] | None = None) -> int:
         print(summary, end="")
         print(f"\nartifacts in {config.out_dir}")
         return 0
-    except TravelSatError as exc:
+    except (TravelSatError, OSError) as exc:
+        # OSError: an output or cache path that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

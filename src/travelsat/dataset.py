@@ -97,8 +97,8 @@ def load_survey(path, schema: VariableSchema | None = None) -> Dataset:
     the label column; an optional record_id column carries stable ids. A
     UTF-8 byte-order mark is skipped. Rows with missing values are dropped
     (counted in Dataset.dropped); rows with unparseable or out-of-range
-    values, or a record_id with a comma or a line break, raise RowError with
-    the row index.
+    values, or a record_id with a comma, a line break or a code fence (```),
+    raise RowError naming the row index.
     """
     schema = schema or default_schema()
     try:
@@ -127,15 +127,18 @@ def load_survey(path, schema: VariableSchema | None = None) -> Dataset:
                 for var in schema.predictors:
                     values[var.name] = parse_value(var, row[var.name])
                 satisfaction = parse_value(schema.label, row[schema.label.name])
+                record_id = row["record_id"].strip() if has_id and not _is_missing(row.get("record_id")) else f"r{row_index:04d}"
+                if "," in record_id:
+                    # a reply lists each score as id,score
+                    raise ValueError(f"record_id {record_id!r} contains a comma")
+                if record_id.splitlines() != [record_id]:
+                    # and each pair on its own line, split as str.splitlines does
+                    raise ValueError(f"record_id {record_id!r} contains a line break")
+                if "```" in record_id:
+                    # inside the ```scores block, whose fence it would close
+                    raise ValueError(f"record_id {record_id!r} contains a code fence")
             except ValueError as exc:
-                raise RowError(row_index, str(exc)) from exc
-            record_id = row["record_id"].strip() if has_id and not _is_missing(row.get("record_id")) else f"r{row_index:04d}"
-            if "," in record_id:
-                # a reply lists each score as id,score
-                raise RowError(row_index, f"record_id {record_id!r} contains a comma")
-            if record_id.splitlines() != [record_id]:
-                # and each pair on its own line, split as str.splitlines does
-                raise RowError(row_index, f"record_id {record_id!r} contains a line break")
+                raise RowError(f"row {row_index}: {exc}") from exc
             records.append(RespondentRecord(record_id=record_id, values=values,
                                             satisfaction=satisfaction))
     if not records:

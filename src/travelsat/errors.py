@@ -4,16 +4,9 @@ Everything raised on purpose by this package derives from TravelSatError so
 callers can catch one base class at the CLI boundary.
 """
 
-import copyreg
-
 
 class TravelSatError(Exception):
-    def __reduce__(self):
-        # Exception's own reduce calls cls(*self.args) on unpickling, which
-        # breaks subclasses whose constructor takes other arguments than the
-        # message (RowError, RankError). Rebuild from args and attributes
-        # without calling __init__, so errors survive a process boundary.
-        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
+    """Base class of the errors below; each carries its message."""
 
 
 class SchemaError(TravelSatError):
@@ -22,10 +15,6 @@ class SchemaError(TravelSatError):
 
 class RowError(TravelSatError):
     """A survey row that is present but invalid (bad code, bad number)."""
-
-    def __init__(self, row_index: int, message: str):
-        super().__init__(f"row {row_index}: {message}")
-        self.row_index = row_index
 
 
 class DatasetError(TravelSatError):
@@ -73,10 +62,3 @@ class MockError(TravelSatError):
 
 class RankError(TravelSatError):
     """Rank-deficient design matrix. Names the offending columns."""
-
-    def __init__(self, columns):
-        self.columns = tuple(columns)
-        super().__init__(
-            "design matrix is rank deficient; dependent columns: "
-            + ", ".join(self.columns)
-        )

@@ -307,9 +307,10 @@ def _run(config: ExperimentConfig, experiment: str,
     dataset = load_dataset(config)
     # looked up at call time, so a caller may substitute its own factory
     client = make_client(config, dataset.schema)
-    result = body(config, dataset, client)
+    # before the body, so no request is paid for that cannot be written
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    result = body(config, dataset, client)
     for name, header, rows in result.tables:
         with open(out / name, "w", newline="", encoding="utf-8") as fh:
             # quotes only the cells that need it, such as a status with commas

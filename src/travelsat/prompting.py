@@ -4,9 +4,10 @@ Records are serialized as plain text grouped by the four survey dimensions,
 with units and category labels spelled out. One generator, _layout, holds
 that traveler-block format: the renderers write blocks by walking it, and
 read_prompt, their inverse (the scripted mock reads prompts with it), reads
-each value back by the same walk. It is strict by round trip: a block reads
-back only if writing its values again gives the same text. No other module
-writes or reads the format. render_zero_shot and render_few_shot are one
+each value back by the same walk, by the loader's rule (dataset.parse_value).
+It is strict by one whole-prompt round trip: a prompt reads back only if
+rendering the records read gives exactly its text. No other module writes
+or reads the format. render_zero_shot and render_few_shot are one
 body, _render: it checks the queries, then a few-shot prompt's support, and
 joins the support section, when there is one, and the query section under
 the system template of its kind.
@@ -29,13 +30,14 @@ in a reply is kept as free-text reasoning.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import re
 from dataclasses import dataclass
 from importlib import resources
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .dataset import RespondentRecord
+from .dataset import RespondentRecord, parse_value
 from .errors import ContaminationError, ParseError, PromptError, SchemaError
 from .schema import (
     CATEGORICAL,
@@ -127,9 +129,13 @@ def _write_block(record: RespondentRecord, layout, label: Variable) -> str:
 
 def _read_block(block: str, layout, label: Variable) -> RespondentRecord:
     lines = block.split("\n")
-    if not lines[0].startswith(_TRAVELER) or lines[0] == _TRAVELER:
-        raise PromptError(f"bad traveler header: {lines[0]!r}")
     record_id = lines[0][len(_TRAVELER):]
+    if not record_id:
+        # the renderers would write it back as "Traveler "
+        raise PromptError(f"traveler block {lines[0]!r} has no id")
+    if len(lines) != len(layout) + 1:
+        raise PromptError(f"traveler {record_id}: {len(lines) - 1} lines, "
+                          f"expected {len(layout)}")
     values: dict[str, float] = {}
     satisfaction = math.nan
     for line, (head, var, tail) in zip(lines[1:], layout):
@@ -137,27 +143,16 @@ def _read_block(block: str, layout, label: Variable) -> RespondentRecord:
             continue
         text = line[len(head):len(line) - len(tail)]
         try:
-            value = float(var.code_for(text) if var.kind == CATEGORICAL else text)
-        except (SchemaError, ValueError):
-            raise PromptError(f"traveler {record_id}: unreadable line {line!r}, "
-                              f"expected {head!r}<value>{tail!r}") from None
+            value = parse_value(var, var.code_for(text) if var.kind == CATEGORICAL
+                                else text)
+        except (SchemaError, ValueError) as exc:
+            raise PromptError(f"traveler {record_id}: line {line!r}: {exc}") from None
         if var is label:
             satisfaction = value
         else:
             values[var.name] = value
-    if len(lines) != len(layout) + 1:
-        raise PromptError(f"traveler {record_id}: {len(lines) - 1} lines, "
-                          f"expected {len(layout)}")
-    record = RespondentRecord(record_id=record_id, values=values,
-                              satisfaction=satisfaction)
-    # only the exact text the renderers write reads back
-    written = _write_block(record, layout, label)
-    if written != block:
-        got, expected = next(pair for pair in zip(lines, written.split("\n"))
-                             if pair[0] != pair[1])
-        raise PromptError(f"traveler {record_id}: got {got!r}, expected "
-                          f"{expected!r}, as the renderers write it")
-    return record
+    return RespondentRecord(record_id=record_id, values=values,
+                            satisfaction=satisfaction)
 
 
 # (id(record), with_label) -> (record, block text), for one schema
@@ -182,36 +177,29 @@ def _write_section(records: Sequence[RespondentRecord], schema: VariableSchema,
     return "\n\n".join(texts)
 
 
-def _read_section(blocks: Sequence[str], schema: VariableSchema,
-                  with_label: bool) -> list[RespondentRecord]:
-    layout = tuple(_layout(schema, with_label))
-    return [_read_block(b, layout, schema.label) for b in blocks]
-
-
 def read_prompt(user_text: str, schema: VariableSchema
                 ) -> tuple[list[RespondentRecord], list[RespondentRecord]]:
     """Read back the user text of render_zero_shot or render_few_shot.
 
     Returns (labeled examples, queries): no examples for zero-shot, and NaN
-    satisfaction on every query. Strict: text that the renderers would not
-    write raises PromptError, down to a value not written in the form they
-    give it.
+    satisfaction on every query. Each value is read by the loader's rule,
+    dataset.parse_value, and the text reads back only if rendering the
+    records read writes exactly that text again; anything else raises
+    PromptError, naming the first line that differs.
     """
-    if not user_text.endswith("\n"):
-        raise PromptError("prompt text does not end in a newline")
-    sections = user_text[:-1].split("\n\n")
-    if QUERY_HEADER not in sections:
-        raise PromptError("prompt has no query section")
-    at = sections.index(QUERY_HEADER)
-    if at > 1 and sections[0] == SUPPORT_HEADER:
-        examples = _read_section(sections[1:at], schema, with_label=True)
-    elif at == 0:
-        examples = []
-    else:
-        raise PromptError("unexpected text before the query section")
-    queries = _read_section(sections[at + 1:], schema, with_label=False)
-    if not queries:
-        raise PromptError("prompt has an empty query section")
+    sections = user_text.removesuffix("\n").split("\n\n")
+    at = sections.index(QUERY_HEADER) if QUERY_HEADER in sections else len(sections)
+    labeled, unlabeled = (tuple(_layout(schema, w)) for w in (True, False))
+    examples = [_read_block(b, labeled, schema.label) for b in sections[1:at]]
+    queries = [_read_block(b, unlabeled, schema.label) for b in sections[at + 1:]]
+    written = _render(examples or None, queries, schema, False, None).user_text
+    if written != user_text:
+        # zip_longest: a missing or extra last line differs from None
+        pairs = itertools.zip_longest(user_text.split("\n"), written.split("\n"))
+        number, (got, expected) = next((n, pair) for n, pair in enumerate(pairs, 1)
+                                       if pair[0] != pair[1])
+        raise PromptError(f"line {number}: got {got!r}, expected {expected!r}, "
+                          "as the renderers write it")
     return examples, queries
 
 

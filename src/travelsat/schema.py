@@ -52,6 +52,10 @@ class Variable:
     exclusive_minimum: bool = False
 
     def __post_init__(self):
+        # the prompts and the reply grammar write a name's underscores as
+        # spaces and read spaces back as underscores
+        if not re.fullmatch(r"[a-z][a-z0-9_]*", self.name):
+            raise SchemaError(f"variable name {self.name!r} is not snake_case")
         if self.dimension not in DIMENSIONS + ("label",):
             raise SchemaError(f"unknown dimension {self.dimension!r} for {self.name}")
         if self.kind not in (NUMERIC, CATEGORICAL):

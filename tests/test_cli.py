@@ -118,6 +118,19 @@ def test_cli_missing_config_and_schema_exit_2(tmp_path, capsys):
     assert capsys.readouterr().err.count("error:") == 3
 
 
+@pytest.mark.parametrize("args", [
+    ["synth", "--n", "20", "--out", "{dir}"],
+    ["zeroshot", "--out", "{file}"],
+    ["zeroshot", "--cache", "{file}", "--out", "{dir}/run"],
+], ids=["synth-out-is-a-directory", "out-is-a-file", "cache-is-a-file"])
+def test_unwritable_output_path_exits_2(tmp_path, capsys, args):
+    taken = tmp_path / "taken"
+    taken.write_text("kept", encoding="utf-8")
+    assert main([arg.format(dir=tmp_path, file=taken) for arg in args]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert taken.read_text(encoding="utf-8") == "kept"
+
+
 NAN, INF = float("nan"), float("inf")
 
 
@@ -194,6 +207,7 @@ def _marginals_with(name, **spec):
      "schema.predictors[1]: age: minimum 90.0 is above maximum 10.0"),
     ("--schema", _schema_with(minimum=40.0, maximum=40.0), "schema.predictors[1]:"),
     ("--schema", _schema_with(minimum=40.0, maximum=80.0), "synthesized age:"),
+    ("--schema", _schema_with(name="eating out"), "schema.predictors[1]:"),
     ("--marginals", _marginals_with("age", clip_min="12"), "marginals.age.clip_min:"),
     ("--marginals", _marginals_with("age", mena=3), "marginals.age: unknown keys"),
     ("--marginals", _marginals_with("age", std=INF), "marginals.age.std:"),
@@ -217,6 +231,7 @@ def _marginals_with(name, **spec):
      "marginals.age: clip_min 50 > clip_max 10"),
 ], ids=["misspelt-key", "string-minimum", "int-flag", "nan-minimum", "no-predictors",
         "collided-label", "duplicate-code", "inverted-range", "empty-range", "narrowed-range",
+        "space-in-name",
         "string-clip", "misspelt-marginal-key", "infinite-std", "unknown-kind",
         "letter-code", "probs-list", "nan-weight", "negative-weight", "not-an-object",
         "negative-std", "negative-sigma", "negative-lognormal-mean", "inverted-uniform",

@@ -78,7 +78,7 @@ def test_invalid_code_raises_with_row_index(tmp_path):
     ])
     with pytest.raises(RowError) as err:
         load_survey(path)
-    assert err.value.row_index == 2
+    assert str(err.value).startswith("row 2: ")
     assert "commuting_mode" in str(err.value)
 
 
@@ -97,19 +97,20 @@ def test_bad_cell_message_names_row_variable_and_value(tmp_path, overrides, mess
     with pytest.raises(RowError) as err:
         load_survey(path)
     assert str(err.value) == message
-    assert err.value.row_index == 2
+    assert str(err.value).startswith("row 2: ")
 
 
-@pytest.mark.parametrize("record_id", ["a,b", "a\nb", "a\rb", "a\u2028b"],
-                         ids=["comma", "newline", "carriage-return", "line-separator"])
+@pytest.mark.parametrize("record_id", ["a,b", "a\nb", "a\rb", "a\u2028b", "a```b"],
+                         ids=["comma", "newline", "carriage-return", "line-separator",
+                              "code-fence"])
 def test_record_id_with_comma_raises_with_row_index(tmp_path, record_id):
-    # replies list scores as one id,score pair a line, so such an id could
-    # never be scored
+    # replies list scores as one id,score pair a line inside a ```scores
+    # block, so such an id could never be scored
     path = tmp_path / "survey.csv"
     _write_rows(path, [_complete_row("r1"), _complete_row(record_id)])
     with pytest.raises(RowError) as err:
         load_survey(path)
-    assert err.value.row_index == 2
+    assert str(err.value).startswith("row 2: ")
     assert repr(record_id) in str(err.value)
 
 
@@ -211,10 +212,10 @@ def _any_value(var):
 
 
 # ids load_survey keeps as they are: non-empty, no surrounding whitespace,
-# no comma
+# no comma, no code fence
 RECORD_ID = st.text(st.characters(blacklist_categories=("Cs", "Cc", "Zs", "Zl", "Zp"),
                                   blacklist_characters=","),
-                    min_size=1, max_size=6)
+                    min_size=1, max_size=6).filter(lambda text: "```" not in text)
 
 
 @settings(max_examples=60, deadline=None)
@@ -255,8 +256,7 @@ def test_non_finite_cells_are_refused_with_their_row(cells):
         try:
             dataset = load_survey(path)
         except RowError as exc:
-            assert exc.row_index in {row for row, _, _ in cells}
-            assert str(exc).startswith(f"row {exc.row_index}: ")
+            assert any(str(exc).startswith(f"row {row}: ") for row, _, _ in cells)
             refused = True
         else:
             assert all(math.isfinite(value) for record in dataset

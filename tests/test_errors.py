@@ -11,8 +11,6 @@ SUBCLASSES = sorted((cls for _, cls in inspect.getmembers(errors, inspect.isclas
 
 # constructors that take more than a message
 SPECIAL = {
-    errors.RowError: lambda: errors.RowError(7, "bad code 9 for gender"),
-    errors.RankError: lambda: errors.RankError(["intercept", "gender=male"]),
     errors.ParseError: lambda: errors.ParseError("no scores block",
                                                  raw_text="I think 4.\n"),
 }
@@ -26,5 +24,4 @@ def test_error_survives_pickle(cls):
     assert str(restored) == str(error)
     assert restored.args == error.args
     assert vars(restored) == vars(error)
-    for attr in ("columns", "row_index", "raw_text"):
-        assert getattr(restored, attr, None) == getattr(error, attr, None)
+    assert getattr(restored, "raw_text", None) == getattr(error, "raw_text", None)

@@ -12,8 +12,11 @@ travelsat.__all__ and dunders are exempt. Every name in travelsat.__all__
 must resolve. Every parameter with a default, of a function or method in
 src/travelsat, must be passed by position or keyword in some call there or
 in perfbench/*.py (matched by the callee's name, a class's for __init__),
-save the listed test seams. An offline run never imports requests, which
-only the HTTP backend uses.
+save the listed test seams. Every dataclass field and self.<name>
+attribute in src/travelsat must be read as an attribute, or named as a
+whole string constant, there or in perfbench/*.py, save the listed ones
+that only readers outside the package need. An offline run never imports
+requests, which only the HTTP backend uses.
 """
 
 import ast
@@ -131,6 +134,81 @@ def test_no_dead_definitions(path):
         members |= more_members
         names |= more_names
     assert dead_definitions(path.read_text("utf-8"), members, names) == []
+
+
+def read_members(source: str) -> set[str]:
+    """The attributes source reads, not those it only assigns, and its whole
+    string constants."""
+    members = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            members.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            members.add(node.value)
+    return members
+
+
+def defined_attributes(source: str) -> list[tuple[str, str]]:
+    """(class, attribute) for each dataclass field and each self.<name>
+    assignment of the classes source defines."""
+    found = []
+    for cls in ast.walk(ast.parse(source)):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        decorators = [d.func if isinstance(d, ast.Call) else d for d in cls.decorator_list]
+        if any(getattr(d, "id", getattr(d, "attr", None)) == "dataclass"
+               for d in decorators):
+            found += [(cls.name, n.target.id) for n in cls.body
+                      if isinstance(n, ast.AnnAssign) and isinstance(n.target, ast.Name)]
+        found += [(cls.name, n.attr) for n in ast.walk(cls)
+                  if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)
+                  and isinstance(n.value, ast.Name) and n.value.id == "self"]
+    return found
+
+
+def unread_attributes(source: str, read: set[str], allowed: set[str]) -> list[str]:
+    """The attributes of defined_attributes(source) whose name is not in
+    read, as "Class.name"; those in allowed are exempt."""
+    return sorted({f"{cls}.{name}" for cls, name in defined_attributes(source)
+                   if name not in read} - allowed)
+
+
+def test_unread_attribute_checker():
+    source = ("import dataclasses\n"
+              "@dataclasses.dataclass(frozen=True)\n"
+              "class Spec:\n"
+              "    read: int\n"
+              "    hooked: int\n"
+              "    unread: int = 0\n"
+              "class Plain:\n"
+              "    table: dict = {}\n"
+              "    def __init__(self, spec):\n"
+              "        self.counter = 0\n"
+              "        self.counter += 1\n"
+              "        self.copied = spec.read\n"
+              "        self.kept = 1\n")
+    read = read_members(source + "getattr(spec, 'hooked')\n")
+    assert unread_attributes(source, read, {"Plain.kept"}) == \
+        ["Plain.copied", "Plain.counter", "Spec.unread"]
+
+
+# attributes read only outside the package, each for a stated reader
+READ_ELSEWHERE = {
+    "GbdtModel.train_losses",  # acceptance criterion 4 checks the loss curve
+    # ROADMAP item 2 writes these out: the cache counts to provenance.json,
+    # the raw text of a failed reply to the run's failures/
+    "LlmClient.cache_hits",
+    "LlmClient.cache_misses",
+    "ParseError.raw_text",
+}
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_every_attribute_is_read(path):
+    read = set()
+    for source in sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py")):
+        read |= read_members(source.read_text("utf-8"))
+    assert unread_attributes(path.read_text("utf-8"), read, READ_ELSEWHERE) == []
 
 
 def defaulted_parameters(source: str) -> list[tuple[str, str, int | None]]:

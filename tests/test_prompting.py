@@ -10,12 +10,13 @@ from hypothesis import strategies as st
 
 from travelsat.client import LlmParams
 from travelsat.dataset import RespondentRecord, split
-from travelsat.errors import ContaminationError, ParseError, PromptError
+from travelsat.errors import ContaminationError, MockError, ParseError, PromptError
 from travelsat.mock import ScriptedMock
 from travelsat.prompting import (
     DEFAULT_BATCH_SIZE,
     IMPORTANCES_OPEN,
     LABEL_LINE,
+    Prompt,
     QUERY_HEADER,
     SCORES_OPEN,
     SUPPORT_HEADER,
@@ -478,6 +479,7 @@ def _tampered_forms(dataset):
     header = f"Traveler {queries[0].record_id}\n"
     label = f"  {LABEL_LINE} {support[0].satisfaction!r}\n"
     age = format(support[0].values["age"], ".6g")
+    section = zero.removeprefix(f"{QUERY_HEADER}\n\n")
     edits = {
         "missing query header": (zero, QUERY_HEADER, "Score these:"),
         "unknown variable": (zero, "    commuting time:", "    commute minutes:"),
@@ -489,23 +491,50 @@ def _tampered_forms(dataset):
         "number not as written": (few, f"    age: {age} years", f"    age: +{age} years"),
         "no final newline": (zero, zero, zero[:-1]),
         "empty query section": (few, few.partition(QUERY_HEADER)[2], "\n"),
+        "nan value": (few, f"    age: {age} years", "    age: nan years"),
+        "value below the minimum": (few, f"    age: {age} years", "    age: -5 years"),
+        "empty id": (zero, header, "Traveler \n"),
+        "misspelt header": (zero, header, header.replace("Traveler", "Travelr")),
+        "support header without examples": (zero, QUERY_HEADER,
+                                             f"{SUPPORT_HEADER}\n\n{QUERY_HEADER}"),
+        "duplicated query block": (zero, section, f"{section}\n{section}"),
+        "query id of an example": (few, header, f"Traveler {support[0].record_id}\n"),
     }
     return {name: (text, text.replace(old, new, 1))
             for name, (text, old, new) in edits.items()}
 
 
 def test_read_prompt_rejects_tampered_forms(small_dataset):
+    mock = ScriptedMock(rule="linear", mode="nn", schema=small_dataset.schema)
     for name, (original, tampered) in _tampered_forms(small_dataset).items():
         assert tampered != original, name
         try:
             read_prompt(tampered, small_dataset.schema)
         except PromptError:
+            pass
+        else:
+            pytest.fail(f"{name}: read without a PromptError")
+        try:
+            mock.complete(Prompt(system_text="", user_text=tampered), LlmParams())
+        except MockError:
             continue
-        pytest.fail(f"{name}: read without a PromptError")
+        pytest.fail(f"{name}: scored by the mock")
 
 
 def test_round_trip_refusal_names_the_line_that_differs(small_dataset):
     _, tampered = _tampered_forms(small_dataset)["renamed heading"]
     with pytest.raises(PromptError,
                        match="got '  Demographics:', expected '  Socioeconomics:'"):
+        read_prompt(tampered, small_dataset.schema)
+
+
+@pytest.mark.parametrize("form, reason", [
+    ("value below the minimum", "line '    age: -5 years': age: -5.0 must be > 0.0"),
+    ("nan value", "age: not a finite number: 'nan'"),
+    ("no final newline", "got None, expected ''"),
+    ("duplicated query block", "duplicate query record ids"),
+])
+def test_refusal_gives_its_reason(small_dataset, form, reason):
+    _, tampered = _tampered_forms(small_dataset)[form]
+    with pytest.raises(PromptError, match=re.escape(reason)):
         read_prompt(tampered, small_dataset.schema)
