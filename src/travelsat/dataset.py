@@ -15,11 +15,22 @@ from .schema import CATEGORICAL, Variable, VariableSchema, default_schema
 
 @dataclass(frozen=True)
 class RespondentRecord:
-    """One survey respondent: predictor values plus the satisfaction label."""
+    """One survey respondent: predictor values plus the satisfaction label.
+    Raises RowError for an id that an "id,score" line of a reply's ```scores
+    block cannot carry (docs/output_contract.md, "Record ids")."""
 
     record_id: str
     values: Mapping[str, float]
     satisfaction: float
+
+    def __post_init__(self):
+        rid = self.record_id
+        reason = ("is empty" if not rid else "has whitespace at an end" if rid != rid.strip()
+                  else "contains a line break" if rid.splitlines() != [rid]
+                  else "contains a comma" if "," in rid
+                  else "contains a code fence" if "```" in rid else "")
+        if reason:
+            raise RowError(f"record_id {rid!r} {reason}")
 
 
 @dataclass(frozen=True)
@@ -97,8 +108,8 @@ def load_survey(path, schema: VariableSchema | None = None) -> Dataset:
     the label column; an optional record_id column carries stable ids. A
     UTF-8 byte-order mark is skipped. Rows with missing values are dropped
     (counted in Dataset.dropped); rows with unparseable or out-of-range
-    values, or a record_id with a comma, a line break or a code fence (```),
-    raise RowError naming the row index.
+    values, or a record_id that RespondentRecord refuses, raise RowError
+    naming the row index.
     """
     schema = schema or default_schema()
     try:
@@ -128,19 +139,9 @@ def load_survey(path, schema: VariableSchema | None = None) -> Dataset:
                     values[var.name] = parse_value(var, row[var.name])
                 satisfaction = parse_value(schema.label, row[schema.label.name])
                 record_id = row["record_id"].strip() if has_id and not _is_missing(row.get("record_id")) else f"r{row_index:04d}"
-                if "," in record_id:
-                    # a reply lists each score as id,score
-                    raise ValueError(f"record_id {record_id!r} contains a comma")
-                if record_id.splitlines() != [record_id]:
-                    # and each pair on its own line, split as str.splitlines does
-                    raise ValueError(f"record_id {record_id!r} contains a line break")
-                if "```" in record_id:
-                    # inside the ```scores block, whose fence it would close
-                    raise ValueError(f"record_id {record_id!r} contains a code fence")
-            except ValueError as exc:
+                records.append(RespondentRecord(record_id, values, satisfaction))
+            except (ValueError, RowError) as exc:
                 raise RowError(f"row {row_index}: {exc}") from exc
-            records.append(RespondentRecord(record_id=record_id, values=values,
-                                            satisfaction=satisfaction))
     if not records:
         raise DatasetError(f"{path}: no complete rows")
     return Dataset(schema=schema, records=tuple(records), dropped=dropped)

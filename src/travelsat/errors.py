@@ -14,7 +14,7 @@ class SchemaError(TravelSatError):
 
 
 class RowError(TravelSatError):
-    """A survey row that is present but invalid (bad code, bad number)."""
+    """A survey row or record that is present but invalid (bad code, number or id)."""
 
 
 class DatasetError(TravelSatError):

@@ -38,7 +38,7 @@ from importlib import resources
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .dataset import RespondentRecord, parse_value
-from .errors import ContaminationError, ParseError, PromptError, SchemaError
+from .errors import ContaminationError, ParseError, PromptError, RowError, SchemaError
 from .schema import (
     CATEGORICAL,
     DIMENSIONS,
@@ -130,9 +130,6 @@ def _write_block(record: RespondentRecord, layout, label: Variable) -> str:
 def _read_block(block: str, layout, label: Variable) -> RespondentRecord:
     lines = block.split("\n")
     record_id = lines[0][len(_TRAVELER):]
-    if not record_id:
-        # the renderers would write it back as "Traveler "
-        raise PromptError(f"traveler block {lines[0]!r} has no id")
     if len(lines) != len(layout) + 1:
         raise PromptError(f"traveler {record_id}: {len(lines) - 1} lines, "
                           f"expected {len(layout)}")
@@ -151,8 +148,10 @@ def _read_block(block: str, layout, label: Variable) -> RespondentRecord:
             satisfaction = value
         else:
             values[var.name] = value
-    return RespondentRecord(record_id=record_id, values=values,
-                            satisfaction=satisfaction)
+    try:
+        return RespondentRecord(record_id, values, satisfaction)
+    except RowError as exc:  # an id no reply could carry
+        raise PromptError(f"traveler block {lines[0]!r}: {exc}") from None
 
 
 # (id(record), with_label) -> (record, block text), for one schema
@@ -329,7 +328,7 @@ def _read_pairs(text: str, kind: str, keys: Sequence[str]) -> dict[str, float]:
     underscores). A missing block, an unreadable line, a repeated key, a
     value out of range or other keys than keys raise ParseError."""
     separator, key_noun, value_noun, low, high = _PAIRS[kind]
-    match = _BLOCK_RE[kind].search(text)
+    match = _BLOCK_RE[kind].search(text.replace("\r\n", "\n"))
     if match is None:
         raise ParseError(f"response has no ```{kind} block", raw_text=text)
     pairs: dict[str, float] = {}
@@ -373,7 +372,7 @@ def parse_response(text: str, expected_ids: Sequence[str],
     (carrying the raw text) when a block is missing or a line unreadable,
     ids or names differ from the expected ones, a score falls outside
     [1, 7], a weight is negative, or the weights sum outside [0.98, 1.02];
-    inside that band they are renormalized to sum exactly 1.
+    inside that band they are renormalized to sum exactly 1. CRLF reads as LF.
     """
     scores = _read_pairs(text, "scores", expected_ids)
     importances = None
@@ -384,7 +383,7 @@ def parse_response(text: str, expected_ids: Sequence[str],
             raise ParseError(f"importance weights sum to {total:.4f}, not close to 1",
                              raw_text=text)
         importances = {name: weight / total for name, weight in raw.items()}
-    reasoning = text
+    reasoning = text.replace("\r\n", "\n")
     for pattern in _BLOCK_RE.values():
         reasoning = pattern.sub("", reasoning)
     return PredictionBatch(scores=scores, importances=importances,

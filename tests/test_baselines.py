@@ -110,6 +110,9 @@ def test_gbdt_constant_target():
     model = fit_gbdt(X, np.full(30, 4.2), GbdtHyper(n_trees=20))
     assert predict_gbdt(model, X) == pytest.approx(np.full(30, 4.2), abs=1e-12)
     assert model.train_losses[0] < 1e-28
+    for wrong in (X[:, :1], np.hstack([X, X]), X[0]):
+        with pytest.raises(DatasetError, match="but model expects 2 columns"):
+            predict_gbdt(model, wrong)
 
 
 def test_gbdt_learns_step_function():

@@ -3,8 +3,10 @@ from pathlib import Path
 
 import pytest
 
-from travelsat.cli import build_parser, main
+from travelsat.cli import _build_config, build_parser, main
+from travelsat.client import HttpChatBackend
 from travelsat.dataset import load_survey
+from travelsat.experiments import make_client
 from travelsat.schema import default_schema, spec_to_dict
 
 
@@ -208,6 +210,12 @@ def _marginals_with(name, **spec):
     ("--schema", _schema_with(minimum=40.0, maximum=40.0), "schema.predictors[1]:"),
     ("--schema", _schema_with(minimum=40.0, maximum=80.0), "synthesized age:"),
     ("--schema", _schema_with(name="eating out"), "schema.predictors[1]:"),
+    ("--schema", _schema_with(kind="ordinal"),
+     "schema.predictors[1]: unknown kind 'ordinal' for age"),
+    ("--schema", _schema_with(categories=[[0, "young"], [1, "old"]]),
+     "schema.predictors[1]: numeric age must not define categories"),
+    ("--schema", {**_shipped("default_schema.json"), "predictors": []},
+     "schema needs at least one predictor"),
     ("--marginals", _marginals_with("age", clip_min="12"), "marginals.age.clip_min:"),
     ("--marginals", _marginals_with("age", mena=3), "marginals.age: unknown keys"),
     ("--marginals", _marginals_with("age", std=INF), "marginals.age.std:"),
@@ -229,13 +237,17 @@ def _marginals_with(name, **spec):
      "marginals.age: uniform marginal with low"),
     ("--marginals", _marginals_with("age", clip_min=50, clip_max=10),
      "marginals.age: clip_min 50 > clip_max 10"),
+    ("--marginals", {**_shipped("default_marginals.json"),
+                     "age": {"kind": "categorical", "probs": {"30": 1}}},
+     "age: numeric variable needs a numeric marginal"),
 ], ids=["misspelt-key", "string-minimum", "int-flag", "nan-minimum", "no-predictors",
         "collided-label", "duplicate-code", "inverted-range", "empty-range", "narrowed-range",
-        "space-in-name",
+        "space-in-name", "unknown-variable-kind", "numeric-with-categories",
+        "empty-predictors",
         "string-clip", "misspelt-marginal-key", "infinite-std", "unknown-kind",
         "letter-code", "probs-list", "nan-weight", "negative-weight", "not-an-object",
         "negative-std", "negative-sigma", "negative-lognormal-mean", "inverted-uniform",
-        "inverted-clip"])
+        "inverted-clip", "categorical-for-numeric"])
 def test_bad_schema_and_marginals_exit_2(tmp_path, capsys, flag, payload, where):
     path = tmp_path / "settings.json"
     path.write_text(json.dumps(payload), encoding="utf-8")
@@ -275,6 +287,15 @@ def test_cache_flag_populates_cache(tmp_path, survey_csv):
                  *_shared_args(tmp_path, "cached")])
     assert code == 0
     assert len(list(cache.glob("*.json"))) > 0
+
+
+def test_live_flag_builds_an_http_backend_without_sending(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a request was sent")
+    monkeypatch.setattr(HttpChatBackend, "complete", refuse)
+    config = _build_config(build_parser().parse_args(["zeroshot", "--live"]))
+    assert config.mock is None
+    assert type(make_client(config, default_schema()).backend) is HttpChatBackend
 
 
 def test_parser_lists_all_subcommands():

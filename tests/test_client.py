@@ -143,6 +143,26 @@ def test_cache_entry_of_wrong_shape_is_a_miss_and_refetched(tmp_path, caplog, st
     assert client.cache.get(key) == LlmResponse(content="fresh", reasoning="why")
 
 
+def _refuse_replace(src, dst):
+    raise OSError("no space left on device")
+
+
+@pytest.mark.parametrize("content, patch, error", [
+    # a lone surrogate has no UTF-8 form, so the write itself fails
+    ("\ud800", None, UnicodeEncodeError),
+    ("body", _refuse_replace, OSError),
+], ids=["write-fails", "replace-fails"])
+def test_failed_cache_put_removes_its_temp_file_and_reraises(tmp_path, monkeypatch,
+                                                              content, patch, error):
+    if patch is not None:
+        monkeypatch.setattr("travelsat.client.os.replace", patch)
+    cache = ResponseCache(tmp_path)
+    key = cache_key(PARAMS, PROMPT, 0)
+    with pytest.raises(error):
+        cache.put(key, LlmResponse(content=content))
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cache_directory_is_relocatable(tmp_path):
     cache = ResponseCache(tmp_path / "a")
     key = cache_key(PARAMS, PROMPT, 2)

@@ -1,7 +1,9 @@
 import contextlib
 import csv
+import dataclasses
 import io
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -114,6 +116,40 @@ def test_record_id_with_comma_raises_with_row_index(tmp_path, record_id):
     assert repr(record_id) in str(err.value)
 
 
+# every id a reply cannot carry on its "id,score" line, which the parser
+# splits by str.splitlines and strips
+UNCARRIABLE_IDS = ["a,b", "a\nb", "a\rb", "a\u2028b", "a```b", "", " a", "a "]
+
+
+@pytest.mark.parametrize("record_id", UNCARRIABLE_IDS)
+def test_record_refuses_an_id_a_reply_cannot_carry(small_dataset, record_id):
+    values = small_dataset.records[0].values
+    with pytest.raises(RowError, match=f"^record_id {re.escape(repr(record_id))} "):
+        RespondentRecord(record_id, values, 4.0)
+    assert RespondentRecord("a b", values, 4.0).record_id == "a b"
+
+
+def test_dataset_built_in_code_refuses_a_comma_id(small_dataset):
+    with pytest.raises(RowError, match="record_id 'a,b' contains a comma"):
+        Dataset(schema=small_dataset.schema, records=(
+            *small_dataset.records[:2],
+            dataclasses.replace(small_dataset.records[2], record_id="a,b")))
+
+
+def test_repeated_record_id_raises(tmp_path):
+    path = tmp_path / "survey.csv"
+    _write_rows(path, [_complete_row("r1"), _complete_row("r2"), _complete_row("r1")])
+    with pytest.raises(DatasetError, match="duplicate record ids"):
+        load_survey(path)
+
+
+def test_empty_file_raises(tmp_path):
+    path = tmp_path / "survey.csv"
+    path.write_bytes(b"")
+    with pytest.raises(DatasetError, match="empty file"):
+        load_survey(path)
+
+
 def test_byte_order_mark_is_skipped(tmp_path, small_dataset):
     plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
     save_survey(small_dataset, plain)
@@ -211,8 +247,8 @@ def _any_value(var):
                      exclude_min=var.exclusive_minimum, allow_infinity=False)
 
 
-# ids load_survey keeps as they are: non-empty, no surrounding whitespace,
-# no comma, no code fence
+# ids a record accepts and load_survey keeps as they are: non-empty, no
+# surrounding whitespace, no line break, no comma, no code fence
 RECORD_ID = st.text(st.characters(blacklist_categories=("Cs", "Cc", "Zs", "Zl", "Zp"),
                                   blacklist_characters=","),
                     min_size=1, max_size=6).filter(lambda text: "```" not in text)

@@ -10,7 +10,13 @@ from hypothesis import strategies as st
 
 from travelsat.client import LlmParams
 from travelsat.dataset import RespondentRecord, split
-from travelsat.errors import ContaminationError, MockError, ParseError, PromptError
+from travelsat.errors import (
+    ContaminationError,
+    MockError,
+    ParseError,
+    PromptError,
+    RowError,
+)
 from travelsat.mock import ScriptedMock
 from travelsat.prompting import (
     DEFAULT_BATCH_SIZE,
@@ -208,6 +214,11 @@ def test_parse_id_mismatch():
     assert "q2" in str(excinfo.value)
     with pytest.raises(ParseError):
         parse_response("```scores\nq1,4\nzz,5\n```", ["q1"])
+    # a CRLF reply is read as its LF form, and a refusal keeps the text as sent
+    crlf = "```scores\r\nq1,4\r\n```\r\n"
+    with pytest.raises(ParseError, match="missing \\['q2'\\]") as excinfo:
+        parse_response(crlf, ["q1", "q2"])
+    assert excinfo.value.raw_text == crlf
 
 
 def test_parse_duplicate_id():
@@ -345,6 +356,9 @@ def test_write_response_round_trips_through_parse_response(ids, data, commentary
     text = write_response(scores, weights, commentary)
     batch = parse_response(text, ids, None if weights is None else names)
     assert batch.scores == scores
+    crlf = parse_response(text.replace("\n", "\r\n"), ids,
+                          None if weights is None else names)
+    assert (crlf.scores, crlf.importances) == (batch.scores, batch.importances)
     assert batch.reasoning == commentary
     if weights is None:
         assert batch.importances is None
@@ -409,6 +423,27 @@ def test_render_read_prompt_round_trip(data):
     ids = [q.record_id for q in queries]
     scores = parse_response(mock.complete(prompt, LlmParams()).content, ids).scores
     assert scores == {q.record_id: linear_rule(q.values) for q in queries}
+
+
+# ids drawn often from the characters at which the parser splits, strips
+# or cuts an "id,score" line
+ANY_ID = st.text(st.one_of(st.sampled_from(" ,`\t\n\r\x85\u2028"),
+                           st.characters(blacklist_categories=("Cs",))), max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(record_id=ANY_ID)
+def test_every_id_a_record_accepts_is_scored_by_that_id(small_dataset, record_id):
+    schema = small_dataset.schema
+    try:
+        record = RespondentRecord(record_id, small_dataset.records[0].values, 4.0)
+    except RowError:
+        return
+    prompt = render_zero_shot([record], schema)
+    assert [q.record_id for q in read_prompt(prompt.user_text, schema)[1]] == [record_id]
+    reply = ScriptedMock(rule="linear", mode="rule", schema=schema).complete(
+        prompt, LlmParams())
+    assert list(parse_response(reply.content, [record_id]).scores) == [record_id]
 
 
 @st.composite
@@ -494,6 +529,9 @@ def _tampered_forms(dataset):
         "nan value": (few, f"    age: {age} years", "    age: nan years"),
         "value below the minimum": (few, f"    age: {age} years", "    age: -5 years"),
         "empty id": (zero, header, "Traveler \n"),
+        "comma in id": (zero, header, "Traveler a,b\n"),
+        "space after id": (zero, header, f"Traveler {queries[0].record_id} \n"),
+        "empty value": (few, f"    age: {age} years", "    age:  years"),
         "misspelt header": (zero, header, header.replace("Traveler", "Travelr")),
         "support header without examples": (zero, QUERY_HEADER,
                                              f"{SUPPORT_HEADER}\n\n{QUERY_HEADER}"),
@@ -533,6 +571,9 @@ def test_round_trip_refusal_names_the_line_that_differs(small_dataset):
     ("nan value", "age: not a finite number: 'nan'"),
     ("no final newline", "got None, expected ''"),
     ("duplicated query block", "duplicate query record ids"),
+    ("comma in id", "traveler block 'Traveler a,b': record_id 'a,b' contains a comma"),
+    ("empty id", "record_id '' is empty"),
+    ("empty value", "line '    age:  years': empty"),
 ])
 def test_refusal_gives_its_reason(small_dataset, form, reason):
     _, tampered = _tampered_forms(small_dataset)[form]
