@@ -1,10 +1,10 @@
 """Statistical baselines: linear regression and boosted regression trees.
 
 Both models are written out in full here. OLS solves the least-squares
-problem through a pivoted QR factorization with an explicit rank check that
-names the dependent columns. Its predictions are the same bits for every
-memory layout of X: BLAS sums a matrix-vector product in an order that
-depends on the layout, so predict_ols always multiplies X column-major.
+problem by unpivoted QR, with a rank check that names the dependent
+columns. Its predictions are the same bits for every memory layout of X:
+BLAS sums a matrix-vector product in an order that depends on the layout,
+so predict_ols always multiplies X column-major.
 The GBDT fits squared-loss gradient boosting with greedy variance-reduction
 splits on midpoints between distinct sorted values; with subsample = 1 (the
 default) the fit is fully deterministic. A fitted model knows its columns
@@ -32,8 +32,8 @@ this process: each takes milliseconds, and pooled they oversubscribe the
 CPUs with BLAS threads.
 
 On Linux the workers are forked, which saves pickling the arrays and
-re-importing numpy and scipy in every worker. Forking a process that has
-threads (BLAS keeps an idle pool) is safe here because a worker runs only
+re-importing numpy in every worker. Forking a process that has threads
+(BLAS keeps an idle pool) is safe here because a worker runs only
 fit_gbdt, predict_gbdt and evaluate on the arrays it inherited: none of
 them calls BLAS, takes a lock, logs, or touches an LLM client, so no lock
 or thread state copied from the parent is ever used. Elsewhere the
@@ -52,7 +52,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 from numpy.random import default_rng
-from scipy import linalg
 
 from .dataset import Dataset, split_indices
 from .encoding import design_matrix, encode_matrix, fit_encoding
@@ -70,8 +69,10 @@ def fit_ols(X: np.ndarray, y: np.ndarray,
             columns: Sequence[str] | None = None) -> LinearModel:
     """Least-squares fit of y on X plus an intercept.
 
-    Raises RankError naming the dependent columns when the design (with
-    intercept) is rank deficient.
+    Raises RankError when the design (with intercept) is rank deficient,
+    naming in design order each column that lies in the span of the columns
+    before it: its |diag R| in the unpivoted QR factorization is at or below
+    max(n, p + 1) * eps * max |diag R|.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -84,17 +85,14 @@ def fit_ols(X: np.ndarray, y: np.ndarray,
     if n < p + 2:
         raise DatasetError(f"need at least {p + 2} rows to fit {p} predictors, got {n}")
     A = np.hstack([np.ones((n, 1)), X])
-    full_names = ("intercept", *names)
-    Q, R, pivots = linalg.qr(A, mode="economic", pivoting=True)
+    Q, R = np.linalg.qr(A)
     diag = np.abs(np.diag(R))
-    tol = max(A.shape) * np.finfo(float).eps * (diag[0] if diag.size else 0.0)
-    rank = int(np.sum(diag > tol))
-    if rank < p + 1:
-        offending = ", ".join(full_names[j] for j in sorted(pivots[rank:]))
-        raise RankError(f"design matrix is rank deficient; dependent columns: {offending}")
-    w_pivoted = linalg.solve_triangular(R, Q.T @ y)
-    w = np.empty(p + 1)
-    w[pivots] = w_pivoted
+    tol = max(A.shape) * np.finfo(float).eps * diag.max()
+    dependent = [name for name, d in zip(("intercept", *names), diag) if d <= tol]
+    if dependent:
+        raise RankError("design matrix is rank deficient; dependent columns: "
+                        + ", ".join(dependent))
+    w = np.linalg.solve(R, Q.T @ y)
     return LinearModel(intercept=float(w[0]), coefficients=w[1:])
 
 

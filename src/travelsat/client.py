@@ -121,7 +121,9 @@ class HttpChatBackend:
             message = body["choices"][0]["message"]
             content = message["content"] or ""
             reasoning = message.get("reasoning_content") or ""
-        except (ValueError, KeyError, IndexError, TypeError) as exc:
+            # a lone surrogate has no UTF-8 form to cache or archive
+            content.encode("utf-8"), reasoning.encode("utf-8")
+        except (ValueError, KeyError, IndexError, TypeError, AttributeError) as exc:
             raise TransportError(f"malformed API response: {exc}") from exc
         return LlmResponse(content=content, reasoning=reasoning)
 

@@ -16,8 +16,6 @@ from typing import Sequence
 
 import numpy as np
 from numpy.random import default_rng
-from scipy.spatial.distance import cdist
-from scipy.special import kolmogorov
 
 from .dataset import Dataset, RespondentRecord
 from .encoding import EncodingSpec, encode_matrix
@@ -28,7 +26,15 @@ from .evaluation import significance_stars
 def similarity_matrix(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Pairwise similarities between the rows of A and the rows of B:
     1 / sqrt(||a - b||^2 + 1) for rows a and b."""
-    d2 = cdist(np.asarray(A, dtype=float), np.asarray(B, dtype=float), "sqeuclidean")
+    A = np.asarray(A, dtype=float)
+    B = np.asarray(B, dtype=float)
+    if A.ndim != 2 or B.ndim != 2 or A.shape[1] != B.shape[1]:
+        raise ValueError(f"rows of different widths: {A.shape} vs {B.shape}")
+    # each pair's terms added in column order, as a loop over pairs adds them:
+    # einsum and .sum(-1) regroup the terms, which changes the last bits
+    d2 = np.zeros((len(A), len(B)))
+    for j in range(A.shape[1]):
+        d2 += (A[:, j, None] - B[None, :, j]) ** 2
     return 1.0 / np.sqrt(d2 + 1.0)
 
 
@@ -77,6 +83,19 @@ def random_support(train: Dataset, k: int, seed: int) -> tuple[RespondentRecord,
     return _support(train, default_rng(seed).choice(len(train), size=k, replace=False))
 
 
+def _kolmogorov_sf(x: float) -> float:
+    """P(K > x) for the Kolmogorov distribution: one minus the Jacobi form of
+    the CDF below 1, the alternating series from 1 on."""
+    if x <= 0.0:
+        return 1.0
+    if x < 1.0:
+        w = math.pi ** 2 / (8.0 * x * x)
+        return 1.0 - math.sqrt(2.0 * math.pi) / x * sum(
+            math.exp(-(2 * k - 1) ** 2 * w) for k in range(1, 8))
+    return 2.0 * sum((-1) ** (k - 1) * math.exp(-2.0 * k * k * x * x)
+                     for k in range(1, 20))
+
+
 @dataclass(frozen=True)
 class KsResult:
     variable: str
@@ -106,7 +125,7 @@ def ks_two_sample(sample: Sequence[float], population: Sequence[float],
     cdf2 = np.searchsorted(b, xs, side="right") / n2
     d = float(np.max(np.abs(cdf1 - cdf2)))
     effective = n1 * n2 / (n1 + n2)
-    p = float(kolmogorov(math.sqrt(effective) * d))
+    p = _kolmogorov_sf(math.sqrt(effective) * d)
     return KsResult(variable=variable, d=d, p_value=min(1.0, max(0.0, p)))
 
 

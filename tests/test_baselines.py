@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.random import default_rng
+from scipy import linalg
 
 from travelsat import baselines
 from travelsat.baselines import (
@@ -24,6 +25,7 @@ from travelsat.dataset import split
 from travelsat.encoding import design_matrix, encode_matrix, fit_encoding
 from travelsat.errors import DatasetError, RankError
 from travelsat.evaluation import evaluate
+from travelsat.synthesize import synthesize
 
 
 def normal_equation_fit(X, y):
@@ -89,6 +91,73 @@ def test_ols_constant_column_conflicts_with_intercept():
     X = np.hstack([np.ones((20, 1)), np.random.default_rng(1).normal(size=(20, 1))])
     with pytest.raises(RankError):
         fit_ols(X, np.arange(20.0), columns=("all_ones", "noise"))
+
+
+def test_ols_names_each_column_in_the_span_of_earlier_ones():
+    rng = np.random.default_rng(24)
+    a, b, c = rng.normal(size=(3, 30))
+    X = np.column_stack([a, b, a, c, a + b, np.full(30, 2.0)])
+    with pytest.raises(RankError) as excinfo:
+        fit_ols(X, rng.normal(size=30), columns=("a", "b", "a_copy", "c", "a_plus_b", "twos"))
+    assert str(excinfo.value) == ("design matrix is rank deficient; dependent columns: "
+                                  "a_copy, a_plus_b, twos")
+
+
+def _random_design(rng):
+    """A small design whose columns may copy, combine or repeat earlier ones,
+    be constant (the intercept's span) or be sparse indicators."""
+    p = int(rng.integers(1, 12))
+    n = int(rng.integers(p + 2, 3 * p + 6))
+    columns = []
+    for _ in range(p):
+        kind = int(rng.integers(0, 6))
+        if kind == 0 and columns:
+            columns.append(columns[int(rng.integers(len(columns)))].copy())
+        elif kind == 1 and len(columns) >= 2:
+            i, k = rng.choice(len(columns), 2, replace=False)
+            columns.append(columns[i] * float(rng.integers(-3, 4)) - 2.0 * columns[k])
+        elif kind == 2:
+            columns.append(np.full(n, float(rng.integers(-2, 3))))
+        elif kind == 3:
+            columns.append((rng.integers(0, 3, size=n) == 0).astype(float))
+        else:
+            columns.append(rng.normal(size=n) * 10.0 ** rng.uniform(-2, 2))
+    return np.column_stack(columns), rng.normal(size=n)
+
+
+def _survey_designs():
+    """Train-side design matrices of synthetic surveys, as a sweep builds
+    them: small folds miss rare levels, large ones have full rank."""
+    for seed in range(12):
+        for n in (60, 120, 874):
+            dataset = synthesize(n, seed=seed)
+            spec = fit_encoding(dataset)
+            for fraction in (0.5, 0.9):
+                train, _ = split(dataset, fraction, seed=seed)
+                X, _, _ = design_matrix(train, spec)
+                if len(X) >= X.shape[1] + 2:
+                    yield X, train.labels()
+
+
+def test_ols_refuses_exactly_the_rank_deficient_designs():
+    rng = np.random.default_rng(25)
+    designs = [_random_design(rng) for _ in range(1500)] + list(_survey_designs())
+    refused = fitted = 0
+    for X, y in designs:
+        A = np.hstack([np.ones((len(X), 1)), X])
+        deficient = np.linalg.matrix_rank(A) < A.shape[1]
+        try:
+            model = fit_ols(X, y)
+        except RankError:
+            assert deficient, X.shape
+            refused += 1
+            continue
+        assert not deficient, X.shape
+        fitted += 1
+        reference = linalg.lstsq(A, y)[0]
+        ours = np.concatenate([[model.intercept], model.coefficients])
+        assert np.abs(ours - reference).max() <= 1e-9 * max(1.0, np.abs(reference).max())
+    assert refused > 100 and fitted > 100
 
 
 def test_ols_shape_errors():

@@ -596,3 +596,22 @@ def test_http_backend_malformed_body(monkeypatch):
     _patch_post(monkeypatch, lambda: _FakeHttpResponse(200, {"choices": []}))
     with pytest.raises(TransportError):
         HttpChatBackend().complete(PROMPT, PARAMS)
+
+
+@pytest.mark.parametrize("field", ["content", "reasoning_content"])
+def test_http_backend_refuses_reply_without_utf8_form(monkeypatch, field):
+    # valid JSON that decodes to a lone surrogate, which no file can hold
+    body = json.loads('{"choices": [{"message": {"content": "ok", "%s": "\\ud800"}}]}'
+                      % field)
+    monkeypatch.setenv(API_KEY_ENV, "sk-test")
+    _patch_post(monkeypatch, lambda: _FakeHttpResponse(200, body))
+    with pytest.raises(TransportError, match="^malformed API response: "):
+        HttpChatBackend().complete(PROMPT, PARAMS)
+
+
+def test_http_backend_refuses_content_that_is_not_text(monkeypatch):
+    monkeypatch.setenv(API_KEY_ENV, "sk-test")
+    body = {"choices": [{"message": {"content": 5}}]}
+    _patch_post(monkeypatch, lambda: _FakeHttpResponse(200, body))
+    with pytest.raises(TransportError, match="^malformed API response: "):
+        HttpChatBackend().complete(PROMPT, PARAMS)

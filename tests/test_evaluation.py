@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 from travelsat.errors import DatasetError
 from travelsat.evaluation import (
     MetricPair,
     RunReport,
+    _betainc,
     aggregate_repeats,
     compare_importances,
     evaluate,
@@ -221,3 +222,34 @@ def test_compare_importances_requires_matching_variables():
 
 def test_run_report_shape():
     RunReport(repeats=2, mse_mean=1.0, mse_std=0.1, mape_mean=0.2, mape_std=0.01)
+
+
+def test_welch_p_matches_scipy_across_df_and_t():
+    # two-sided p = I_{df / (df + t^2)}(df / 2, 1 / 2) against 2 * stdtr(df, -|t|)
+    rng = np.random.default_rng(41)
+    for _ in range(5000):
+        df = float(rng.uniform(1.0, 1000.0))
+        t = float(rng.uniform(0.0, 1e3) if rng.random() < 0.5 else 10.0 ** rng.uniform(-8, 3))
+        p = _betainc(df / 2.0, 0.5, df / (df + t * t), t * t / (df + t * t))
+        assert abs(p - 2.0 * special.stdtr(df, -t)) <= 1e-12, (df, t)
+
+
+def test_welch_matches_scipy_tightly():
+    rng = np.random.default_rng(42)
+    for _ in range(200):
+        a = rng.normal(size=int(rng.integers(2, 500)))
+        b = rng.normal(loc=rng.normal() * 10.0 ** rng.uniform(-3, 1),
+                       scale=10.0 ** rng.uniform(-2, 0), size=int(rng.integers(2, 500)))
+        ours = welch_t(a, b)
+        ref = stats.ttest_ind(a, b, equal_var=False)
+        assert abs(ours.t - ref.statistic) <= 1e-12 * max(1.0, abs(ref.statistic))
+        assert abs(ours.p_value - ref.pvalue) <= 1e-12
+
+
+def test_incomplete_beta_edges():
+    assert _betainc(2.0, 0.5, 0.0, 1.0) == 0.0
+    assert _betainc(2.0, 0.5, 1.0, 0.0) == 1.0
+    # the Cauchy case, df = 1: p = 1 - 2 atan(|t|) / pi
+    for t in (1e-10, 0.3, 1.0, 7.0, 1e3):
+        p = _betainc(0.5, 0.5, 1.0 / (1.0 + t * t), t * t / (1.0 + t * t))
+        assert p == pytest.approx(1.0 - 2.0 * np.arctan(t) / np.pi, abs=1e-15)

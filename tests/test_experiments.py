@@ -4,11 +4,12 @@ import json
 from pathlib import Path
 
 import pytest
+import requests
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from travelsat.baselines import GbdtHyper, fraction_sweep
-from travelsat.client import LlmClient, LlmParams, LlmResponse
+from travelsat.client import API_KEY_ENV, LlmClient, LlmParams, LlmResponse
 from travelsat.errors import DatasetError
 from travelsat.experiments import (
     DEFAULT_FRACTIONS,
@@ -547,3 +548,23 @@ def test_render_report_skips_plot_without_baselines(tmp_path):
     run_zero_shot(config)
     render_report(config.out_dir)
     assert not (Path(config.out_dir) / "plot.gp").exists()
+
+
+class _SurrogateReply:
+    status_code = 200
+
+    def json(self):
+        # valid JSON that decodes to a lone surrogate, which no file can hold
+        return json.loads('{"choices": [{"message": {"content": "\\ud800"}}]}')
+
+
+@pytest.mark.parametrize("cached", [False, True])
+def test_live_reply_without_utf8_form_fails_its_trials(tmp_path, monkeypatch, cached):
+    monkeypatch.setenv(API_KEY_ENV, "sk-test")
+    monkeypatch.setattr(requests, "post", lambda *args, **kwargs: _SurrogateReply())
+    config = _fast_config(tmp_path, "live", mock=None, repeats=1,
+                          cache_dir=str(tmp_path / "cache") if cached else None)
+    run_zero_shot(config)
+    [row] = _read_csv(Path(config.out_dir) / "report.csv")
+    assert row["status"].startswith("failed: malformed API response: ")
+    assert not (Path(config.out_dir) / "reasoning").exists()

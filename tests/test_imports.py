@@ -16,12 +16,15 @@ save the listed test seams. Every dataclass field and self.<name>
 attribute in src/travelsat must be read as an attribute, or named as a
 whole string constant, there or in perfbench/*.py, save the listed ones
 that only readers outside the package need. An offline run never imports
-requests, which only the HTTP backend uses.
+requests, which only the HTTP backend uses, and no subcommand imports
+scipy, which only the tests use. The third-party modules src/travelsat
+imports are exactly the dependencies pyproject.toml declares.
 """
 
 import ast
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -319,3 +322,56 @@ def test_offline_run_does_not_import_requests(tmp_path):
                           text=True, timeout=120, env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "False"
+
+
+def test_no_subcommand_imports_scipy(tmp_path):
+    script = (
+        "import sys\n"
+        "from travelsat.cli import main\n"
+        f"tmp = {str(tmp_path)!r}\n"
+        "assert main(['synth', '--n', '60', '--seed', '7', '--out', tmp + '/survey.csv']) == 0\n"
+        "for command in ('zeroshot', 'fewshot', 'random-fewshot', 'baseline-sweep',\n"
+        "                'importance'):\n"
+        "    assert main([command, '--data', tmp + '/survey.csv', '--repeats', '2',\n"
+        "                 '--out', tmp + '/' + command]) == 0\n"
+        "assert main(['report', '--out', tmp + '/baseline-sweep']) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    path = os.pathsep.join([str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")])
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=300, env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def third_party_imports(source: str) -> set[str]:
+    """The top-level modules source imports, at any depth, that are neither
+    in the standard library nor relative."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return found - set(sys.stdlib_module_names)
+
+
+def test_third_party_import_checker():
+    source = ("from __future__ import annotations\n"
+              "import os.path\n"
+              "import numpy as np\n"
+              "from numpy.random import default_rng\n"
+              "from .errors import DatasetError\n"
+              "def send():\n"
+              "    import requests\n")
+    assert third_party_imports(source) == {"numpy", "requests"}
+
+
+def test_declared_dependencies_are_the_imported_ones():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text("utf-8"))["project"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", spec).group().lower()
+                for spec in project["dependencies"]}
+    imported = set().union(*(third_party_imports(path.read_text("utf-8"))
+                             for path in PACKAGE.glob("*.py")))
+    assert imported - {"travelsat"} == declared == {"numpy", "requests"}

@@ -1,4 +1,4 @@
-"""End-to-end oracle for the LLM sweeps on the scripted mock.
+"""End-to-end oracle for the LLM runners on the scripted mock.
 
 Recomputes report.csv and aggregate.csv of zeroshot, fewshot and
 random-fewshot from the protocol alone, without the request path: the
@@ -7,8 +7,15 @@ selection.rank_order (checked against brute force by acceptance criterion
 2), and the mock's answer is written out here as a plain loop. A query with
 labeled examples gets the label of its nearest one in the mock's
 reference-scale encoding, the first on ties; without examples it gets
-misaligned_prior. Nothing is imported from prompting, client, mock or
-experiments besides the runners and their config.
+misaligned_prior. Every ks.csv row of random-fewshot is recomputed with
+scipy's two-sample statistic and its asymptotic Kolmogorov p-value.
+
+The importance study is recomputed the same way: the LLM vectors are the
+mock's rule weights as its reply carries them, the GBDT vectors are
+importance_gbdt of models fitted here on the split's train rows, and every
+importance_tests.csv row is scipy's Welch test of those vectors. Nothing is
+imported from prompting, client, mock or experiments besides the runners
+and their config.
 """
 
 import csv
@@ -19,19 +26,23 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
+from travelsat.baselines import fit_gbdt, importance_gbdt
 from travelsat.dataset import split
-from travelsat.encoding import fit_encoding
+from travelsat.encoding import encode_matrix, fit_encoding
 from travelsat.experiments import (
     ExperimentConfig,
     SyntheticSpec,
     run_few_shot_sweep,
+    run_importance_study,
     run_random_sweep,
     run_zero_shot,
 )
-from travelsat.rules import REFERENCE_SCALE, clamp, misaligned_prior
+from travelsat.rules import REFERENCE_SCALE, clamp, misaligned_prior, rule_importance
 from travelsat.schema import CATEGORICAL
 from travelsat.selection import (
     random_support,
@@ -167,6 +178,33 @@ def _check_run(config: ExperimentConfig, experiment: str):
                                        else "n/a")
         else:
             assert "ks_flags" not in row
+    if experiment == "random-fewshot":
+        _check_ks(_read_csv(out / "ks.csv"), trials, dataset)
+
+
+def _stars(p: float) -> str:
+    return "**" if p < 0.01 else "*" if p < 0.05 else ""
+
+
+def _check_ks(rows, trials, dataset):
+    """ks.csv: one row per variable of each trial with support, in trial
+    order; D by scipy, p from the asymptotic Kolmogorov distribution at the
+    effective size n1 * n2 / (n1 + n2)."""
+    expected = [(condition, repeat, var.name, support)
+                for condition, repeat, support, _ in trials if support
+                for var in dataset.schema.predictors]
+    assert [(row["condition"], int(row["repeat"]), row["variable"]) for row in rows] == \
+        [key[:3] for key in expected]
+    for row, (_, _, name, support) in zip(rows, expected):
+        sample = [r.values[name] for r in support]
+        population = dataset.column(name)
+        d = stats.ks_2samp(sample, population).statistic
+        n1, n2 = len(sample), len(population)
+        p = stats.kstwobign.sf(math.sqrt(n1 * n2 / (n1 + n2)) * d)
+        where = f"ks {row['condition']} repeat {row['repeat']} {name}"
+        _assert_printed(row["d"], d, where)
+        _assert_printed(row["p_value"], p, where)
+        assert row["stars"] == _stars(p), where
 
 
 def test_sweeps_match_the_oracle_at_paper_scale(tmp_path):
@@ -195,3 +233,74 @@ def sweep_configs(draw):
 def test_sweeps_match_the_oracle(config, experiment):
     with tempfile.TemporaryDirectory() as tmp:
         _check_run(dataclasses.replace(config, out_dir=tmp), experiment)
+
+
+def _reply_weights(config: ExperimentConfig, schema) -> dict[str, float]:
+    """The mock's rule weights as a reply carries them, at six decimals,
+    renormalized to sum 1 as the reply reader does."""
+    weights = rule_importance(config.mock.rule)
+    printed = {var.name: float(f"{weights.get(var.name, 0.0):.6f}")
+               for var in schema.predictors}
+    total = sum(printed.values())
+    return {name: weight / total for name, weight in printed.items()}
+
+
+def _welch_row(a, b):
+    """(t, p_value, stars, note) cells of one importance_tests.csv row: scipy's
+    Welch test, or the degenerate cases of two zero-variance samples."""
+    if np.var(a, ddof=1) == 0.0 and np.var(b, ddof=1) == 0.0:
+        if np.mean(a) == np.mean(b):
+            return 0.0, 1.0, "", ""
+        return None, None, "", "degenerate: deterministic difference"
+    result = stats.ttest_ind(a, b, equal_var=False)
+    return result.statistic, result.pvalue, _stars(result.pvalue), ""
+
+
+# scipy warns of a sample with no spread: each LLM side repeats one vector
+@pytest.mark.filterwarnings("ignore:Precision loss occurred:RuntimeWarning")
+def test_importance_matches_the_oracle_at_paper_scale(tmp_path):
+    config = ExperimentConfig(synthetic=SyntheticSpec(n=874, seed=0),
+                              out_dir=str(tmp_path / "importance"))
+    run_importance_study(config)
+    out = Path(config.out_dir)
+    dataset, _ = _survey(config.synthetic)
+    repeats = range(1, config.repeats + 1)
+    train, _ = split(dataset, config.train_fraction, seed=config.seed)
+    spec = fit_encoding(dataset)
+    hyper = dataclasses.replace(config.gbdt, subsample=config.importance_subsample)
+    X = encode_matrix(train, spec)
+    llm = _reply_weights(config, dataset.schema)
+    vectors = {
+        "zero_shot": [llm for _ in repeats],
+        "few_shot": [llm for _ in repeats],
+        "gbdt": [importance_gbdt(fit_gbdt(X, train.labels(), hyper=hyper,
+                                          seed=config.seed + repeat),
+                                 spec.column_variables())
+                 for repeat in repeats],
+    }
+    names = [var.name for var in dataset.schema.predictors]
+
+    rows = _read_csv(out / "importance.csv")
+    assert [(row["model"], int(row["repeat"]), row["variable"]) for row in rows] == \
+        [(model, i, name) for model in vectors for i in repeats for name in names]
+    for row in rows:
+        weight = vectors[row["model"]][int(row["repeat"]) - 1][row["variable"]]
+        _assert_printed(row["weight"], weight, f"{row['model']} {row['repeat']}")
+
+    tests = _read_csv(out / "importance_tests.csv")
+    pairs = [("zero_shot", "few_shot"), ("zero_shot", "gbdt"), ("few_shot", "gbdt")]
+    assert [(row["model_a"], row["model_b"], row["variable"]) for row in tests] == \
+        [(a, b, name) for a, b in pairs for name in names]
+    for row in tests:
+        a = [vec[row["variable"]] for vec in vectors[row["model_a"]]]
+        b = [vec[row["variable"]] for vec in vectors[row["model_b"]]]
+        where = f"{row['model_a']} vs {row['model_b']} {row['variable']}"
+        _assert_printed(row["mean_a"], float(np.mean(a)), where)
+        _assert_printed(row["mean_b"], float(np.mean(b)), where)
+        t, p, stars, note = _welch_row(a, b)
+        for column, value in (("t", t), ("p_value", p)):
+            if value is None:
+                assert row[column] == "", where
+            else:
+                _assert_printed(row[column], value, where)
+        assert (row["stars"], row["note"]) == (stars, note), where

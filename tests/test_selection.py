@@ -2,7 +2,8 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
+from scipy.spatial.distance import cdist
 
 from travelsat.dataset import Dataset, RespondentRecord
 from travelsat.encoding import encode_matrix, fit_encoding
@@ -10,6 +11,7 @@ from travelsat.errors import DatasetError
 from travelsat.schema import NUMERIC, Variable, VariableSchema
 from travelsat.selection import (
     KsResult,
+    _kolmogorov_sf,
     ks_two_sample,
     random_support,
     rank_order,
@@ -270,3 +272,22 @@ def test_summarize_ks_repeats_counts():
 def test_summarize_ks_repeats_multiple_variables():
     repeat = [KsResult("age", 0.5, 0.02), KsResult("income", 0.7, 0.005)]
     assert summarize_ks_repeats([repeat]) == "age* (1); income** (1)"
+
+
+def test_similarity_matrix_equals_cdist_bit_for_bit():
+    rng = np.random.default_rng(31)
+    for _ in range(200):
+        m, n, p = (int(v) for v in rng.integers(1, 40, size=3))
+        scale = 10.0 ** rng.uniform(-3, 3)
+        A = rng.normal(size=(m, p)) * scale
+        B = rng.normal(size=(n, p)) * scale
+        expected = 1.0 / np.sqrt(cdist(A, B, "sqeuclidean") + 1.0)
+        assert similarity_matrix(A, B).tobytes() == expected.tobytes()
+
+
+def test_kolmogorov_sf_matches_scipy():
+    grid = np.concatenate([np.linspace(0.0, 4.0, 4001), [-1.0, 1e-3, 6.0, 10.0],
+                           1.0 + np.arange(-20, 21) * 1e-9,
+                           [np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0)]])
+    for x in grid:
+        assert abs(_kolmogorov_sf(float(x)) - special.kolmogorov(x)) <= 1e-14, x
