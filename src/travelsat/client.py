@@ -152,17 +152,20 @@ class ResponseCache:
     def __init__(self, directory):
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
+        # a lookup joins strings, not paths: a rerun makes one per request
+        self._prefix = os.path.join(self.directory, "")
 
-    def _path(self, key: str) -> Path:
-        return self.directory / f"{key}.json"
+    def _path(self, key: str) -> str:
+        return f"{self._prefix}{key}.json"
 
     def get(self, key: str) -> LlmResponse | None:
         path = self._path(key)
         try:
-            body = json.loads(path.read_text("utf-8"))
+            with open(path, "rb") as fh:
+                body = json.loads(fh.read().decode("utf-8"))
         except FileNotFoundError:
             return None
-        except ValueError:
+        except ValueError:  # not UTF-8, or not JSON
             body = None
         if isinstance(body, dict):
             content = body.get("content")
@@ -170,7 +173,7 @@ class ResponseCache:
             if isinstance(content, str) and isinstance(reasoning, str):
                 return LlmResponse(content=content, reasoning=reasoning)
         # unreadable entry: treat as a miss, refetch will overwrite it
-        logger.warning("discarding corrupted cache entry %s", path.name)
+        logger.warning("discarding corrupted cache entry %s", os.path.basename(path))
         return None
 
     def put(self, key: str, response: LlmResponse) -> None:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
@@ -35,6 +36,12 @@ class RespondentRecord:
 
 @dataclass(frozen=True)
 class Dataset:
+    """Survey records under one schema, in file order.
+
+    Frozen: each view of the records that is built on first use, such as
+    sorted_columns, holds for the dataset's lifetime.
+    """
+
     schema: VariableSchema
     records: tuple[RespondentRecord, ...]
     # rows dropped at load time because a value was missing
@@ -60,8 +67,19 @@ class Dataset:
         return np.array([r.satisfaction for r in self.records], dtype=float)
 
     def column(self, name: str) -> np.ndarray:
+        """The named predictor's values in record order, as a new array."""
         self.schema.variable(name)
         return np.array([r.values[name] for r in self.records], dtype=float)
+
+    @functools.cached_property
+    def sorted_columns(self) -> np.ndarray:
+        """One row per predictor, in schema order, holding its values sorted
+        ascending: built once per dataset and read-only, the population side
+        of every K-S screen against it."""
+        columns = np.array([self.column(name) for name in self.schema.names])
+        columns.sort(axis=1)
+        columns.flags.writeable = False
+        return columns
 
     def subset(self, indices: Sequence[int]) -> "Dataset":
         records = tuple(self.records[i] for i in indices)
@@ -97,8 +115,56 @@ def parse_value(variable: Variable, raw: str | float) -> float:
     return value
 
 
-def _is_missing(cell: str | None) -> bool:
-    return cell is None or cell.strip() == ""
+def _float_or_nan(cell: str) -> float:
+    try:
+        return float(cell)
+    except ValueError:
+        return math.nan
+
+
+def _screen(variable: Variable, cells: Sequence[str]
+            ) -> tuple[list[float], np.ndarray, np.ndarray]:
+    """One column of cells read at once, as (floats, missing, accepted).
+
+    A cell is missing when it is blank. The screen accepts a cell only where
+    parse_value returns the same float, which floats holds; every other cell
+    that is not missing must be read by parse_value itself.
+    """
+    try:
+        floats = list(map(float, cells))
+        missing = np.zeros(len(floats), dtype=bool)
+    except ValueError:  # a blank or unreadable cell: read the column cell by cell
+        floats = [_float_or_nan(cell) for cell in cells]
+        missing = np.array([not cell.strip() for cell in cells], dtype=bool)
+    values = np.array(floats, dtype=float)
+    accepted = np.isfinite(values)
+    if variable.kind == CATEGORICAL:
+        # parse_value writes the code -0 as 0.0: leave it to parse_value
+        accepted &= np.isin(values, variable.codes) & ~np.signbit(values)
+    else:
+        if variable.minimum is not None:
+            accepted &= (values > variable.minimum if variable.exclusive_minimum
+                         else values >= variable.minimum)
+        if variable.maximum is not None:
+            accepted &= values <= variable.maximum
+    return floats, missing, accepted
+
+
+def _read_rows(reader, width: int) -> tuple[list[list[str]], RowError | None]:
+    """The non-blank rows of reader, each padded with blank cells to width,
+    up to the first row with more cells than width, and the RowError that
+    row raises (None when there is none)."""
+    rows = []
+    for row in reader:
+        if len(row) != width:
+            if not row:
+                continue
+            if len(row) > width:
+                return rows, RowError(f"row {len(rows) + 1}: {len(row)} cells, "
+                                      f"header has {width}")
+            row += [""] * (width - len(row))
+        rows.append(row)
+    return rows, None
 
 
 def load_survey(path, schema: VariableSchema | None = None) -> Dataset:
@@ -106,45 +172,75 @@ def load_survey(path, schema: VariableSchema | None = None) -> Dataset:
 
     The file needs a header with one snake_case column per schema variable and
     the label column; an optional record_id column carries stable ids. A
-    UTF-8 byte-order mark is skipped. Rows with missing values are dropped
-    (counted in Dataset.dropped); rows with unparseable or out-of-range
-    values, or a record_id that RespondentRecord refuses, raise RowError
-    naming the row index.
+    UTF-8 byte-order mark and blank lines are skipped. A header that lacks a
+    schema variable or the label, or names one of them or record_id twice,
+    raises SchemaError. Rows with missing values are dropped (counted in
+    Dataset.dropped). The first row with more cells than the header, with an
+    unparseable or out-of-range value, or with a record_id that
+    RespondentRecord refuses raises RowError naming the row index; rows are
+    numbered from 1, blank lines not counted.
+
+    Each needed column is read and screened whole (_screen); parse_value, the
+    one statement of the value rule, reads every cell the screen does not
+    accept, so a refusal carries parse_value's own message.
     """
     schema = schema or default_schema()
     try:
         fh = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise DatasetError(f"{path}: cannot read survey: {exc}") from exc
+    variables = (*schema.predictors, schema.label)
     with fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
             raise DatasetError(f"{path}: empty file")
-        columns = set(reader.fieldnames)
-        needed = set(schema.names) | {schema.label.name}
-        missing = sorted(needed - columns)
-        if missing:
-            raise SchemaError(f"{path}: missing columns: {', '.join(missing)}")
-        has_id = "record_id" in columns
-
-        records = []
-        dropped = 0
-        for row_index, row in enumerate(reader, start=1):
-            if any(_is_missing(row.get(name)) for name in needed):
-                dropped += 1
-                continue
-            values = {}
-            try:
-                for var in schema.predictors:
-                    values[var.name] = parse_value(var, row[var.name])
-                satisfaction = parse_value(schema.label, row[schema.label.name])
-                record_id = row["record_id"].strip() if has_id and not _is_missing(row.get("record_id")) else f"r{row_index:04d}"
-                records.append(RespondentRecord(record_id, values, satisfaction))
-            except (ValueError, RowError) as exc:
-                raise RowError(f"row {row_index}: {exc}") from exc
+        absent = sorted({var.name for var in variables} - set(header))
+        if absent:
+            raise SchemaError(f"{path}: missing columns: {', '.join(absent)}")
+        for name in (*(var.name for var in variables), "record_id"):
+            if header.count(name) > 1:
+                raise SchemaError(f"{path}: column {name!r} appears "
+                                  f"{header.count(name)} times in the header")
+        rows, too_long = _read_rows(reader, len(header))
+    # column by column, so each column's cells are freed once it is read
+    columns = dict(zip(header, zip(*rows))) if rows else {}
+    n_rows = len(rows)
+    del rows
+    ids = columns.pop("record_id", None)
+    floats = []
+    incomplete = np.zeros(n_rows, dtype=bool)
+    # row -> (position in variables, cell) of each cell the screen left to
+    # parse_value, in schema order
+    unscreened: dict[int, list[tuple[int, str]]] = {}
+    for position, var in enumerate(variables):
+        cells = columns.pop(var.name, ())
+        values, missing, accepted = _screen(var, cells)
+        floats.append(values)
+        incomplete |= missing
+        for row in np.flatnonzero(~(accepted | missing)).tolist():
+            unscreened.setdefault(row, []).append((position, cells[row]))
+    del columns
+    names = schema.names
+    records = []
+    dropped = set(np.flatnonzero(incomplete).tolist())
+    for row, cells in enumerate(zip(*floats)):
+        if row in dropped:
+            continue
+        try:
+            if row in unscreened:
+                cells = list(cells)
+                for position, cell in unscreened[row]:
+                    cells[position] = parse_value(variables[position], cell)
+            record_id = (ids[row].strip() if ids is not None else "") or f"r{row + 1:04d}"
+            records.append(RespondentRecord(record_id, dict(zip(names, cells)), cells[-1]))
+        except (ValueError, RowError) as exc:
+            raise RowError(f"row {row + 1}: {exc}") from exc
+    if too_long is not None:
+        raise too_long
     if not records:
         raise DatasetError(f"{path}: no complete rows")
-    return Dataset(schema=schema, records=tuple(records), dropped=dropped)
+    return Dataset(schema=schema, records=tuple(records), dropped=len(dropped))
 
 
 def save_survey(dataset: Dataset, path) -> None:

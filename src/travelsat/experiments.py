@@ -239,12 +239,12 @@ def _execute(client: LlmClient, schema: VariableSchema,
     One complete_many call takes every request, rendering each prompt only
     as the pool takes it. Replies that fail to parse are re-sent once, at
     slot + 1, in a second call whose outcome is final. Both calls build
-    their prompts from one blocks dict, so each traveler block is written
+    their prompts from one Blocks, so each traveler block is written
     once.
     """
     outcomes: list = [None] * len(requests)
     todo = list(range(len(requests)))
-    blocks: Blocks = {}
+    blocks = Blocks()
     for offset in (0, 1):
         if offset:
             logger.warning("%d replies failed to parse, re-sending once", len(todo))

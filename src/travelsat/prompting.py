@@ -2,21 +2,25 @@
 
 Records are serialized as plain text grouped by the four survey dimensions,
 with units and category labels spelled out. One generator, _layout, holds
-that traveler-block format: the renderers write blocks by walking it, and
+that traveler-block format: the renderers write blocks by a write plan
+compiled from it (_write_plan: one %-format template of a whole block, and
+per value its key and, for a category, the label of each code), and
 read_prompt, their inverse (the scripted mock reads prompts with it), reads
-each value back by the same walk, by the loader's rule (dataset.parse_value).
+each value back by walking it, by the loader's rule (dataset.parse_value).
 It is strict by one whole-prompt round trip: a prompt reads back only if
 rendering the records read gives exactly its text. No other module writes
 or reads the format. render_zero_shot and render_few_shot are one
 body, _render: it checks the queries, then a few-shot prompt's support, and
 joins the support section, when there is one, and the query section under
-the system template of its kind.
+the system template of its kind, read and split around its output-contract
+field once per template.
 
-A run writes each traveler block once: the renderers take an optional
-`blocks` dict, owned by the caller for the length of one run, that caches
-each record's block text by (id(record), with_label), and build every
-prompt by joining cached blocks. Each entry holds its record, so an id in
-the dict cannot be reused by another record while the dict lives.
+A run writes each traveler block once and compiles each write plan once:
+the renderers take an optional Blocks, owned by the caller for the length
+of one run, that caches each record's block text by (id(record),
+with_label) and each kind of block's write plan, and build every prompt by
+joining cached blocks. Each entry holds its record, so an id in the cache
+cannot be reused by another record while the cache lives.
 
 Replies follow a strict fenced-block contract (docs/output_contract.md),
 and this module alone writes and reads it: write_response writes a
@@ -35,7 +39,7 @@ import math
 import re
 from dataclasses import dataclass
 from importlib import resources
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .dataset import RespondentRecord, parse_value
 from .errors import ContaminationError, ParseError, PromptError, RowError, SchemaError
@@ -112,19 +116,50 @@ def _layout(schema: VariableSchema,
         yield f"  {LABEL_LINE} ", schema.label, ""
 
 
-def _write_block(record: RespondentRecord, layout, label: Variable) -> str:
-    values = record.values
-    lines = [f"{_TRAVELER}{record.record_id}"]
-    for head, var, tail in layout:
+class _WritePlan(NamedTuple):
+    """_layout compiled for writing: a %-format template of a whole block,
+    and per value it takes after the record id, (the values key, or None
+    for the label; each code's label, or None for a number; the variable)."""
+
+    template: str
+    slots: tuple[tuple[str | None, dict[int, str] | None, Variable], ...]
+
+
+def _write_plan(schema: VariableSchema, with_label: bool) -> _WritePlan:
+    lines = [_TRAVELER + "%s"]
+    slots = []
+    for head, var, tail in _layout(schema, with_label):
         if var is None:
-            lines.append(head)
-        elif var is label:
-            lines.append(f"{head}{float(record.satisfaction)!r}")
+            lines.append(head.replace("%", "%%"))
+            continue
+        if var is schema.label:
+            value, slot = "%r", (None, None, var)
         elif var.kind == CATEGORICAL:
-            lines.append(head + var.label_for(int(values[var.name])))
+            value, slot = "%s", (var.name, dict(var.categories), var)
         else:
-            lines.append(f"{head}{float(values[var.name]):.6g}{tail}")
-    return "\n".join(lines)
+            value, slot = "%.6g", (var.name, None, var)
+        lines.append(head.replace("%", "%%") + value + tail.replace("%", "%%"))
+        slots.append(slot)
+    return _WritePlan("\n".join(lines), tuple(slots))
+
+
+def _write_block(record: RespondentRecord, plan: _WritePlan) -> str:
+    values = record.values
+    try:
+        return plan.template % (record.record_id, *[
+            float(record.satisfaction) if key is None
+            else float(values[key]) if labels is None
+            else labels[int(values[key])]
+            for key, labels, _ in plan.slots])
+    except KeyError:
+        # raise what a walk of the layout meets first: a value the record
+        # lacks, or a code with no label (label_for's SchemaError)
+        for key, labels, var in plan.slots:
+            if key is not None:
+                value = values[key]
+                if labels is not None:
+                    var.label_for(int(value))
+        raise
 
 
 def _read_block(block: str, layout, label: Variable) -> RespondentRecord:
@@ -154,24 +189,30 @@ def _read_block(block: str, layout, label: Variable) -> RespondentRecord:
         raise PromptError(f"traveler block {lines[0]!r}: {exc}") from None
 
 
-# (id(record), with_label) -> (record, block text), for one schema
-Blocks = dict[tuple[int, bool], tuple[RespondentRecord, str]]
+class Blocks:
+    """The traveler blocks the renders of one run share, for one schema."""
+
+    def __init__(self):
+        # (id(record), with_label) -> (record, block text); the entry keeps
+        # the record alive, so no other record takes its id
+        self.texts: dict[tuple[int, bool], tuple[RespondentRecord, str]] = {}
+        # with_label -> the write plan, compiled when a block is first missing
+        self.plans: dict[bool, _WritePlan] = {}
 
 
 def _write_section(records: Sequence[RespondentRecord], schema: VariableSchema,
                    with_label: bool, blocks: Blocks | None) -> str:
-    blocks = {} if blocks is None else blocks
-    layout = None
+    blocks = Blocks() if blocks is None else blocks
+    cached = blocks.texts
     texts = []
     for record in records:
         key = (id(record), with_label)
-        entry = blocks.get(key)
+        entry = cached.get(key)
         if entry is None:
-            # the layout costs as much as a join of cached blocks: build it
-            # only when a block is missing
-            layout = layout or tuple(_layout(schema, with_label))
-            # the entry keeps the record alive, so no other record takes its id
-            entry = blocks[key] = (record, _write_block(record, layout, schema.label))
+            plan = blocks.plans.get(with_label)
+            if plan is None:
+                plan = blocks.plans[with_label] = _write_plan(schema, with_label)
+            entry = cached[key] = (record, _write_block(record, plan))
         texts.append(entry[1])
     return "\n\n".join(texts)
 
@@ -202,42 +243,47 @@ def read_prompt(user_text: str, schema: VariableSchema
     return examples, queries
 
 
+# the output contract's fixed text; only the importances part names the
+# schema's predictors
+_SCORES_CONTRACT = "\n".join([
+    "Answer with a fenced block in exactly this form:",
+    "",
+    SCORES_OPEN,
+    "<traveler id>,<score>",
+    "```",
+    "",
+    "with one line per traveler, in the order the travelers were presented.",
+    f"Scores are decimal numbers between {SCORE_MIN:g} and {SCORE_MAX:g}.",
+])
+_IMPORTANCES_CONTRACT = "\n".join([
+    "",
+    "Then add a second fenced block in exactly this form:",
+    "",
+    IMPORTANCES_OPEN,
+    "<variable name>=<weight>",
+    "```",
+    "",
+    "with one line per predictor variable, using non-negative weights",
+    "that sum to 1 and reflect how strongly each variable drove your",
+    "predictions. The predictor variables are: ",
+])
+_CONTRACT_END = "\n\nAfter the fenced block(s) you may briefly explain your reasoning."
+
+
 def _output_contract(schema: VariableSchema, want_importance: bool) -> str:
-    parts = [
-        "Answer with a fenced block in exactly this form:",
-        "",
-        SCORES_OPEN,
-        "<traveler id>,<score>",
-        "```",
-        "",
-        "with one line per traveler, in the order the travelers were presented.",
-        f"Scores are decimal numbers between {SCORE_MIN:g} and {SCORE_MAX:g}.",
-    ]
-    if want_importance:
-        parts += [
-            "",
-            "Then add a second fenced block in exactly this form:",
-            "",
-            IMPORTANCES_OPEN,
-            "<variable name>=<weight>",
-            "```",
-            "",
-            "with one line per predictor variable, using non-negative weights",
-            "that sum to 1 and reflect how strongly each variable drove your",
-            "predictions. The predictor variables are: "
-            + ", ".join(n.replace("_", " ") for n in schema.names) + ".",
-        ]
-    parts += [
-        "",
-        "After the fenced block(s) you may briefly explain your reasoning.",
-    ]
-    return "\n".join(parts)
+    if not want_importance:
+        return _SCORES_CONTRACT + _CONTRACT_END
+    names = ", ".join(n.replace("_", " ") for n in schema.names)
+    return f"{_SCORES_CONTRACT}\n{_IMPORTANCES_CONTRACT}{names}.{_CONTRACT_END}"
 
 
 @functools.cache
-def _load_template(name: str) -> str:
-    # read once per name: templates are fixed at run time, renders are many
-    return resources.files("travelsat").joinpath(f"templates/{name}").read_text("utf-8")
+def _load_template(name: str) -> tuple[str, ...]:
+    """A system template's text around its {output_contract} field, read and
+    split once per name: templates are fixed at run time, renders are many.
+    Joining the parts with a contract formats the template with it."""
+    text = resources.files("travelsat").joinpath(f"templates/{name}").read_text("utf-8")
+    return tuple(text.format(output_contract="\x00").split("\x00"))
 
 
 def _render(support: Sequence[RespondentRecord] | None, queries: Iterable[RespondentRecord],
@@ -266,8 +312,7 @@ def _render(support: Sequence[RespondentRecord] | None, queries: Iterable[Respon
                 + _write_section(support, schema, True, blocks)
                 + "\n\n" + user)
         template = "few_shot_system.txt"
-    system = _load_template(template).format(
-        output_contract=_output_contract(schema, want_importance))
+    system = _output_contract(schema, want_importance).join(_load_template(template))
     user += _write_section(queries, schema, False, blocks) + "\n"
     return Prompt(system_text=system, user_text=user)
 
@@ -278,8 +323,8 @@ def render_zero_shot(queries: Sequence[RespondentRecord],
                      blocks: Blocks | None = None) -> Prompt:
     """Prompt for scoring queries with no labeled examples.
 
-    blocks, when given, caches traveler blocks across the renders of one
-    run (one schema); None writes every block.
+    blocks, when given, caches traveler blocks and their write plans
+    across the renders of one run (one schema); None writes every block.
     """
     return _render(None, queries, schema, want_importance, blocks)
 
@@ -300,8 +345,24 @@ def batched(items: Sequence, batch_size: int) -> Iterable[Sequence]:
         yield items[start:start + batch_size]
 
 
-_BLOCK_RE = {kind: re.compile(rf"```{kind}[ \t]*\n(.*?)\n?```", re.DOTALL)
-             for kind in ("scores", "importances")}
+# a block opens with ```<kind>, spaces or tabs and a line break
+_OPENERS = {kind: re.compile(rf"```{kind}[ \t]*\n") for kind in ("scores", "importances")}
+
+
+def _find_block(text: str, kind: str, start: int = 0) -> tuple[int, str, int] | None:
+    """The first ```<kind> block of text at or after start, as (where it
+    opens, its body, where it ends), or None. The body runs from the line
+    after the opener to the first ``` after it, less the line break before
+    that fence."""
+    opener = _OPENERS[kind].search(text, start)
+    if opener is None:
+        return None
+    close = text.find("```", opener.end())
+    if close < 0:
+        return None
+    body = text[opener.end():close]
+    return opener.start(), body[:-1] if body.endswith("\n") else body, close + 3
+
 
 # block kind -> (key/value separator, what a key is, what a value is, the
 # closed range of a value)
@@ -322,26 +383,27 @@ def write_response(scores: Mapping[str, float],
     return "\n".join(parts + ["", commentary])
 
 
-def _read_pairs(text: str, kind: str, keys: Sequence[str]) -> dict[str, float]:
-    """The first ```<kind> block of text as {key: value}, one line per key
-    in keys (blank lines skipped, spaces in importance names read as
-    underscores). A missing block, an unreadable line, a repeated key, a
-    value out of range or other keys than keys raise ParseError."""
+def _read_pairs(text: str, lf_text: str, kind: str, keys: Sequence[str]) -> dict[str, float]:
+    """The first ```<kind> block of lf_text (text with CRLF read as LF) as
+    {key: value}, one line per key in keys (blank lines skipped, spaces in
+    importance names read as underscores). A missing block, an unreadable
+    line, a repeated key, a value out of range or other keys than keys raise
+    ParseError carrying text."""
     separator, key_noun, value_noun, low, high = _PAIRS[kind]
-    match = _BLOCK_RE[kind].search(text.replace("\r\n", "\n"))
-    if match is None:
+    block = _find_block(lf_text, kind)
+    if block is None:
         raise ParseError(f"response has no ```{kind} block", raw_text=text)
+    names = kind == "importances"
     pairs: dict[str, float] = {}
-    for line in match.group(1).splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        if separator not in line:
-            raise ParseError(f"bad {kind} line (no {separator!r}): {line!r}",
+    for line in block[1].splitlines():
+        key, found, rendered = line.partition(separator)
+        if not found:
+            if not line.strip():
+                continue
+            raise ParseError(f"bad {kind} line (no {separator!r}): {line.strip()!r}",
                              raw_text=text)
-        key, _, rendered = line.partition(separator)
         key = key.strip()
-        if kind == "importances":
+        if names:
             key = key.replace(" ", "_")
         try:
             value = float(rendered)
@@ -355,9 +417,9 @@ def _read_pairs(text: str, kind: str, keys: Sequence[str]) -> dict[str, float]:
                              f"[{low:g}, {high:g}]", raw_text=text)
         pairs[key] = value
     expected = set(keys)
-    missing = [k for k in keys if k not in pairs]
-    extra = [k for k in pairs if k not in expected]
-    if missing or extra:
+    if pairs.keys() != expected:
+        missing = [k for k in keys if k not in pairs]
+        extra = [k for k in pairs if k not in expected]
         raise ParseError(f"{key_noun} mismatch: missing {missing or 'none'}, "
                          f"unexpected {extra or 'none'}", raw_text=text)
     return pairs
@@ -374,17 +436,23 @@ def parse_response(text: str, expected_ids: Sequence[str],
     [1, 7], a weight is negative, or the weights sum outside [0.98, 1.02];
     inside that band they are renormalized to sum exactly 1. CRLF reads as LF.
     """
-    scores = _read_pairs(text, "scores", expected_ids)
+    lf_text = text.replace("\r\n", "\n")
+    scores = _read_pairs(text, lf_text, "scores", expected_ids)
     importances = None
     if importance_names is not None:
-        raw = _read_pairs(text, "importances", importance_names)
+        raw = _read_pairs(text, lf_text, "importances", importance_names)
         total = sum(raw.values())
         if not 0.98 <= total <= 1.02:
             raise ParseError(f"importance weights sum to {total:.4f}, not close to 1",
                              raw_text=text)
         importances = {name: weight / total for name, weight in raw.items()}
-    reasoning = text.replace("\r\n", "\n")
-    for pattern in _BLOCK_RE.values():
-        reasoning = pattern.sub("", reasoning)
+    # every fenced block is cut from the reasoning, scores blocks first
+    reasoning = lf_text
+    for kind in _OPENERS:
+        kept, start = [], 0
+        while (block := _find_block(reasoning, kind, start)) is not None:
+            kept.append(reasoning[start:block[0]])
+            start = block[2]
+        reasoning = "".join(kept) + reasoning[start:]
     return PredictionBatch(scores=scores, importances=importances,
                            reasoning=reasoning.strip())

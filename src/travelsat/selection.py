@@ -25,17 +25,49 @@ from .evaluation import significance_stars
 
 def similarity_matrix(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Pairwise similarities between the rows of A and the rows of B:
-    1 / sqrt(||a - b||^2 + 1) for rows a and b."""
+    1 / sqrt(||a - b||^2 + 1) for rows a and b.
+
+    Each pair's squared differences are added in column order, as a loop
+    over pairs adds them (einsum and .sum(-1) regroup the terms, which
+    changes the last bits), through one term buffer. A run of columns whose
+    values in A and B are all 0 or 1, such as one-hot indicators, is added
+    at once: a pair's term in such a column is 1 where the two rows differ
+    and 0 elsewhere, and adding 0 changes nothing, so the run adds 1 once
+    per differing column, in turn; the count of differing columns comes from
+    a product of 0/1 matrices, exact in any order.
+    """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
     if A.ndim != 2 or B.ndim != 2 or A.shape[1] != B.shape[1]:
         raise ValueError(f"rows of different widths: {A.shape} vs {B.shape}")
-    # each pair's terms added in column order, as a loop over pairs adds them:
-    # einsum and .sum(-1) regroup the terms, which changes the last bits
+    binary = (((A == 0.0) | (A == 1.0)).all(axis=0)
+              & ((B == 0.0) | (B == 1.0)).all(axis=0))
     d2 = np.zeros((len(A), len(B)))
-    for j in range(A.shape[1]):
-        d2 += (A[:, j, None] - B[None, :, j]) ** 2
-    return 1.0 / np.sqrt(d2 + 1.0)
+    term = np.empty_like(d2)
+    mask = np.empty(d2.shape, dtype=bool)
+    j, width = 0, A.shape[1]
+    while j < width:
+        if not binary[j]:
+            np.subtract(A[:, j, None], B[None, :, j], out=term)
+            np.multiply(term, term, out=term)
+            d2 += term
+            j += 1
+            continue
+        end = j + 1
+        while end < width and binary[end]:
+            end += 1
+        a, b = A[:, j:end], B[:, j:end]
+        # differing columns per pair: sum(a) + sum(b) - 2 a.b
+        np.matmul(a, b.T, out=term)
+        term *= -2.0
+        term += a.sum(axis=1)[:, None]
+        term += b.sum(axis=1)
+        for count in range(1, int(term.max(initial=0.0)) + 1):
+            d2 += np.greater_equal(term, count, out=mask)
+        j = end
+    d2 += 1.0
+    np.sqrt(d2, out=d2)
+    return np.divide(1.0, d2, out=d2)
 
 
 def _check_k(train: Dataset, k: int) -> None:
@@ -107,9 +139,46 @@ class KsResult:
         return significance_stars(self.p_value)
 
 
-def ks_two_sample(sample: Sequence[float], population: Sequence[float],
-                  variable: str = "") -> KsResult:
-    """Two-sample Kolmogorov-Smirnov test.
+def _ks_statistics(samples: np.ndarray, populations: np.ndarray) -> np.ndarray:
+    """D of each row of samples against the same row of populations, both
+    (rows, size) arrays with every row sorted ascending.
+
+    Each gap |F1(x) - F2(x)| is computed from the counts (#a <= x, #b <= x)
+    at a point x of either row, as count / size. Over a run of b's points
+    between two consecutive points of a, #a <= x is constant and #b <= x
+    rises, so F2 - F1 is largest at the run's last point, and F1 - F2 is
+    never larger than at the point of a that opens the run. D is therefore
+    the largest gap over the points of a and the last point of each run:
+    bit for bit the largest over every point, in time that grows with the
+    sample size and only as the log of the population size.
+    """
+    rows, n1 = samples.shape
+    n2 = populations.shape[1]
+    # left[j, c]: #b < a_c, where run c + 1 starts; right: #b <= a_c;
+    # own: #a <= a_c
+    left, right, own = (np.empty((rows, n1), dtype=np.intp) for _ in range(3))
+    for j, (a, b) in enumerate(zip(samples, populations)):
+        left[j] = b.searchsorted(a, side="left")
+        right[j] = b.searchsorted(a, side="right")
+        own[j] = a.searchsorted(a, side="right")
+    # run c holds b[starts[:, c]:ends[:, c]], the points x with #a <= x == c
+    ends = np.concatenate((left, np.full((rows, 1), n2)), axis=1)
+    starts = np.concatenate((np.zeros((rows, 1), dtype=np.intp), left), axis=1)
+    at_points = np.abs(own / n1 - right / n2)
+    at_run_ends = np.abs(np.arange(n1 + 1) / n1 - ends / n2)
+    # an empty run has no point; every gap is at least 0
+    at_run_ends[starts == ends] = 0.0
+    return np.maximum(at_points.max(axis=1), at_run_ends.max(axis=1))
+
+
+def _ks_result(variable: str, d: float, n1: int, n2: int) -> KsResult:
+    effective = n1 * n2 / (n1 + n2)
+    p = _kolmogorov_sf(math.sqrt(effective) * d)
+    return KsResult(variable=variable, d=d, p_value=min(1.0, max(0.0, p)))
+
+
+def ks_two_sample(sample: Sequence[float], population: Sequence[float]) -> KsResult:
+    """Two-sample Kolmogorov-Smirnov test, naming no variable.
 
     D is the largest absolute gap between the two empirical CDFs; the
     p-value uses the asymptotic Kolmogorov distribution with effective size
@@ -117,29 +186,28 @@ def ks_two_sample(sample: Sequence[float], population: Sequence[float],
     """
     a = np.sort(np.asarray(sample, dtype=float))
     b = np.sort(np.asarray(population, dtype=float))
-    n1, n2 = len(a), len(b)
-    if n1 == 0 or n2 == 0:
+    if len(a) == 0 or len(b) == 0:
         raise DatasetError("ks_two_sample needs non-empty samples")
-    xs = np.concatenate([a, b])
-    cdf1 = np.searchsorted(a, xs, side="right") / n1
-    cdf2 = np.searchsorted(b, xs, side="right") / n2
-    d = float(np.max(np.abs(cdf1 - cdf2)))
-    effective = n1 * n2 / (n1 + n2)
-    p = _kolmogorov_sf(math.sqrt(effective) * d)
-    return KsResult(variable=variable, d=d, p_value=min(1.0, max(0.0, p)))
+    d = float(_ks_statistics(a[None, :], b[None, :])[0])
+    return _ks_result("", d, len(a), len(b))
 
 
 def representativeness_report(support: Sequence[RespondentRecord],
                               full: Dataset) -> list[KsResult]:
     """Per-variable K-S comparison of the support records against the full
-    dataset. Categorical variables are compared on their numeric codes."""
+    dataset. Categorical variables are compared on their numeric codes.
+
+    The population side is full.sorted_columns, sorted once per dataset,
+    and every variable's D comes from one _ks_statistics call; each result's
+    D and p-value are ks_two_sample(sample, full.column(name))'s.
+    """
     if not support:
         raise DatasetError("representativeness needs a non-empty support set")
-    results = []
-    for var in full.schema.predictors:
-        sample = [r.values[var.name] for r in support]
-        results.append(ks_two_sample(sample, full.column(var.name), variable=var.name))
-    return results
+    names = full.schema.names
+    samples = np.sort([[r.values[name] for r in support] for name in names], axis=1)
+    statistics = _ks_statistics(samples, full.sorted_columns).tolist()
+    return [_ks_result(name, d, len(support), len(full))
+            for name, d in zip(names, statistics)]
 
 
 def summarize_ks_repeats(per_repeat: Sequence[Sequence[KsResult]]) -> str:

@@ -3,10 +3,12 @@ import csv
 import dataclasses
 import io
 import math
+import pickle
 import re
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -208,6 +210,27 @@ def test_generated_ids_when_column_absent(tmp_path):
     assert [r.record_id for r in dataset] == ["r0001"]
 
 
+def test_sorted_columns_are_built_once_and_read_only(small_dataset):
+    columns = small_dataset.sorted_columns
+    assert small_dataset.sorted_columns is columns
+    names = small_dataset.schema.names
+    assert len(columns) == len(names)
+    for name, column in zip(names, columns):
+        assert column.tobytes() == np.sort(small_dataset.column(name)).tobytes()
+        assert not column.flags.writeable
+        with pytest.raises(ValueError):
+            column[0] = 0.0
+    # column() still hands each caller an array of its own
+    owned = small_dataset.column("age")
+    assert owned.flags.writeable and owned is not small_dataset.column("age")
+    owned[:] = -1.0
+    assert (small_dataset.column("age") > 0).all()
+    assert (columns[names.index("age")] > 0).all()
+    # and the dataset still pickles, its sorted columns with it
+    assert pickle.loads(pickle.dumps(small_dataset)).sorted_columns.tobytes() == \
+        columns.tobytes()
+
+
 def test_split_sizes_and_partition(small_dataset):
     train, test = split(small_dataset, 0.8, seed=0)
     assert len(train) == round(0.8 * len(small_dataset))
@@ -306,3 +329,176 @@ def test_non_finite_cells_are_refused_with_their_row(cells):
                          "--out", str(Path(tmp) / "out")])
         assert code == (2 if refused else 0)
         assert ("error: row " in err.getvalue()) == refused
+
+
+def _write_lines(path, lines):
+    path.write_text("".join(line + "\r\n" for line in lines), encoding="utf-8")
+
+
+def _csv_line(row: dict, fieldnames) -> str:
+    out = io.StringIO()
+    csv.writer(out, lineterminator="").writerow([row[name] for name in fieldnames])
+    return out.getvalue()
+
+
+FIELDNAMES = ["record_id", *default_schema().names, default_schema().label.name]
+
+
+def test_row_with_more_cells_than_the_header_is_refused(tmp_path):
+    # a decimal comma, unquoted, splits one cell in two and shifts every
+    # later value one column right
+    path = tmp_path / "survey.csv"
+    row = _csv_line(_complete_row("r1", travel_satisfaction="4.28"), FIELDNAMES)
+    shifted = row.replace(",27.3,", ",18,2,")
+    assert shifted != row
+    _write_lines(path, [",".join(FIELDNAMES), shifted])
+    with pytest.raises(RowError) as err:
+        load_survey(path)
+    assert str(err.value) == f"row 1: {len(FIELDNAMES) + 1} cells, header has {len(FIELDNAMES)}"
+
+
+def test_long_row_is_refused_in_row_order(tmp_path):
+    path = tmp_path / "survey.csv"
+    good = _csv_line(_complete_row("r1"), FIELDNAMES)
+    bad = _csv_line(_complete_row("r2", age="0"), FIELDNAMES)
+    blank = _csv_line(_complete_row("r9", age=""), FIELDNAMES)
+    _write_lines(path, [",".join(FIELDNAMES), good, "", blank, good + ",x", bad])
+    with pytest.raises(RowError, match=r"^row 3: 20 cells, header has 19$"):
+        load_survey(path)
+    _write_lines(path, [",".join(FIELDNAMES), good, bad, good + ",x"])
+    with pytest.raises(RowError, match=r"^row 2: age: 0.0 must be > 0.0$"):
+        load_survey(path)
+
+
+@pytest.mark.parametrize("name", ["age", "commuting_mode", "travel_satisfaction", "record_id"])
+def test_repeated_header_name_is_refused(tmp_path, name):
+    # a second age column holding 99 used to load as every record's age
+    path = tmp_path / "survey.csv"
+    row = _complete_row("r1")
+    _write_lines(path, [",".join([*FIELDNAMES, name]),
+                        _csv_line(row, FIELDNAMES) + "," + row[name]])
+    with pytest.raises(SchemaError) as err:
+        load_survey(path)
+    assert str(err.value) == f"{path}: column {name!r} appears 2 times in the header"
+
+
+def test_a_repeated_column_the_schema_does_not_name_is_kept_out(tmp_path):
+    path = tmp_path / "survey.csv"
+    _write_lines(path, [",".join([*FIELDNAMES, "notes", "notes"]),
+                        _csv_line(_complete_row("r1"), FIELDNAMES) + ",a,b"])
+    assert load_survey(path).records[0].values["age"] == 34.0
+
+
+def _row_loop_load(path, schema):
+    """The per-row loader this module's load_survey replaced, kept as the
+    oracle: a csv.DictReader row at a time, each cell through parse_value."""
+    from travelsat.dataset import parse_value
+
+    def is_missing(cell):
+        return cell is None or cell.strip() == ""
+
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames is None:
+            raise DatasetError(f"{path}: empty file")
+        columns = set(reader.fieldnames)
+        needed = set(schema.names) | {schema.label.name}
+        missing = sorted(needed - columns)
+        if missing:
+            raise SchemaError(f"{path}: missing columns: {', '.join(missing)}")
+        has_id = "record_id" in columns
+        records = []
+        dropped = 0
+        for row_index, row in enumerate(reader, start=1):
+            if any(is_missing(row.get(name)) for name in needed):
+                dropped += 1
+                continue
+            values = {}
+            try:
+                for var in schema.predictors:
+                    values[var.name] = parse_value(var, row[var.name])
+                satisfaction = parse_value(schema.label, row[schema.label.name])
+                record_id = (row["record_id"].strip()
+                             if has_id and not is_missing(row.get("record_id"))
+                             else f"r{row_index:04d}")
+                records.append(RespondentRecord(record_id, values, satisfaction))
+            except (ValueError, RowError) as exc:
+                raise RowError(f"row {row_index}: {exc}") from exc
+    if not records:
+        raise DatasetError(f"{path}: no complete rows")
+    return Dataset(schema=schema, records=tuple(records), dropped=dropped)
+
+
+def _outcome(load, path):
+    try:
+        dataset = load(path, default_schema())
+    except (DatasetError, RowError, SchemaError) as exc:
+        return type(exc), str(exc)
+    # repr tells 0.0 from -0.0, which == does not
+    return ([(r.record_id, repr(r.satisfaction), repr(sorted(r.values.items())))
+             for r in dataset], dataset.dropped)
+
+
+def _cell_forms(var):
+    """Cell text for var: good values padded or not, and every kind of bad."""
+    good = _any_value(var).map(lambda value: format(value, "g" if var.kind == CATEGORICAL
+                                                    else ".6g"))
+    return st.one_of(
+        good, good.map(lambda text: f" {text}\t"),
+        st.sampled_from(["", " ", "abc", "1,5", "nan", "-inf", "1e400", "0", "-5", "7.5",
+                         "2.5", "12", "-0", "1e0", "0x10", "1_0"]),
+        st.text(max_size=3))
+
+
+@st.composite
+def survey_files(draw):
+    """(header, rows) of a survey CSV whose rows are no longer than the
+    header and whose header repeats no column the loader reads."""
+    schema = default_schema()
+    names = [*schema.names, schema.label.name]
+    header = draw(st.permutations(names + draw(st.sampled_from(
+        [[], ["record_id"], ["record_id", "notes"]]))))
+    rows = []
+    for index in range(draw(st.integers(0, 5))):
+        row = {name: draw(_cell_forms(schema.variable(name))) for name in names}
+        if "record_id" in header:
+            row["record_id"] = draw(st.one_of(st.sampled_from(
+                ["", " ", "a,b", "a```b", " r1 ", "r0002", "x"]), st.text(max_size=3),
+                st.just(f"id{index}")))
+        row["notes"] = "n"
+        cells = [row[name] for name in header]
+        rows.append(cells[:draw(st.integers(1, len(cells)))]
+                    if draw(st.integers(0, 5)) == 0 else cells)
+        if draw(st.integers(0, 5)) == 0:
+            rows.append([])
+    return header, rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(survey=survey_files(), bom=st.booleans())
+def test_column_loader_matches_the_row_loop(survey, bom):
+    header, rows = survey
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(header)
+    writer.writerows(rows)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "survey.csv"
+        path.write_bytes((b"\xef\xbb\xbf" if bom else b"") + out.getvalue().encode("utf-8"))
+        assert _outcome(lambda p, s: load_survey(p, s), path) == _outcome(_row_loop_load, path)
+
+
+@settings(max_examples=500, deadline=None)
+@given(data=st.data())
+def test_the_column_screen_accepts_only_what_parse_value_reads_alike(data):
+    from travelsat.dataset import _screen, parse_value
+    schema = default_schema()
+    var = data.draw(st.sampled_from([*schema.predictors, schema.label]))
+    cells = data.draw(st.lists(st.one_of(_cell_forms(var), st.text(max_size=6),
+                                         st.floats().map(repr)), max_size=6))
+    floats, missing, accepted = _screen(var, cells)
+    for cell, value, blank, ok in zip(cells, floats, missing, accepted):
+        assert blank == (cell.strip() == "")
+        if ok:
+            assert not blank
+            assert repr(parse_value(var, cell)) == repr(value)

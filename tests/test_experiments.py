@@ -348,9 +348,10 @@ def test_run_writes_each_block_once_and_renders_once_per_request(tmp_path, monke
     requests = {"n": 0}
     write_block = prompting._write_block
 
-    def counting_write(record, layout, label):
-        written.append((record, any(var is label for _, var, _ in layout)))
-        return write_block(record, layout, label)
+    def counting_write(record, plan):
+        # a labeled block's plan has a slot for the label, keyed None
+        written.append((record, any(key is None for key, _, _ in plan.slots)))
+        return write_block(record, plan)
 
     def counting(render):
         def wrapper(*args, **kwargs):

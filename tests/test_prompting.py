@@ -16,17 +16,22 @@ from travelsat.errors import (
     ParseError,
     PromptError,
     RowError,
+    SchemaError,
 )
 from travelsat.mock import ScriptedMock
 from travelsat.prompting import (
     DEFAULT_BATCH_SIZE,
+    Blocks,
     IMPORTANCES_OPEN,
     LABEL_LINE,
     Prompt,
     QUERY_HEADER,
     SCORES_OPEN,
     SUPPORT_HEADER,
+    _layout,
     _load_template,
+    _write_block,
+    _write_plan,
     batched,
     parse_response,
     read_prompt,
@@ -35,7 +40,7 @@ from travelsat.prompting import (
     write_response,
 )
 from travelsat.rules import linear_rule
-from travelsat.schema import CATEGORICAL, default_schema
+from travelsat.schema import CATEGORICAL, NUMERIC, Variable, VariableSchema, default_schema
 from travelsat.selection import rank_support
 from travelsat.encoding import fit_encoding
 
@@ -125,7 +130,7 @@ def test_templates_are_read_once_per_name(prompt_parts):
 
 def test_duplicate_query_ids_rejected(prompt_parts):
     schema, _, queries = prompt_parts
-    for blocks in (None, {}):
+    for blocks in (None, Blocks()):
         with pytest.raises(PromptError):
             render_zero_shot([queries[0], queries[0]], schema, blocks=blocks)
 
@@ -146,7 +151,7 @@ def test_empty_support_rejected(prompt_parts):
 
 def test_support_query_overlap_rejected(prompt_parts):
     schema, support, _ = prompt_parts
-    for blocks in (None, {}):
+    for blocks in (None, Blocks()):
         with pytest.raises(ContaminationError) as excinfo:
             render_few_shot(support, [support[0]], schema, blocks=blocks)
         assert support[0].record_id in str(excinfo.value)
@@ -336,6 +341,82 @@ def test_parse_response_raises_only_parse_error(text, names):
         assert math.isclose(sum(batch.importances.values()), 1.0)
 
 
+def _parse_line_by_line(text, expected_ids, importance_names=None):
+    """Oracle: parse_response as first written, each block searched for in
+    the CRLF-normalized text and read line by line, then every block cut
+    from the reasoning by one substitution per kind."""
+    blocks = {kind: re.compile(rf"```{kind}[ \t]*\n(.*?)\n?```", re.DOTALL)
+              for kind in ("scores", "importances")}
+
+    def read(kind, keys, separator, key_noun, value_noun, low, high):
+        match = blocks[kind].search(text.replace("\r\n", "\n"))
+        if match is None:
+            raise ParseError(f"response has no ```{kind} block", raw_text=text)
+        pairs = {}
+        for line in match.group(1).splitlines():
+            line = line.strip()
+            if not line:
+                continue
+            if separator not in line:
+                raise ParseError(f"bad {kind} line (no {separator!r}): {line!r}",
+                                 raw_text=text)
+            key, _, rendered = line.partition(separator)
+            key = key.strip()
+            if kind == "importances":
+                key = key.replace(" ", "_")
+            try:
+                value = float(rendered)
+            except ValueError:
+                raise ParseError(f"bad {value_noun} for {key!r}: {rendered.strip()!r}",
+                                 raw_text=text) from None
+            if key in pairs:
+                raise ParseError(f"duplicate {value_noun} line for {key!r}", raw_text=text)
+            if not low <= value <= high:
+                raise ParseError(f"{value_noun} {value} for {key!r} outside "
+                                 f"[{low:g}, {high:g}]", raw_text=text)
+            pairs[key] = value
+        missing = [k for k in keys if k not in pairs]
+        extra = [k for k in pairs if k not in set(keys)]
+        if missing or extra:
+            raise ParseError(f"{key_noun} mismatch: missing {missing or 'none'}, "
+                             f"unexpected {extra or 'none'}", raw_text=text)
+        return pairs
+
+    scores = read("scores", expected_ids, ",", "id", "score", 1.0, 7.0)
+    importances = None
+    if importance_names is not None:
+        raw = read("importances", importance_names, "=", "variable", "importance",
+                   0.0, math.inf)
+        total = sum(raw.values())
+        if not 0.98 <= total <= 1.02:
+            raise ParseError(f"importance weights sum to {total:.4f}, not close to 1",
+                             raw_text=text)
+        importances = {name: weight / total for name, weight in raw.items()}
+    reasoning = text.replace("\r\n", "\n")
+    for pattern in blocks.values():
+        reasoning = pattern.sub("", reasoning)
+    return scores, importances, reasoning.strip()
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=FUZZED_REPLY, crlf=st.booleans(),
+       names=st.sampled_from([None, ("age", "income", "commuting_time")]))
+def test_parse_response_reads_as_the_line_by_line_oracle(text, crlf, names):
+    if crlf:
+        text = text.replace("\n", "\r\n")
+
+    def outcome(parse):
+        try:
+            return parse(text, ["q1", "q2"], names)
+        except ParseError as exc:
+            return str(exc), exc.raw_text
+
+    batch = outcome(parse_response)
+    if not isinstance(batch, tuple):
+        batch = batch.scores, batch.importances, batch.reasoning
+    assert batch == outcome(_parse_line_by_line)
+
+
 REPLY_IDS = st.lists(st.text("abcxyz0123456789-_.", min_size=1, max_size=6),
                     min_size=1, max_size=8, unique=True)
 COMMENTARY = st.text(st.characters(blacklist_characters="`",
@@ -446,6 +527,59 @@ def test_every_id_a_record_accepts_is_scored_by_that_id(small_dataset, record_id
     assert list(parse_response(reply.content, [record_id]).scores) == [record_id]
 
 
+def _walk_layout(record, schema, with_label):
+    """Oracle: a traveler block written line by line, walking _layout."""
+    lines = [f"Traveler {record.record_id}"]
+    for head, var, tail in _layout(schema, with_label):
+        if var is None:
+            lines.append(head)
+        elif var is schema.label:
+            lines.append(f"{head}{float(record.satisfaction)!r}")
+        elif var.kind == CATEGORICAL:
+            lines.append(head + var.label_for(int(record.values[var.name])))
+        else:
+            lines.append(f"{head}{float(record.values[var.name]):.6g}{tail}")
+    return "\n".join(lines)
+
+
+# format characters in units, labels and headings
+ODD_SCHEMA = VariableSchema(predictors=(
+    Variable("share_pct", "travel_characteristics", NUMERIC, unit="%s {0} %%"),
+    Variable("mode", "travel_characteristics", CATEGORICAL,
+             categories=((1, "50% {x}"), (-2, "%r"), (3, "plain"))),
+    Variable("age", "socioeconomics", NUMERIC),
+))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), with_label=st.booleans(),
+       schema=st.sampled_from([default_schema(), ODD_SCHEMA]))
+def test_write_plan_writes_what_a_layout_walk_writes(data, with_label, schema):
+    values = {var.name: data.draw(st.sampled_from(var.codes).map(float)
+                                  if var.kind == CATEGORICAL else st.floats())
+              for var in schema.predictors}
+    record = RespondentRecord(data.draw(st.text("ab%{}1", min_size=1, max_size=4)),
+                              values, data.draw(st.floats()))
+    assert _write_block(record, _write_plan(schema, with_label)) == \
+        _walk_layout(record, schema, with_label)
+
+
+def test_write_plan_refuses_what_a_layout_walk_refuses(small_dataset):
+    schema = small_dataset.schema
+    record = small_dataset.records[0]
+    unknown = dataclasses.replace(record, values={**record.values, "commuting_mode": 12.0})
+    # age comes before commuting mode in the layout, so its absence is met first
+    lacking = dataclasses.replace(unknown, values={
+        name: value for name, value in unknown.values.items() if name != "age"})
+    for bad, error in ((unknown, SchemaError), (lacking, KeyError)):
+        for with_label in (False, True):
+            with pytest.raises(error) as expected:
+                _walk_layout(bad, schema, with_label)
+            with pytest.raises(error) as got:
+                _write_block(bad, _write_plan(schema, with_label))
+            assert str(got.value) == str(expected.value)
+
+
 @st.composite
 def render_calls(draw, count):
     """(support indices, query indices, want_importance) per render over
@@ -474,17 +608,18 @@ def test_shared_blocks_render_the_same_bytes(data):
     schema = default_schema()
     records = data.draw(travelers(schema))
     calls = data.draw(render_calls(len(records)))
-    blocks: dict = {}
+    blocks = Blocks()
     for call in calls:
         # a record may be a query in one render and an example in the next
         assert _render(records, call, schema, blocks).as_bytes() == \
             _render(records, call, schema, None).as_bytes()
-    assert len(blocks) <= 2 * len(records)
+    assert len(blocks.texts) <= 2 * len(records)
+    assert len(blocks.plans) <= 2
 
 
 def test_blocks_follow_the_record_not_its_id(small_dataset):
     schema = small_dataset.schema
-    blocks: dict = {}
+    blocks = Blocks()
     twin = dataclasses.replace(small_dataset.records[0])
     render_zero_shot([twin], schema, blocks=blocks)
     changed = dataclasses.replace(

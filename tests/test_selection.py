@@ -222,6 +222,44 @@ def test_ks_p_matches_series_oracle():
         assert ours.p_value == pytest.approx(oracle, abs=1e-9)
 
 
+def _ks_d_at_every_point(sample, population) -> float:
+    """Oracle: D as the largest gap between the two empirical CDFs taken at
+    every point of both samples."""
+    a = np.sort(np.asarray(sample, dtype=float))
+    b = np.sort(np.asarray(population, dtype=float))
+    xs = np.concatenate([a, b])
+    return float(np.max(np.abs(np.searchsorted(a, xs, side="right") / len(a)
+                               - np.searchsorted(b, xs, side="right") / len(b))))
+
+
+def test_ks_d_equals_the_gap_at_every_point_bit_for_bit():
+    rng = np.random.default_rng(12)
+    for trial in range(2000):
+        n1, n2 = (int(n) for n in rng.integers(1, 60, size=2))
+        if trial % 2:  # few distinct values: ties within and across samples
+            levels = int(rng.integers(1, 10))
+            a, b = (rng.integers(0, levels, n).astype(float) for n in (n1, n2))
+        else:
+            a, b = rng.normal(size=n1), rng.normal(size=n2)
+        assert ks_two_sample(a, b).d == _ks_d_at_every_point(a, b)
+        assert ks_two_sample(b, a).d == _ks_d_at_every_point(b, a)
+
+
+def test_report_on_sorted_columns_equals_ks_two_sample(small_dataset):
+    rng = np.random.default_rng(4)
+    for _ in range(60):
+        support = random_support(small_dataset, int(rng.integers(1, 40)),
+                                 seed=int(rng.integers(1 << 30)))
+        report = representativeness_report(support, small_dataset)
+        assert [r.variable for r in report] == list(small_dataset.schema.names)
+        for result in report:
+            sample = [record.values[result.variable] for record in support]
+            population = small_dataset.column(result.variable)
+            expected = ks_two_sample(sample, population)
+            assert (result.d, result.p_value) == (expected.d, expected.p_value)
+            assert result.d == _ks_d_at_every_point(sample, population)
+
+
 def test_ks_invariant_under_monotone_transform():
     rng = np.random.default_rng(9)
     a = rng.normal(size=40)
@@ -283,6 +321,31 @@ def test_similarity_matrix_equals_cdist_bit_for_bit():
         B = rng.normal(size=(n, p)) * scale
         expected = 1.0 / np.sqrt(cdist(A, B, "sqeuclidean") + 1.0)
         assert similarity_matrix(A, B).tobytes() == expected.tobytes()
+
+
+def test_similarity_matrix_with_0_1_columns_equals_cdist_bit_for_bit():
+    rng = np.random.default_rng(32)
+    for trial in range(300):
+        m, n, p = (int(v) for v in rng.integers(0, 30, size=3))
+        scale = 10.0 ** rng.uniform(-3, 3)
+        A = rng.normal(size=(m, p)) * scale
+        B = rng.normal(size=(n, p)) * scale
+        # runs of 0/1 columns among the others, one-hot or not, some with -0.0
+        binary = rng.random(p) < 0.7
+        A[:, binary] = rng.integers(0, 2, size=(m, int(binary.sum())))
+        B[:, binary] = rng.integers(0, 2, size=(n, int(binary.sum())))
+        if trial % 3 == 0:
+            A[A == 0.0] = -0.0
+        expected = 1.0 / np.sqrt(cdist(A, B, "sqeuclidean") + 1.0)
+        assert similarity_matrix(A, B).tobytes() == expected.tobytes()
+
+
+def test_similarity_matrix_of_encoded_records_equals_cdist_bit_for_bit(small_dataset):
+    spec = fit_encoding(small_dataset)
+    A = encode_matrix(small_dataset.records[:70], spec)
+    B = encode_matrix(small_dataset.records[70:], spec)
+    expected = 1.0 / np.sqrt(cdist(A, B, "sqeuclidean") + 1.0)
+    assert similarity_matrix(A, B).tobytes() == expected.tobytes()
 
 
 def test_kolmogorov_sf_matches_scipy():
