@@ -1,8 +1,23 @@
 """LLM transport: HTTP backend, retries, response cache, concurrency cap.
 
-A transient transport failure (timeout, connection error, HTTP 429 or 5xx)
-is retried on a fixed schedule: at most MAX_ATTEMPTS = 4 attempts, 1, 2 and
-4 s apart. Other failures are not retried.
+A transient transport failure is retried on a fixed schedule: at most
+MAX_ATTEMPTS = 4 attempts, 1, 2 and 4 s apart. Other failures are not
+retried. How HttpChatBackend sorts what requests raises:
+
+- transient (TransientTransportError, retried): Timeout (ConnectTimeout,
+  ReadTimeout) and ConnectionError (ProxyError, SSLError), which are the
+  network's; ChunkedEncodingError and ContentDecodingError, a reply body
+  cut short or undecodable in transit; and HTTP 429 or 5xx;
+- hard (TransportError, not retried): every other RequestException, such
+  as an endpoint URL requests cannot use (MissingSchema, InvalidSchema,
+  InvalidURL) or TooManyRedirects, which a retry would meet again; HTTP
+  401 and 403 (CredentialError) and any other status but 200; and a reply
+  that is not the chat-completions JSON shape;
+- a bug (propagates): InvalidJSONError, since the payload is always JSON,
+  and anything that is not a RequestException.
+
+A failed request fails only its own job: complete_many puts its
+TravelSatError in the job's place.
 
 The HTTP backend speaks the common chat-completions JSON shape. API keys
 come from the environment only (TRAVELSAT_API_KEY, falling back to
@@ -108,8 +123,14 @@ class HttpChatBackend:
         try:
             response = requests.post(url, json=payload, headers=headers,
                                      timeout=params.request_timeout)
-        except (requests.Timeout, requests.ConnectionError) as exc:
+        except (requests.Timeout, requests.ConnectionError,
+                requests.exceptions.ChunkedEncodingError,
+                requests.exceptions.ContentDecodingError) as exc:
             raise TransientTransportError(f"transport failure: {exc}") from exc
+        except requests.exceptions.InvalidJSONError:
+            raise  # the payload is always JSON: a bug, not a failed request
+        except requests.RequestException as exc:
+            raise TransportError(f"request failed: {exc}") from exc
         if response.status_code in (401, 403):
             raise CredentialError(f"API rejected credentials ({response.status_code})")
         if response.status_code == 429 or response.status_code >= 500:

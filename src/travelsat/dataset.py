@@ -152,18 +152,22 @@ def _screen(variable: Variable, cells: Sequence[str]
 
 def _read_rows(reader, width: int) -> tuple[list[list[str]], RowError | None]:
     """The non-blank rows of reader, each padded with blank cells to width,
-    up to the first row with more cells than width, and the RowError that
-    row raises (None when there is none)."""
+    up to the first row with more cells than width or that the csv module
+    cannot read (a cell over csv.field_size_limit, say), and the RowError
+    that row raises (None when there is none)."""
     rows = []
-    for row in reader:
-        if len(row) != width:
-            if not row:
-                continue
-            if len(row) > width:
-                return rows, RowError(f"row {len(rows) + 1}: {len(row)} cells, "
-                                      f"header has {width}")
-            row += [""] * (width - len(row))
-        rows.append(row)
+    try:
+        for row in reader:
+            if len(row) != width:
+                if not row:
+                    continue
+                if len(row) > width:
+                    return rows, RowError(f"row {len(rows) + 1}: {len(row)} cells, "
+                                          f"header has {width}")
+                row += [""] * (width - len(row))
+            rows.append(row)
+    except csv.Error as exc:
+        return rows, RowError(f"row {len(rows) + 1}: {exc}")
     return rows, None
 
 
@@ -174,11 +178,13 @@ def load_survey(path, schema: VariableSchema | None = None) -> Dataset:
     the label column; an optional record_id column carries stable ids. A
     UTF-8 byte-order mark and blank lines are skipped. A header that lacks a
     schema variable or the label, or names one of them or record_id twice,
-    raises SchemaError. Rows with missing values are dropped (counted in
-    Dataset.dropped). The first row with more cells than the header, with an
-    unparseable or out-of-range value, or with a record_id that
-    RespondentRecord refuses raises RowError naming the row index; rows are
-    numbered from 1, blank lines not counted.
+    raises SchemaError, and a header the csv module cannot read raises
+    DatasetError. Rows with missing values are dropped (counted in
+    Dataset.dropped). The first row with more cells than the header, that the
+    csv module cannot read, with an unparseable or out-of-range value, or
+    with a record_id that RespondentRecord refuses raises RowError naming the
+    row index; rows are numbered from 1, blank lines not counted. The csv
+    module's cell size limit is left as it is: it is global to the process.
 
     Each needed column is read and screened whole (_screen); parse_value, the
     one statement of the value rule, reads every cell the screen does not
@@ -192,7 +198,10 @@ def load_survey(path, schema: VariableSchema | None = None) -> Dataset:
     variables = (*schema.predictors, schema.label)
     with fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
+        try:
+            header = next(reader, None)
+        except csv.Error as exc:
+            raise DatasetError(f"{path}: header: {exc}") from None
         if header is None:
             raise DatasetError(f"{path}: empty file")
         absent = sorted({var.name for var in variables} - set(header))

@@ -19,6 +19,14 @@ produce identical bytes on every run. Two scoring modes:
 Replies are written by prompting.write_response, with the rule's fixed
 weights when the prompt asks for importances; prompts that read_prompt
 rejects raise MockError.
+
+Each mock owns one prompting.Readings, so it reads each distinct traveler
+block once for as long as it lives, which is one run: a few-shot sweep
+sends the same support and query blocks in many prompts. The records and
+the refusals are exactly those of a fresh read_prompt. The client's pool
+threads call complete concurrently and share the cache; that is safe
+because an entry is stored whole and never changed (see prompting), and
+the mock never changes a record it reads.
 """
 
 from __future__ import annotations
@@ -30,7 +38,7 @@ from numpy.random import default_rng
 from .client import LlmParams, LlmResponse
 from .encoding import encode_matrix, encoding_spec
 from .errors import MockError, PromptError, SchemaError
-from .prompting import Prompt, read_prompt, write_response
+from .prompting import Prompt, Readings, read_prompt, write_response
 from .rules import REFERENCE_SCALE, clamp, get_rule, misaligned_prior, rule_importance
 from .schema import VariableSchema, default_schema
 from .selection import similarity_matrix
@@ -53,6 +61,7 @@ class ScriptedMock:
             name: REFERENCE_SCALE.get(name, (0.0, 1.0)) for name in self.schema.names})
         self.noise_seed = noise_seed
         self.noise_scale = noise_scale
+        self.readings = Readings()
 
     def _noise(self, record_id: str) -> float:
         if self.noise_scale == 0.0:
@@ -76,7 +85,8 @@ class ScriptedMock:
 
     def complete(self, prompt: Prompt, params: LlmParams) -> LlmResponse:
         try:
-            examples, queries = read_prompt(prompt.user_text, self.schema)
+            examples, queries = read_prompt(prompt.user_text, self.schema,
+                                            readings=self.readings)
         except PromptError as exc:
             raise MockError(f"unreadable prompt: {exc}") from exc
         scores = dict(zip((q.record_id for q in queries), self._scores(examples, queries)))

@@ -22,6 +22,19 @@ with_label) and each kind of block's write plan, and build every prompt by
 joining cached blocks. Each entry holds its record, so an id in the cache
 cannot be reused by another record while the cache lives.
 
+Reading is cached the same way: read_prompt takes an optional Readings,
+the read-side twin of Blocks, owned by the reader for the length of one
+run. It maps each block's text and kind (labeled or not) to the record
+_read_block made from it, and holds the Blocks through which the round
+trip re-renders those records, so a run reads and writes each distinct
+block once however many prompts carry it. A block's record depends on its
+text and kind alone, so a cached record is exactly what a fresh read
+gives; a refused block is not cached and is refused again, with the same
+message, on every read. Each entry is stored by one dict assignment and
+never changed, so threads may share one Readings: two that miss the same
+block both read it and store equal records, and either serves every later
+read.
+
 Replies follow a strict fenced-block contract (docs/output_contract.md),
 and this module alone writes and reads it: write_response writes a
 ```scores block of "id,score" lines, plus a ```importances block of
@@ -217,7 +230,39 @@ def _write_section(records: Sequence[RespondentRecord], schema: VariableSchema,
     return "\n\n".join(texts)
 
 
-def read_prompt(user_text: str, schema: VariableSchema
+class Readings:
+    """The traveler blocks the reads of one run share, for one schema: the
+    read-side twin of Blocks."""
+
+    def __init__(self):
+        # (block text, with_label) -> the record _read_block made from it;
+        # a block it refused has no entry
+        self.records: dict[tuple[str, bool], RespondentRecord] = {}
+        # with_label -> the layout, walked once
+        self.layouts: dict[bool, tuple] = {}
+        # the whole-prompt round trip re-renders the cached records through
+        # these, so each is written once
+        self.blocks = Blocks()
+
+
+def _read_section(blocks: Sequence[str], schema: VariableSchema, with_label: bool,
+                  readings: Readings) -> list[RespondentRecord]:
+    layout = readings.layouts.get(with_label)
+    if layout is None:
+        layout = readings.layouts[with_label] = tuple(_layout(schema, with_label))
+    cached = readings.records
+    records = []
+    for block in blocks:
+        key = (block, with_label)
+        record = cached.get(key)
+        if record is None:
+            record = cached[key] = _read_block(block, layout, schema.label)
+        records.append(record)
+    return records
+
+
+def read_prompt(user_text: str, schema: VariableSchema, *,
+                readings: Readings | None = None
                 ) -> tuple[list[RespondentRecord], list[RespondentRecord]]:
     """Read back the user text of render_zero_shot or render_few_shot.
 
@@ -226,13 +271,19 @@ def read_prompt(user_text: str, schema: VariableSchema
     dataset.parse_value, and the text reads back only if rendering the
     records read writes exactly that text again; anything else raises
     PromptError, naming the first line that differs.
+
+    readings, when given, caches each traveler block's record, and the
+    blocks those records write, across the reads of one run (one schema);
+    None reads every block. The records and refusals are the same either
+    way, but with readings the same block text gives the same record
+    object on every read, so callers must not change its values.
     """
+    readings = Readings() if readings is None else readings
     sections = user_text.removesuffix("\n").split("\n\n")
     at = sections.index(QUERY_HEADER) if QUERY_HEADER in sections else len(sections)
-    labeled, unlabeled = (tuple(_layout(schema, w)) for w in (True, False))
-    examples = [_read_block(b, labeled, schema.label) for b in sections[1:at]]
-    queries = [_read_block(b, unlabeled, schema.label) for b in sections[at + 1:]]
-    written = _render(examples or None, queries, schema, False, None).user_text
+    examples = _read_section(sections[1:at], schema, True, readings)
+    queries = _read_section(sections[at + 1:], schema, False, readings)
+    written = _render(examples or None, queries, schema, False, readings.blocks).user_text
     if written != user_text:
         # zip_longest: a missing or extra last line differs from None
         pairs = itertools.zip_longest(user_text.split("\n"), written.split("\n"))

@@ -6,6 +6,13 @@ similarity between two encoded vectors is 1 / sqrt(squared distance + 1),
 which is 1 exactly for identical vectors and falls toward 0 with distance.
 Random draws are screened with two-sample Kolmogorov-Smirnov tests per
 variable against the full dataset.
+
+Nothing here calls BLAS. similarity_matrix counts the 0/1 columns in which
+two encoded records differ by packed-bit XOR and a count of set bits, not by
+a product of matrices. The count is an exact integer either way, but numpy
+hands a product of float matrices to BLAS, whose worker threads spin on
+after it returns and take CPU from the rest of the run, and the offline
+mock calls similarity_matrix for every few-shot prompt.
 """
 
 from __future__ import annotations
@@ -23,6 +30,43 @@ from .errors import DatasetError
 from .evaluation import significance_stars
 
 
+def _count_bits(x: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Replace each byte of the uint8 array x by its number of set bits, in
+    place: sums of adjacent 1-, 2- and 4-bit fields, through scratch, an
+    array like x. It returns x."""
+    np.right_shift(x, 1, out=scratch)
+    scratch &= 0x55
+    x -= scratch
+    np.right_shift(x, 2, out=scratch)
+    scratch &= 0x33
+    x &= 0x33
+    x += scratch
+    np.right_shift(x, 4, out=scratch)
+    x += scratch
+    x &= 0x0F
+    return x
+
+
+def _differing_bits(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+    """Write to out, a float (rows of a, rows of b) array, the number of
+    columns in which each row of a differs from each row of b, both of 0/1
+    values.
+
+    The rows are packed 8 columns to a byte and compared a byte at a time:
+    XOR, then a count of the set bits of each byte (np.bitwise_count needs
+    numpy 2, and numpy 1.24 is supported; a 256-entry table indexed by the
+    bytes took 6 times as long, as numpy first casts the indices to intp).
+    """
+    packed_a = np.packbits(a.astype(bool), axis=1)
+    packed_b = np.packbits(b.astype(bool), axis=1)
+    differ = np.empty(out.shape, dtype=np.uint8)
+    scratch = np.empty_like(differ)
+    out.fill(0.0)
+    for column in range(packed_a.shape[1]):
+        np.bitwise_xor(packed_a[:, column, None], packed_b[None, :, column], out=differ)
+        out += _count_bits(differ, scratch)
+
+
 def similarity_matrix(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Pairwise similarities between the rows of A and the rows of B:
     1 / sqrt(||a - b||^2 + 1) for rows a and b.
@@ -33,8 +77,8 @@ def similarity_matrix(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     values in A and B are all 0 or 1, such as one-hot indicators, is added
     at once: a pair's term in such a column is 1 where the two rows differ
     and 0 elsewhere, and adding 0 changes nothing, so the run adds 1 once
-    per differing column, in turn; the count of differing columns comes from
-    a product of 0/1 matrices, exact in any order.
+    per differing column, in turn. _differing_bits counts the differing
+    columns into the term buffer, as exact integers.
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
@@ -56,12 +100,7 @@ def similarity_matrix(A: np.ndarray, B: np.ndarray) -> np.ndarray:
         end = j + 1
         while end < width and binary[end]:
             end += 1
-        a, b = A[:, j:end], B[:, j:end]
-        # differing columns per pair: sum(a) + sum(b) - 2 a.b
-        np.matmul(a, b.T, out=term)
-        term *= -2.0
-        term += a.sum(axis=1)[:, None]
-        term += b.sum(axis=1)
+        _differing_bits(A[:, j:end], B[:, j:end], out=term)
         for count in range(1, int(term.max(initial=0.0)) + 1):
             d2 += np.greater_equal(term, count, out=mask)
         j = end

@@ -615,3 +615,45 @@ def test_http_backend_refuses_content_that_is_not_text(monkeypatch):
     _patch_post(monkeypatch, lambda: _FakeHttpResponse(200, body))
     with pytest.raises(TransportError, match="^malformed API response: "):
         HttpChatBackend().complete(PROMPT, PARAMS)
+
+
+@pytest.mark.parametrize("error", [requests.exceptions.ChunkedEncodingError,
+                                   requests.exceptions.ContentDecodingError])
+def test_http_body_cut_short_is_retried_then_fails_only_its_job(monkeypatch, error):
+    monkeypatch.setenv(API_KEY_ENV, "sk-test")
+    posts = []
+
+    def cut_short():
+        posts.append(1)
+        return error("Connection broken: IncompleteRead(50 bytes read, 50 more expected)")
+
+    _patch_post(monkeypatch, cut_short)
+    with pytest.raises(TransientTransportError, match="^transport failure: "):
+        HttpChatBackend().complete(PROMPT, PARAMS)
+    posts.clear()
+    delays = []
+    client = LlmClient(HttpChatBackend(), PARAMS, sleep=delays.append, max_in_flight=1)
+    out = client.complete_many([(PROMPT, 0)])
+    assert len(out) == 1 and type(out[0]) is TransportError
+    assert str(out[0]).startswith(f"gave up after {MAX_ATTEMPTS} attempts: ")
+    assert len(posts) == client.transport_calls == MAX_ATTEMPTS
+    assert delays == [1.0, 2.0, 4.0]
+
+
+@pytest.mark.parametrize("error", [requests.exceptions.MissingSchema,
+                                   requests.exceptions.InvalidURL,
+                                   requests.exceptions.TooManyRedirects])
+def test_http_request_requests_refuses_is_a_hard_failure(monkeypatch, error):
+    monkeypatch.setenv(API_KEY_ENV, "sk-test")
+    _patch_post(monkeypatch, lambda: error("refused"))
+    client = LlmClient(HttpChatBackend(), PARAMS, sleep=lambda _: None)
+    out = client.complete_many([(PROMPT, 0)])
+    assert type(out[0]) is TransportError and str(out[0]) == "request failed: refused"
+    assert client.transport_calls == 1
+
+
+def test_http_payload_that_is_not_json_is_a_bug(monkeypatch):
+    monkeypatch.setenv(API_KEY_ENV, "sk-test")
+    _patch_post(monkeypatch, lambda: requests.exceptions.InvalidJSONError("not JSON"))
+    with pytest.raises(requests.exceptions.InvalidJSONError):
+        HttpChatBackend().complete(PROMPT, PARAMS)

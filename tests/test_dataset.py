@@ -370,6 +370,31 @@ def test_long_row_is_refused_in_row_order(tmp_path):
         load_survey(path)
 
 
+def test_cell_over_the_csv_size_limit_is_refused_with_its_row(tmp_path, capsys):
+    limit = csv.field_size_limit()
+    path = tmp_path / "survey.csv"
+    good = _csv_line(_complete_row("r1"), FIELDNAMES)
+    huge = _csv_line(_complete_row("r2"), FIELDNAMES) + "," + "x" * (limit + 1)
+    header = ",".join([*FIELDNAMES, "notes"])
+    _write_lines(path, [header, good + ",a", "", huge, good.replace("r1", "r3", 1) + ",b"])
+    reason = f"field larger than field limit ({limit})"
+    with pytest.raises(RowError, match=rf"^row 2: {re.escape(reason)}$"):
+        load_survey(path)
+    # a refusal of an earlier row comes first, as for a row too long
+    bad = _csv_line(_complete_row("r1", age="0"), FIELDNAMES)
+    _write_lines(path, [header, bad + ",a", huge])
+    with pytest.raises(RowError, match=r"^row 1: age: 0.0 must be > 0.0$"):
+        load_survey(path)
+    _write_lines(path, [header + "," + "y" * (limit + 1), good + ",a,b"])
+    with pytest.raises(DatasetError, match=rf"^{re.escape(str(path))}: header: "
+                                           rf"{re.escape(reason)}$"):
+        load_survey(path)
+    _write_lines(path, [header, huge])
+    assert main(["zeroshot", "--data", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: row 1: {reason}")
+    assert csv.field_size_limit() == limit
+
+
 @pytest.mark.parametrize("name", ["age", "commuting_mode", "travel_satisfaction", "record_id"])
 def test_repeated_header_name_is_refused(tmp_path, name):
     # a second age column holding 99 used to load as every record's age

@@ -296,6 +296,20 @@ def test_sweep_artifacts_are_reproducible(tmp_path):
         assert (a / rel).read_bytes() == (b / rel).read_bytes(), rel
 
 
+@pytest.mark.parametrize("runner", [run_few_shot_sweep, run_random_sweep])
+def test_pool_width_does_not_change_artifacts(tmp_path, runner):
+    # four pool threads call one mock at once and share its reading cache
+    trees = []
+    for width in (1, 4):
+        config = _fast_config(tmp_path, f"width{width}", batch_size=2,
+                              max_in_flight=width)
+        runner(config)
+        out = Path(config.out_dir)
+        trees.append({p.relative_to(out): p.read_bytes()
+                      for p in out.rglob("*") if p.is_file()})
+    assert trees[0] == trees[1]
+
+
 def test_vary_split_changes_repeat_draws(tmp_path):
     fixed = _fast_config(tmp_path, "fixed", support_sizes=(0,))
     run_few_shot_sweep(fixed)

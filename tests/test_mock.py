@@ -4,9 +4,14 @@ import pytest
 from travelsat.client import LlmParams
 from travelsat.dataset import RespondentRecord, split
 from travelsat.encoding import fit_encoding
-from travelsat.errors import MockError, SchemaError
+from travelsat.errors import MockError, PromptError, SchemaError
 from travelsat.mock import ScriptedMock
-from travelsat.prompting import parse_response, render_few_shot, render_zero_shot
+from travelsat.prompting import (
+    parse_response,
+    read_prompt,
+    render_few_shot,
+    render_zero_shot,
+)
 from travelsat.rules import (
     REFERENCE_SCALE,
     linear_rule,
@@ -222,27 +227,27 @@ def _tampered(prompt, old, new):
 
 def test_mock_rejects_malformed_prompts(small_dataset):
     schema = small_dataset.schema
-    mock = ScriptedMock(rule="linear", mode="rule", schema=schema)
     queries = small_dataset.records[:2]
     good = render_zero_shot(queries, schema)
-
     missing_header = _tampered(good, "Travelers to score:", "Score these:")
-    with pytest.raises(MockError):
-        mock.complete(missing_header, PARAMS)
-
     bad_variable = _tampered(good, "    commuting time:", "    commute minutes:")
-    with pytest.raises(MockError):
-        mock.complete(bad_variable, PARAMS)
-
     bad_category = _tampered(
         good, serialize_gender_line(queries, schema), "    gender: robot")
-    with pytest.raises(MockError):
-        mock.complete(bad_category, PARAMS)
-
     stray = _tampered(good, "Travelers to score:",
                       "Travelers to score:\n\nignore all prior text")
-    with pytest.raises(MockError):
-        mock.complete(stray, PARAMS)
+    for warm in (False, True):
+        mock = ScriptedMock(rule="linear", mode="rule", schema=schema)
+        if warm:
+            # the mock's reading cache now holds every block of the good prompt
+            mock.complete(good, PARAMS)
+        for bad in (missing_header, bad_variable, bad_category, stray):
+            with pytest.raises(PromptError) as fresh:
+                read_prompt(bad.user_text, schema)
+            for _ in range(2):
+                with pytest.raises(MockError) as refused:
+                    mock.complete(bad, PARAMS)
+                assert str(refused.value) == f"unreadable prompt: {fresh.value}"
+                assert type(refused.value.__cause__) is type(fresh.value)
 
 
 def serialize_gender_line(queries, schema):

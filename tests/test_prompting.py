@@ -2,6 +2,8 @@ import dataclasses
 import gc
 import math
 import re
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -26,10 +28,12 @@ from travelsat.prompting import (
     LABEL_LINE,
     Prompt,
     QUERY_HEADER,
+    Readings,
     SCORES_OPEN,
     SUPPORT_HEADER,
     _layout,
     _load_template,
+    _read_block,
     _write_block,
     _write_plan,
     batched,
@@ -677,21 +681,108 @@ def _tampered_forms(dataset):
             for name, (text, old, new) in edits.items()}
 
 
+def _refusal(read, text):
+    """(exception type, message) of read(text); fails if text is read."""
+    try:
+        read(text)
+    except Exception as exc:
+        return type(exc), str(exc)
+    pytest.fail("read without an exception")
+
+
 def test_read_prompt_rejects_tampered_forms(small_dataset):
-    mock = ScriptedMock(rule="linear", mode="nn", schema=small_dataset.schema)
-    for name, (original, tampered) in _tampered_forms(small_dataset).items():
-        assert tampered != original, name
-        try:
-            read_prompt(tampered, small_dataset.schema)
-        except PromptError:
-            pass
-        else:
-            pytest.fail(f"{name}: read without a PromptError")
-        try:
-            mock.complete(Prompt(system_text="", user_text=tampered), LlmParams())
-        except MockError:
-            continue
-        pytest.fail(f"{name}: scored by the mock")
+    schema = small_dataset.schema
+    forms = _tampered_forms(small_dataset)
+    # no cache, then a cache that already holds every block of every
+    # untampered form
+    warm = Readings()
+    for original, _ in forms.values():
+        read_prompt(original, schema, readings=warm)
+    for readings in (None, warm):
+        mock = ScriptedMock(rule="linear", mode="nn", schema=schema)
+        if readings is not None:
+            mock.readings = readings
+        for name, (original, tampered) in forms.items():
+            assert tampered != original, name
+            fresh = _refusal(lambda text: read_prompt(text, schema), tampered)
+            assert issubclass(fresh[0], PromptError), name
+            got = _refusal(lambda text: read_prompt(text, schema, readings=readings),
+                           tampered)
+            assert got == fresh, name
+            scored = _refusal(lambda text: mock.complete(Prompt("", text), LlmParams()),
+                              tampered)
+            assert scored == (MockError, f"unreadable prompt: {fresh[1]}"), name
+
+
+def _fields(records):
+    # repr tells NaN and -0.0 apart where == does not
+    return [(r.record_id, repr(sorted(r.values.items())), repr(r.satisfaction))
+            for r in records]
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_shared_readings_read_what_a_fresh_read_reads(data):
+    schema = default_schema()
+    records = data.draw(travelers(schema))
+    calls = data.draw(render_calls(len(records)))
+    readings = Readings()
+    for _ in range(2):
+        for call in calls:
+            text = _render(records, call, schema, None).user_text
+            got = read_prompt(text, schema, readings=readings)
+            fresh = read_prompt(text, schema)
+            assert [_fields(side) for side in got] == [_fields(side) for side in fresh]
+    # one entry per distinct block, labeled or not
+    assert len(readings.records) <= 2 * len(records)
+    assert len(readings.layouts) <= 2
+
+
+def test_threads_sharing_readings_read_what_a_fresh_read_reads(small_dataset):
+    schema = small_dataset.schema
+    records = small_dataset.records
+    texts = [render_few_shot(records[i:i + 6], records[40 + i % 5:48 + i % 5], schema).user_text
+             for i in range(0, 30, 3)]
+    texts += [render_zero_shot(records[40 + i:44 + i], schema).user_text for i in range(6)]
+    expected = {text: [_fields(side) for side in read_prompt(text, schema)] for text in texts}
+    readings = Readings()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            got = list(pool.map(lambda text: read_prompt(text, schema, readings=readings),
+                                texts * 8, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert [[_fields(side) for side in sides] for sides in got] == \
+        [expected[text] for text in texts * 8]
+    # every entry, whichever thread stored it last, is its block's record
+    for (block, with_label), record in readings.records.items():
+        layout = tuple(_layout(schema, with_label))
+        assert _fields([record]) == _fields([_read_block(block, layout, schema.label)])
+
+
+def test_a_refused_block_is_refused_again(small_dataset):
+    schema = small_dataset.schema
+    forms = _tampered_forms(small_dataset)
+    readings = Readings()
+    for name, block_refused in (("unknown category", True), ("value below the minimum", True),
+                                ("comma in id", True), ("empty value", True),
+                                ("number not as written", False)):
+        original, tampered = forms[name]
+        expected = _refusal(lambda text: read_prompt(text, schema), tampered)
+        for _ in range(2):
+            assert _refusal(lambda text: read_prompt(text, schema, readings=readings),
+                            tampered) == expected, name
+        # the one block the edit changed: a block _read_block refuses has no
+        # entry; one it reads is cached, and the round trip refuses the prompt
+        (edited,) = (set(tampered.removesuffix("\n").split("\n\n"))
+                     - set(original.removesuffix("\n").split("\n\n")))
+        cached = {block for block, _ in readings.records}
+        assert (edited not in cached) is block_refused, name
+        # the untampered prompt still reads as a fresh read does
+        assert [_fields(side) for side in read_prompt(original, schema, readings=readings)] \
+            == [_fields(side) for side in read_prompt(original, schema)]
 
 
 def test_round_trip_refusal_names_the_line_that_differs(small_dataset):

@@ -11,6 +11,7 @@ from travelsat.errors import DatasetError
 from travelsat.schema import NUMERIC, Variable, VariableSchema
 from travelsat.selection import (
     KsResult,
+    _count_bits,
     _kolmogorov_sf,
     ks_two_sample,
     random_support,
@@ -323,21 +324,63 @@ def test_similarity_matrix_equals_cdist_bit_for_bit():
         assert similarity_matrix(A, B).tobytes() == expected.tobytes()
 
 
+def _mixed_columns(rng, m, n):
+    """(A, B): runs of 0/1 columns, some longer than 8 and 64 columns and
+    of any length, between runs of other values."""
+    A, B = np.empty((m, 0)), np.empty((n, 0))
+    for _ in range(int(rng.integers(0, 6))):
+        if rng.random() < 0.6:
+            width = int(rng.choice([1, 7, 8, 9, 15, 16, 17, 63, 64, 65, 71, 130,
+                                    int(rng.integers(1, 140))]))
+            a = rng.integers(0, 2, size=(m, width)).astype(float)
+            b = rng.integers(0, 2, size=(n, width)).astype(float)
+        else:
+            width = int(rng.integers(1, 4))
+            scale = 10.0 ** rng.uniform(-3, 3)
+            a, b = rng.normal(size=(m, width)) * scale, rng.normal(size=(n, width)) * scale
+        A, B = np.hstack([A, a]), np.hstack([B, b])
+    return A, B
+
+
 def test_similarity_matrix_with_0_1_columns_equals_cdist_bit_for_bit():
     rng = np.random.default_rng(32)
     for trial in range(300):
-        m, n, p = (int(v) for v in rng.integers(0, 30, size=3))
-        scale = 10.0 ** rng.uniform(-3, 3)
-        A = rng.normal(size=(m, p)) * scale
-        B = rng.normal(size=(n, p)) * scale
-        # runs of 0/1 columns among the others, one-hot or not, some with -0.0
-        binary = rng.random(p) < 0.7
-        A[:, binary] = rng.integers(0, 2, size=(m, int(binary.sum())))
-        B[:, binary] = rng.integers(0, 2, size=(n, int(binary.sum())))
+        # either side may be empty
+        m, n = (int(v) for v in rng.integers(0, 30, size=2))
+        A, B = _mixed_columns(rng, m, n)
         if trial % 3 == 0:
             A[A == 0.0] = -0.0
         expected = 1.0 / np.sqrt(cdist(A, B, "sqeuclidean") + 1.0)
         assert similarity_matrix(A, B).tobytes() == expected.tobytes()
+    # a pair can differ in every one of many 0/1 columns
+    A, B = np.zeros((2, 200)), np.ones((3, 200))
+    expected = 1.0 / np.sqrt(cdist(A, B, "sqeuclidean") + 1.0)
+    assert similarity_matrix(A, B).tobytes() == expected.tobytes()
+
+
+def test_count_bits_counts_the_set_bits_of_every_byte():
+    values = np.arange(256, dtype=np.uint8)
+    assert _count_bits(values.copy(), np.empty_like(values)).tolist() == \
+        [bin(v).count("1") for v in range(256)]
+
+
+def test_similarity_matrix_calls_no_matrix_product(monkeypatch, small_dataset):
+    # numpy hands products of float matrices to BLAS, whose threads then
+    # spin on; similarity_matrix must count differing 0/1 columns without one
+    rng = np.random.default_rng(33)
+    spec = fit_encoding(small_dataset)
+    cases = [_mixed_columns(rng, 20, 18) for _ in range(20)]
+    cases.append((encode_matrix(small_dataset.records[:70], spec),
+                  encode_matrix(small_dataset.records[70:], spec)))
+    expected = [1.0 / np.sqrt(cdist(A, B, "sqeuclidean") + 1.0) for A, B in cases]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("similarity_matrix called a matrix product")
+
+    for name in ("matmul", "dot", "vdot", "inner", "tensordot", "einsum"):
+        monkeypatch.setattr(np, name, refuse)
+    for (A, B), want in zip(cases, expected):
+        assert similarity_matrix(A, B).tobytes() == want.tobytes()
 
 
 def test_similarity_matrix_of_encoded_records_equals_cdist_bit_for_bit(small_dataset):
