@@ -38,15 +38,18 @@ fit_gbdt, predict_gbdt and evaluate on the arrays it inherited: none of
 them calls BLAS, takes a lock, logs, or touches an LLM client, so no lock
 or thread state copied from the parent is ever used. Elsewhere the
 platform's default start method is used.
+
+The pool machinery (multiprocessing and ProcessPoolExecutor) is imported by
+the first map that starts workers, not with this module: the LLM
+subcommands, and a map that runs in this process, never load it.
 """
 
 from __future__ import annotations
 
-import multiprocessing
+import functools
 import os
 import sys
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -313,9 +316,15 @@ class FractionResult:
     status: str = "ok"
 
 
-# see the module docstring for why fork, and why it is safe here
-_POOL_CONTEXT = multiprocessing.get_context(
-    "fork" if sys.platform.startswith("linux") else None)
+@functools.cache
+def _pool_context():
+    """The start method of the pool's workers: fork on Linux (see the
+    module docstring for why, and why it is safe here), else the platform's
+    default. multiprocessing is imported here, by the first pooled map."""
+    import multiprocessing
+    return multiprocessing.get_context(
+        "fork" if sys.platform.startswith("linux") else None)
+
 
 # what _map_cells hands every cell ahead of its task, set in each pool worker
 # by the initializer
@@ -351,9 +360,11 @@ def _map_cells(cell: Callable, shared: tuple, tasks: Sequence[tuple],
     workers = min(_cpu_count(), len(tasks))
     if workers < 2:
         return [cell(*shared, *task) for task in tasks]
+    from concurrent.futures import ProcessPoolExecutor
+
     order = (range(len(tasks)) if cost is None
              else sorted(range(len(tasks)), key=lambda i: -cost[i]))
-    with ProcessPoolExecutor(max_workers=workers, mp_context=_POOL_CONTEXT,
+    with ProcessPoolExecutor(max_workers=workers, mp_context=_pool_context(),
                              initializer=_share, initargs=shared) as pool:
         futures = {i: pool.submit(_run_shared, cell, tasks[i]) for i in order}
         try:

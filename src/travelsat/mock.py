@@ -27,15 +27,27 @@ the refusals are exactly those of a fresh read_prompt. The client's pool
 threads call complete concurrently and share the cache; that is safe
 because an entry is stored whole and never changed (see prompting), and
 the mock never changes a record it reads.
+
+Beside its Readings the mock keeps each read record's encoded row, keyed
+by the record's identity (the entry holds the record, so no other record
+takes its id, as in prompting.Blocks), and builds the example and query
+matrices of a few-shot prompt from those rows: a record is encoded once
+per run, not once per prompt it appears in. A row is encode_matrix's row
+for that record, whatever records it was encoded with, so the replies do
+not change. The pool threads share these rows as they share the Readings:
+an entry is stored whole, and its row is read-only.
 """
 
 from __future__ import annotations
 
 import hashlib
+from typing import Sequence
 
+import numpy as np
 from numpy.random import default_rng
 
 from .client import LlmParams, LlmResponse
+from .dataset import RespondentRecord
 from .encoding import encode_matrix, encoding_spec
 from .errors import MockError, PromptError, SchemaError
 from .prompting import Prompt, Readings, read_prompt, write_response
@@ -62,6 +74,8 @@ class ScriptedMock:
         self.noise_seed = noise_seed
         self.noise_scale = noise_scale
         self.readings = Readings()
+        # id(record) -> (record, its encoded row), for the records read
+        self.rows: dict[int, tuple[RespondentRecord, np.ndarray]] = {}
 
     def _noise(self, record_id: str) -> float:
         if self.noise_scale == 0.0:
@@ -70,13 +84,25 @@ class ScriptedMock:
         rng = default_rng(int.from_bytes(digest[:8], "big"))
         return float(rng.uniform(-self.noise_scale, self.noise_scale))
 
+    def _encode(self, records: Sequence[RespondentRecord]) -> np.ndarray:
+        """encode_matrix(records, self.spec), encoding only the records that
+        have no row yet."""
+        rows = self.rows
+        missing = [record for record in records if id(record) not in rows]
+        if missing:
+            encoded = encode_matrix(missing, self.spec)
+            encoded.flags.writeable = False
+            for record, row in zip(missing, encoded):
+                rows[id(record)] = (record, row)
+        return np.array([rows[id(record)][1] for record in records])
+
     def _scores(self, examples, queries) -> list[float]:
         if self.mode == "rule":
             raw = [self.rule(q.values) + self._noise(q.record_id) for q in queries]
         elif examples:
             # argmax takes the first of equal similarities: earlier examples win
-            nearest = similarity_matrix(encode_matrix(queries, self.spec),
-                                        encode_matrix(examples, self.spec)).argmax(axis=1)
+            nearest = similarity_matrix(self._encode(queries),
+                                        self._encode(examples)).argmax(axis=1)
             raw = [examples[i].satisfaction for i in nearest]
         else:
             raw = [misaligned_prior(q.values) + self._noise(q.record_id)

@@ -116,14 +116,32 @@ def _check_k(train: Dataset, k: int) -> None:
         raise DatasetError(f"k={k} exceeds training pool size {len(train)}")
 
 
+# training rows per similarity_matrix call in rank_order
+_RANK_BLOCK = 256
+
+
 def rank_order(train: Dataset, query: Dataset, spec: EncodingSpec) -> list[int]:
     """Training indices by descending mean similarity to the whole query set.
 
     Ties break toward the lower training index. The top-k support for every
     k is a prefix of this one order (see top_support).
+
+    The scores are computed for _RANK_BLOCK (256) training rows at a time,
+    so the similarity buffers (two float and three byte arrays the shape of
+    the matrix, 19 bytes per pair) hold at most 256 x query pairs: 0.85 MB
+    at 175 queries, against 2.3 MB for the whole 699 x 175 matrix, which
+    grows with the square of the survey size. The scores are bit for bit
+    those of one whole matrix: similarity_matrix adds each pair's terms in
+    column order, so an entry depends on its two rows only (a run of 0/1
+    columns adds the same 1s whether or not the rest of the matrix is 0/1
+    there), and each row's mean reads the same row of values.
     """
-    sims = similarity_matrix(encode_matrix(train, spec), encode_matrix(query, spec))
-    scores = sims.mean(axis=1)
+    encoded = encode_matrix(train, spec)
+    queries = encode_matrix(query, spec)
+    scores = np.empty(len(encoded))
+    for start in range(0, len(encoded), _RANK_BLOCK):
+        block = slice(start, start + _RANK_BLOCK)
+        scores[block] = similarity_matrix(encoded[block], queries).mean(axis=1)
     return sorted(range(len(train)), key=lambda i: (-scores[i], i))
 
 

@@ -564,7 +564,7 @@ def test_fraction_sweep_pooled_records_cell_failure(small_dataset, monkeypatch):
             assert r.status == "ok"
 
 
-@pytest.mark.skipif(baselines._POOL_CONTEXT.get_start_method() != "fork",
+@pytest.mark.skipif(baselines._pool_context().get_start_method() != "fork",
                     reason="the patched fit reaches workers only when they fork")
 def test_fraction_sweep_pooled_reraises_unexpected_errors(small_dataset, monkeypatch):
     def broken_fit(*args, **kwargs):

@@ -310,18 +310,24 @@ def test_every_exported_name_resolves():
 
 
 def test_offline_run_does_not_import_requests(tmp_path):
+    # nor the GBDT process pool's machinery, which only a baseline sweep or
+    # an importance study loads
     script = (
         "import sys\n"
-        "from travelsat.experiments import ExperimentConfig, SyntheticSpec, run_zero_shot\n"
-        "run_zero_shot(ExperimentConfig(synthetic=SyntheticSpec(n=60, seed=7),\n"
-        f"    cache_dir={str(tmp_path / 'cache')!r}, out_dir={str(tmp_path / 'run')!r}))\n"
-        "print('requests' in sys.modules)\n"
+        "from travelsat.experiments import (ExperimentConfig, SyntheticSpec,\n"
+        "    run_few_shot_sweep, run_zero_shot)\n"
+        "for run in (run_zero_shot, run_few_shot_sweep):\n"
+        "    run(ExperimentConfig(synthetic=SyntheticSpec(n=60, seed=7),\n"
+        f"        cache_dir={str(tmp_path / 'cache')!r},\n"
+        f"        out_dir={str(tmp_path)!r} + '/' + run.__name__))\n"
+        "print([name for name in ('requests', 'multiprocessing',\n"
+        "                         'concurrent.futures.process') if name in sys.modules])\n"
     )
     path = os.pathsep.join([str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")])
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, timeout=120, env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "False"
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_no_subcommand_imports_scipy(tmp_path):

@@ -1,9 +1,13 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
 from travelsat.client import LlmParams
 from travelsat.dataset import RespondentRecord, split
-from travelsat.encoding import fit_encoding
+from travelsat import mock as mock_module
+from travelsat.encoding import encode_matrix, fit_encoding
 from travelsat.errors import MockError, PromptError, SchemaError
 from travelsat.mock import ScriptedMock
 from travelsat.prompting import (
@@ -129,6 +133,55 @@ def test_nn_mode_few_shot_beats_zero_shot(small_dataset):
     zero_mse = float(np.mean((actual - np.array([zero[i] for i in ids])) ** 2))
     few_mse = float(np.mean((actual - np.array([few[i] for i in ids])) ** 2))
     assert few_mse < zero_mse
+
+
+def _overlapping_few_shot_prompts(dataset):
+    """Few-shot prompts whose supports and queries share records, as a
+    sweep's do: (prompts, distinct (record id, labeled) pairs they hold)."""
+    records = dataset.records
+    prompts, blocks = [], set()
+    for start in range(0, 30, 6):
+        support, queries = records[start:start + 12], records[40 + start:70 + start]
+        prompts.append(render_few_shot(support, queries, dataset.schema))
+        blocks |= {(r.record_id, True) for r in support}
+        blocks |= {(q.record_id, False) for q in queries}
+    return prompts, blocks
+
+
+def test_mock_encodes_each_record_once_and_replies_as_a_fresh_mock(small_dataset,
+                                                                   monkeypatch):
+    schema = small_dataset.schema
+    prompts, blocks = _overlapping_few_shot_prompts(small_dataset)
+    fresh = [ScriptedMock(rule="linear", mode="nn", schema=schema).complete(p, PARAMS)
+             for p in prompts]
+    encoded = []
+
+    def counting_encode(records, spec):
+        encoded.extend(r.record_id for r in records)
+        return encode_matrix(records, spec)
+
+    monkeypatch.setattr(mock_module, "encode_matrix", counting_encode)
+    mock = ScriptedMock(rule="linear", mode="nn", schema=schema)
+    for _ in range(2):
+        assert [mock.complete(p, PARAMS) for p in prompts] == fresh
+    assert len(encoded) == len(blocks)
+    assert all(not row.flags.writeable for _, row in mock.rows.values())
+
+
+def test_threads_sharing_a_mock_reply_as_a_fresh_mock(small_dataset):
+    schema = small_dataset.schema
+    prompts, _ = _overlapping_few_shot_prompts(small_dataset)
+    fresh = [ScriptedMock(rule="linear", mode="nn", schema=schema).complete(p, PARAMS)
+             for p in prompts]
+    mock = ScriptedMock(rule="linear", mode="nn", schema=schema)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            replies = list(pool.map(lambda p: mock.complete(p, PARAMS), prompts * 4))
+    finally:
+        sys.setswitchinterval(interval)
+    assert replies == fresh * 4
 
 
 def test_noise_is_deterministic_and_bounded(small_dataset):

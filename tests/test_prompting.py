@@ -444,7 +444,9 @@ def test_write_response_round_trips_through_parse_response(ids, data, commentary
     crlf = parse_response(text.replace("\n", "\r\n"), ids,
                           None if weights is None else names)
     assert (crlf.scores, crlf.importances) == (batch.scores, batch.importances)
-    assert batch.reasoning == commentary
+    # the parser reads CRLF as LF, in the reasoning too (docs/output_contract.md,
+    # "Line endings")
+    assert batch.reasoning == commentary.replace("\r\n", "\n")
     if weights is None:
         assert batch.importances is None
     else:

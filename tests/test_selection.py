@@ -1,14 +1,17 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import special, stats
 from scipy.spatial.distance import cdist
 
 from travelsat.dataset import Dataset, RespondentRecord
-from travelsat.encoding import encode_matrix, fit_encoding
+from travelsat.encoding import encode_matrix, encoding_spec, fit_encoding
 from travelsat.errors import DatasetError
-from travelsat.schema import NUMERIC, Variable, VariableSchema
+from travelsat.schema import CATEGORICAL, NUMERIC, Variable, VariableSchema
 from travelsat.selection import (
     KsResult,
     _count_bits,
@@ -145,6 +148,57 @@ def test_rank_support_tie_breaks_to_lower_index():
     spec = fit_encoding(train)
     support = rank_support(train, query, spec, 2)
     assert [r.record_id for r in support] == ["t0", "t1"]
+
+
+MIXED = VariableSchema(predictors=(
+    Variable("level", "socioeconomics", NUMERIC),
+    Variable("flag", "socioeconomics", NUMERIC),
+    Variable("mode", "travel_characteristics", CATEGORICAL,
+             categories=((1, "walk"), (2, "bus"), (3, "car"))),
+    Variable("pet", "travel_characteristics", CATEGORICAL,
+             categories=((0, "none"), (4, "dog"))),
+))
+# unscaled numerics: "flag" encodes to 0/1 except where it is 2, so a block
+# of training rows can be all 0/1 in a column that the whole set is not
+MIXED_SPEC = encoding_spec(MIXED, {"level": (0.0, 1.0), "flag": (0.0, 1.0)})
+
+
+def _mixed_dataset(rng, size: int, distinct: int, prefix: str) -> Dataset:
+    """size records drawn from distinct rows of numeric, 0/1 and categorical
+    values, so that rows repeat and their mean similarities tie."""
+    rows = [{"level": float(rng.normal()),
+             "flag": float(rng.choice([0.0, 1.0, 2.0], p=[0.5, 0.49, 0.01])),
+             "mode": int(rng.integers(1, 4)), "pet": int(rng.choice([0, 4]))}
+            for _ in range(distinct)]
+    picks = rng.integers(0, distinct, size=size)
+    return Dataset(schema=MIXED, records=tuple(
+        RespondentRecord(f"{prefix}{i}", rows[pick], 4.0) for i, pick in enumerate(picks)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(size=st.sampled_from([1, 255, 256, 257, 700]), queries=st.integers(1, 40),
+       distinct=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+def test_rank_order_in_blocks_equals_the_whole_matrix_order(size, queries, distinct, seed):
+    rng = np.random.default_rng(seed)
+    train = _mixed_dataset(rng, size, distinct, "t")
+    query = _mixed_dataset(rng, queries, distinct, "q")
+    scores = similarity_matrix(encode_matrix(train, MIXED_SPEC),
+                               encode_matrix(query, MIXED_SPEC)).mean(axis=1)
+    expected = sorted(range(size), key=lambda i: (-scores[i], i))
+    assert rank_order(train, query, MIXED_SPEC) == expected
+
+
+def test_rank_order_holds_less_than_one_train_by_query_buffer():
+    rng = np.random.default_rng(41)
+    train = _mixed_dataset(rng, 4000, 3000, "t")
+    query = _mixed_dataset(rng, 200, 200, "q")
+    tracemalloc.start()
+    try:
+        rank_order(train, query, MIXED_SPEC)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4000 * 200 * 8
 
 
 def test_rank_support_bounds(small_dataset):
