@@ -26,10 +26,12 @@ worker per CPU this process may use, capped at the number of fits; with one
 CPU or one fit they run in this process. There is no setting: every fit is
 bit for bit the same wherever it runs. The data is encoded once and reaches
 each worker once, through the pool initializer; a task carries only its row
-indices, seed and hyperparameters. A fit refused with RankError or
-DatasetError becomes its cell's status inside the worker. LR cells stay in
-this process: each takes milliseconds, and pooled they oversubscribe the
-CPUs with BLAS threads.
+indices, seed and hyperparameters. A worker sends back only what its caller
+reads: a sweep cell, its metrics and status; an importance fit, its column
+gains, not its trees. A fit refused with RankError or DatasetError becomes
+its cell's status inside the worker. LR cells stay in this process: each
+takes milliseconds, and pooled they oversubscribe the CPUs with BLAS
+threads.
 
 On Linux the workers are forked, which saves pickling the arrays and
 re-importing numpy in every worker. Forking a process that has threads
@@ -290,16 +292,18 @@ def predict_gbdt(model: GbdtModel, X: np.ndarray) -> np.ndarray:
     return out
 
 
-def importance_gbdt(model: GbdtModel, column_variables: Sequence[str]) -> dict[str, float]:
+def importance_gbdt(column_gains: np.ndarray,
+                    column_variables: Sequence[str]) -> dict[str, float]:
     """Split-gain importance, aggregated to parent variables and normalized
-    to sum 1. column_variables names the parent variable of each column of
-    the fitted X, as EncodingSpec.column_variables gives it. A model that
-    never split yields a uniform vector (with a warning)."""
-    gains = model.column_gains
-    if len(column_variables) != len(gains):
-        raise DatasetError(f"{len(gains)} columns but {len(column_variables)} column labels")
+    to sum 1. column_gains is a fitted model's GbdtModel.column_gains;
+    column_variables names the parent variable of each column of the fitted
+    X, as EncodingSpec.column_variables gives it. A model that never split
+    yields a uniform vector (with a warning)."""
+    if len(column_variables) != len(column_gains):
+        raise DatasetError(f"{len(column_gains)} columns but {len(column_variables)} "
+                           "column labels")
     totals = dict.fromkeys(column_variables, 0.0)
-    for parent, gain in zip(column_variables, gains):
+    for parent, gain in zip(column_variables, column_gains):
         totals[parent] += float(gain)
     grand = sum(totals.values())
     if grand <= 0.0:
@@ -424,9 +428,16 @@ def fraction_sweep(dataset: Dataset, fractions: Sequence[float], kind: str,
             for (fraction, repeat), (metrics, status) in zip(cells, outcomes)]
 
 
+def _fit_gains(X: np.ndarray, y: np.ndarray, hyper: GbdtHyper | None,
+               seed: int) -> np.ndarray:
+    """The column gains of one fit: all an importance study reads of a
+    model, and a small fraction of its pickled size."""
+    return fit_gbdt(X, y, hyper=hyper, seed=seed).column_gains
+
+
 def fit_gbdt_repeats(X: np.ndarray, y: np.ndarray, seeds: Sequence[int],
-                     hyper: GbdtHyper | None = None) -> list[GbdtModel]:
+                     hyper: GbdtHyper | None = None) -> list[np.ndarray]:
     """One fit_gbdt on X, y per seed, in seed order, in worker processes
-    (see the module docstring). The models carry no column labels: pass
-    them to importance_gbdt."""
-    return _map_cells(fit_gbdt, (X, y), [(hyper, seed) for seed in seeds])
+    (see the module docstring). Each fit returns only its column_gains, the
+    input of importance_gbdt; its trees stay in the process that grew them."""
+    return _map_cells(_fit_gains, (X, y), [(hyper, seed) for seed in seeds])

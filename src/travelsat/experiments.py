@@ -556,10 +556,10 @@ def _importance_result(config: ExperimentConfig, dataset: Dataset,
             else:
                 vectors[name].append(outcome[1].importances)
     hyper = dataclasses.replace(config.gbdt, subsample=config.importance_subsample)
-    models = fit_gbdt_repeats(encode_matrix(train, spec), train.labels(),
-                              [config.seed + repeat for repeat in repeats], hyper=hyper)
+    gains = fit_gbdt_repeats(encode_matrix(train, spec), train.labels(),
+                             [config.seed + repeat for repeat in repeats], hyper=hyper)
     labels = spec.column_variables()
-    vectors["gbdt"] = [importance_gbdt(model, labels) for model in models]
+    vectors["gbdt"] = [importance_gbdt(column_gains, labels) for column_gains in gains]
 
     usable = {m: v for m, v in vectors.items() if len(v) >= 2}
     skipped = sorted(set(vectors) - set(usable))

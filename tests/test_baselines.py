@@ -234,7 +234,7 @@ def test_gbdt_importance_single_feature():
     X = rng.normal(size=(80, 3))
     y = 3.0 * X[:, 1]
     model = fit_gbdt(X, y, GbdtHyper(n_trees=50))
-    imp = importance_gbdt(model, ("x0", "x1", "x2"))
+    imp = importance_gbdt(model.column_gains, ("x0", "x1", "x2"))
     assert imp["x1"] > 0.99
     assert sum(imp.values()) == pytest.approx(1.0, abs=1e-12)
 
@@ -244,7 +244,7 @@ def test_gbdt_importance_finds_signal_among_noise():
     X = rng.normal(size=(1000, 5))
     y = 2.0 * X[:, 2] + rng.normal(scale=0.1, size=1000)
     model = fit_gbdt(X, y, GbdtHyper(n_trees=60, max_depth=2))
-    imp = importance_gbdt(model, [f"x{j}" for j in range(5)])
+    imp = importance_gbdt(model.column_gains, [f"x{j}" for j in range(5)])
     assert imp["x2"] > 0.95
     for j in (0, 1, 3, 4):
         assert imp[f"x{j}"] < 0.05
@@ -255,7 +255,7 @@ def test_gbdt_importance_aggregates_to_parent_variables():
     X = rng.normal(size=(100, 4))
     y = X[:, 0] + X[:, 1] - X[:, 2]
     model = fit_gbdt(X, y, GbdtHyper(n_trees=40))
-    imp = importance_gbdt(model, ("mode", "mode", "mode", "age"))
+    imp = importance_gbdt(model.column_gains, ("mode", "mode", "mode", "age"))
     assert set(imp) == {"mode", "age"}
     assert imp["mode"] + imp["age"] == pytest.approx(1.0, abs=1e-12)
     assert imp["mode"] > imp["age"]
@@ -265,7 +265,7 @@ def test_gbdt_importance_uniform_when_no_splits():
     X = np.zeros((20, 3))  # nothing to split on
     model = fit_gbdt(X, np.arange(20.0), GbdtHyper(n_trees=5))
     with pytest.warns(UserWarning):
-        imp = importance_gbdt(model, ("x0", "x1", "x2"))
+        imp = importance_gbdt(model.column_gains, ("x0", "x1", "x2"))
     assert imp == {"x0": pytest.approx(1 / 3), "x1": pytest.approx(1 / 3),
                    "x2": pytest.approx(1 / 3)}
 
@@ -285,7 +285,7 @@ def test_gbdt_shape_errors():
         fit_gbdt(np.zeros((4, 2)), np.zeros(4), GbdtHyper(min_leaf=5))
     model = fit_gbdt(np.zeros((30, 2)), np.zeros(30), GbdtHyper(n_trees=1))
     with pytest.raises(DatasetError, match="2 columns but 1 column labels"):
-        importance_gbdt(model, ("a",))
+        importance_gbdt(model.column_gains, ("a",))
 
 
 def reference_best_split(X, residual, min_leaf):
@@ -585,8 +585,12 @@ def test_fit_gbdt_repeats_pooled_equals_inline(small_dataset, monkeypatch):
         monkeypatch.setattr(baselines, "_cpu_count", lambda: cpus)
         fits[cpus] = fit_gbdt_repeats(X, y, [3, 4, 5], hyper=hyper)
     labels = spec.column_variables()
+    # only the gains leave a worker; tree bits are covered by the fit_gbdt
+    # oracles and test_fraction_sweep_pooled_equals_inline
     for inline, pooled in zip(fits[1], fits[2], strict=True):
+        for gains in (inline, pooled):
+            assert isinstance(gains, np.ndarray)
+            assert gains.dtype == float and gains.shape == (X.shape[1],)
+        assert pooled.tobytes() == inline.tobytes()
         assert importance_gbdt(pooled, labels) == importance_gbdt(inline, labels)
-        assert pooled.column_gains.tobytes() == inline.column_gains.tobytes()
-        assert [tree_bits(t) for t in pooled.trees] == [tree_bits(t) for t in inline.trees]
-    assert fits[1][0].column_gains.tobytes() != fits[1][1].column_gains.tobytes()
+    assert fits[1][0].tobytes() != fits[1][1].tobytes()

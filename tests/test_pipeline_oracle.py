@@ -12,10 +12,17 @@ scipy's two-sample statistic and its asymptotic Kolmogorov p-value.
 
 The importance study is recomputed the same way: the LLM vectors are the
 mock's rule weights as its reply carries them, the GBDT vectors are
-importance_gbdt of models fitted here on the split's train rows, and every
-importance_tests.csv row is scipy's Welch test of those vectors. Nothing is
-imported from prompting, client, mock or experiments besides the runners
-and their config.
+importance_gbdt of the column gains of models fitted here on the split's
+train rows, and every importance_tests.csv row is scipy's Welch test of
+those vectors.
+
+Fault injection (ROADMAP item 8) wraps the backend of each run through
+experiments.make_client: a reply garbled once, a reply garbled twice, and a
+transient transport failure on every first attempt. The same oracle gives
+the expected tables, with the one failed trial where a reply is garbled
+twice. Nothing is imported from prompting, client, mock or experiments
+besides the runners and their config, and the make_client and LlmClient
+that the fault tests wrap.
 """
 
 import csv
@@ -31,9 +38,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from travelsat import experiments
 from travelsat.baselines import fit_gbdt, importance_gbdt
+from travelsat.client import LlmClient
 from travelsat.dataset import split
 from travelsat.encoding import encode_matrix, fit_encoding
+from travelsat.errors import TransientTransportError
 from travelsat.experiments import (
     ExperimentConfig,
     SyntheticSpec,
@@ -138,20 +148,29 @@ def _survey(synthetic: SyntheticSpec):
     return dataset, {r.record_id: _mock_vector(r, dataset.schema) for r in dataset}
 
 
-def _check_run(config: ExperimentConfig, experiment: str):
+def _check_run(config: ExperimentConfig, experiment: str,
+               failed: dict[int, str] | None = None):
+    """Run experiment and check its tables; failed maps the index of each
+    trial expected to fail, in _trials order, to its expected status."""
+    failed = failed or {}
     RUNNERS[experiment](config)
     out = Path(config.out_dir)
     dataset, vectors = _survey(config.synthetic)
     trials = _trials(config, dataset, experiment)
     report = _read_csv(out / "report.csv")
     assert [(row["condition"], int(row["repeat"]), row["status"]) for row in report] == \
-        [(condition, repeat, "ok") for condition, repeat, _, _ in trials]
+        [(condition, repeat, failed.get(i, "ok"))
+         for i, (condition, repeat, _, _) in enumerate(trials)]
     metrics = []
-    for row, (_, _, support, queries) in zip(report, trials):
+    for i, (row, (_, _, support, queries)) in enumerate(zip(report, trials)):
+        where = f"{row['condition']} repeat {row['repeat']}"
+        if i in failed:
+            assert (row["n"], row["mse"], row["mape"]) == ("", "", ""), where
+            metrics.append(None)
+            continue
         pairs = [(q.satisfaction, _mock_score(q, support, vectors)) for q in queries]
         mse = sum((y - p) ** 2 for y, p in pairs) / len(pairs)
         mape = sum(abs(y - p) / abs(y) for y, p in pairs) / len(pairs)
-        where = f"{row['condition']} repeat {row['repeat']}"
         assert int(row["n"]) == len(queries), where
         _assert_printed(row["mse"], mse, where)
         _assert_printed(row["mape"], mape, where)
@@ -161,11 +180,15 @@ def _check_run(config: ExperimentConfig, experiment: str):
     assert len(aggregate) * config.repeats == len(trials)
     for index, row in enumerate(aggregate):
         group = range(index * config.repeats, (index + 1) * config.repeats)
+        ok = [metrics[i] for i in group if metrics[i] is not None]
         assert row["condition"] == trials[group[0]][0]
-        assert (row["repeats_ok"], row["failures"]) == (str(config.repeats), "0")
-        for column, values in (("mse", [metrics[i][0] for i in group]),
-                               ("mape", [metrics[i][1] for i in group])):
+        assert (row["repeats_ok"], row["failures"]) == \
+            (str(len(ok)), str(config.repeats - len(ok)))
+        for column, values in (("mse", [m[0] for m in ok]), ("mape", [m[1] for m in ok])):
             where = f"{row['condition']} {column}"
+            if not values:
+                assert row[f"{column}_mean"] == row[f"{column}_std"] == "", where
+                continue
             _assert_printed(row[f"{column}_mean"], sum(values) / len(values), where)
             if len(values) == 1:
                 assert row[f"{column}_std"] == "n/a", where
@@ -235,6 +258,108 @@ def test_sweeps_match_the_oracle(config, experiment):
         _check_run(dataclasses.replace(config, out_dir=tmp), experiment)
 
 
+# -- fault injection -------------------------------------------------------
+
+
+class _Faulty:
+    """The run's backend, wrapped. Calls are counted from 0 in the order they
+    arrive: a call in garble gets the reply with its text replaced by prose
+    that no reply reader accepts, and with transient every even call raises
+    TransientTransportError. With one request in flight the calls arrive in
+    request order, then the re-sends of replies that failed to parse, in the
+    same order; so with transient each request's first attempt fails."""
+
+    def __init__(self, backend, garble=(), transient=False):
+        self.backend = backend
+        self.garble = set(garble)
+        self.transient = transient
+        self.calls = 0
+
+    def complete(self, prompt, params):
+        call, self.calls = self.calls, self.calls + 1
+        if self.transient and call % 2 == 0:
+            raise TransientTransportError("HTTP 503")
+        reply = self.backend.complete(prompt, params)
+        if call in self.garble:
+            return dataclasses.replace(reply, content="no scores here")
+        return reply
+
+
+@pytest.fixture
+def faulty(monkeypatch):
+    """Wrap each run's backend in _Faulty(**kwargs) through
+    experiments.make_client; returns the wrapper and the client's recorded
+    retry delays, which are not slept."""
+    build = experiments.make_client
+    made = {"sleeps": []}
+
+    def install(**kwargs):
+        def make_client(config, schema):
+            client = build(config, schema)
+            made["backend"] = _Faulty(client.backend, **kwargs)
+            return LlmClient(made["backend"], client.params, cache_dir=config.cache_dir,
+                             max_in_flight=client.max_in_flight,
+                             sleep=made["sleeps"].append)
+        monkeypatch.setattr(experiments, "make_client", make_client)
+        return made
+
+    return install
+
+
+def _fault_config(tmp_path) -> ExperimentConfig:
+    # 3 repeats, so the middle and last trials of zero-shot differ too
+    return ExperimentConfig(synthetic=SyntheticSpec(n=30, seed=1), support_sizes=(0, 3, 6),
+                            repeats=3, batch_size=4, max_in_flight=1,
+                            out_dir=str(tmp_path / "out"), cache_dir=str(tmp_path / "cache"))
+
+
+def _first_requests(config: ExperimentConfig, experiment: str) -> list[int]:
+    """The index of each trial's first request, then the number of requests:
+    trials in _trials order, each one request per batch of its queries."""
+    dataset, _ = _survey(config.synthetic)
+    starts = [0]
+    for _, _, _, queries in _trials(config, dataset, experiment):
+        starts.append(starts[-1] + -(-len(queries) // config.batch_size))
+    return starts
+
+
+@pytest.mark.parametrize("experiment", sorted(RUNNERS))
+def test_reply_garbled_once_is_resent_at_the_next_slot(tmp_path, faulty, experiment):
+    config = _fault_config(tmp_path)
+    starts = _first_requests(config, experiment)
+    middle, last = (len(starts) - 1) // 2, len(starts) - 2
+    # the second batch of two trials; in the sweeps they share their queries
+    made = faulty(garble={starts[middle] + 1, starts[last] + 1})
+    _check_run(config, experiment)
+    requests = starts[-1]
+    assert made["backend"].calls == requests + 2
+    # a re-send at the same slot would read the garbled reply back from here
+    assert len(list(Path(config.cache_dir).glob("*.json"))) == requests + 2
+    assert made["sleeps"] == []
+
+
+@pytest.mark.parametrize("experiment", sorted(RUNNERS))
+def test_reply_garbled_twice_fails_exactly_its_trial(tmp_path, faulty, experiment):
+    config = _fault_config(tmp_path)
+    starts = _first_requests(config, experiment)
+    middle, requests = (len(starts) - 1) // 2, starts[-1]
+    # the re-send of the one garbled reply is the first call after every request
+    made = faulty(garble={starts[middle] + 1, requests})
+    _check_run(config, experiment,
+               failed={middle: "failed: response has no ```scores block"})
+    assert made["backend"].calls == requests + 1
+
+
+@pytest.mark.parametrize("experiment", sorted(RUNNERS))
+def test_transient_failures_are_retried_to_the_clean_result(tmp_path, faulty, experiment):
+    config = _fault_config(tmp_path)
+    requests = _first_requests(config, experiment)[-1]
+    made = faulty(transient=True)
+    _check_run(config, experiment)
+    assert made["backend"].calls == 2 * requests
+    assert made["sleeps"] == [1.0] * requests
+
+
 def _reply_weights(config: ExperimentConfig, schema) -> dict[str, float]:
     """The mock's rule weights as a reply carries them, at six decimals,
     renormalized to sum 1 as the reply reader does."""
@@ -274,7 +399,7 @@ def test_importance_matches_the_oracle_at_paper_scale(tmp_path):
         "zero_shot": [llm for _ in repeats],
         "few_shot": [llm for _ in repeats],
         "gbdt": [importance_gbdt(fit_gbdt(X, train.labels(), hyper=hyper,
-                                          seed=config.seed + repeat),
+                                          seed=config.seed + repeat).column_gains,
                                  spec.column_variables())
                  for repeat in repeats],
     }
