@@ -585,8 +585,8 @@ def test_fit_gbdt_repeats_pooled_equals_inline(small_dataset, monkeypatch):
         monkeypatch.setattr(baselines, "_cpu_count", lambda: cpus)
         fits[cpus] = fit_gbdt_repeats(X, y, [3, 4, 5], hyper=hyper)
     labels = spec.column_variables()
-    # only the gains leave a worker; tree bits are covered by the fit_gbdt
-    # oracles and test_fraction_sweep_pooled_equals_inline
+    # only the gains leave a worker: the fit_gbdt oracles cover the trees,
+    # and test_fraction_sweep_pooled_equals_inline a pooled fit's predictions
     for inline, pooled in zip(fits[1], fits[2], strict=True):
         for gains in (inline, pooled):
             assert isinstance(gains, np.ndarray)

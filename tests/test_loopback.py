@@ -30,7 +30,6 @@ from travelsat.mock import ScriptedMock
 from travelsat.prompting import Prompt
 
 API_KEY = "sk-loopback-test"
-ARTIFACTS = ("report.csv", "aggregate.csv")
 
 
 class _ChatServer(ThreadingHTTPServer):
@@ -167,7 +166,8 @@ def _requests(out: Path) -> int:
 
 
 def _files(out: Path) -> dict[str, bytes]:
-    names = [*ARTIFACTS, *(f"reasoning/{p.name}" for p in (out / "reasoning").iterdir())]
+    names = ["report.csv", "aggregate.csv",
+             *(f"reasoning/{p.name}" for p in (out / "reasoning").iterdir())]
     return {name: (out / name).read_bytes() for name in names}
 
 

@@ -262,18 +262,20 @@ def test_sweeps_match_the_oracle(config, experiment):
 
 
 class _Faulty:
-    """The run's backend, wrapped. Calls are counted from 0 in the order they
+    """A run's backend, wrapped. Calls are counted from 0 in the order they
     arrive: a call in garble gets the reply with its text replaced by prose
     that no reply reader accepts, and with transient every even call raises
     TransientTransportError. With one request in flight the calls arrive in
     request order, then the re-sends of replies that failed to parse, in the
     same order; so with transient each request's first attempt fails."""
 
-    def __init__(self, backend, garble=(), transient=False):
-        self.backend = backend
+    def __init__(self, garble=(), transient=False):
+        self.backend = None  # the run's own, set by make_client
         self.garble = set(garble)
         self.transient = transient
         self.calls = 0
+        # the client's retry delays, recorded instead of slept
+        self.sleeps: list[float] = []
 
     def complete(self, prompt, params):
         call, self.calls = self.calls, self.calls + 1
@@ -287,21 +289,21 @@ class _Faulty:
 
 @pytest.fixture
 def faulty(monkeypatch):
-    """Wrap each run's backend in _Faulty(**kwargs) through
-    experiments.make_client; returns the wrapper and the client's recorded
-    retry delays, which are not slept."""
+    """install(**kwargs) wraps each run's backend in a _Faulty(**kwargs),
+    through experiments.make_client, and returns it."""
     build = experiments.make_client
-    made = {"sleeps": []}
 
     def install(**kwargs):
+        faults = _Faulty(**kwargs)
+
         def make_client(config, schema):
             client = build(config, schema)
-            made["backend"] = _Faulty(client.backend, **kwargs)
-            return LlmClient(made["backend"], client.params, cache_dir=config.cache_dir,
-                             max_in_flight=client.max_in_flight,
-                             sleep=made["sleeps"].append)
+            faults.backend = client.backend
+            return LlmClient(faults, client.params, cache_dir=config.cache_dir,
+                             max_in_flight=client.max_in_flight, sleep=faults.sleeps.append)
+
         monkeypatch.setattr(experiments, "make_client", make_client)
-        return made
+        return faults
 
     return install
 
@@ -329,13 +331,13 @@ def test_reply_garbled_once_is_resent_at_the_next_slot(tmp_path, faulty, experim
     starts = _first_requests(config, experiment)
     middle, last = (len(starts) - 1) // 2, len(starts) - 2
     # the second batch of two trials; in the sweeps they share their queries
-    made = faulty(garble={starts[middle] + 1, starts[last] + 1})
+    faults = faulty(garble={starts[middle] + 1, starts[last] + 1})
     _check_run(config, experiment)
     requests = starts[-1]
-    assert made["backend"].calls == requests + 2
+    assert faults.calls == requests + 2
     # a re-send at the same slot would read the garbled reply back from here
     assert len(list(Path(config.cache_dir).glob("*.json"))) == requests + 2
-    assert made["sleeps"] == []
+    assert faults.sleeps == []
 
 
 @pytest.mark.parametrize("experiment", sorted(RUNNERS))
@@ -344,20 +346,20 @@ def test_reply_garbled_twice_fails_exactly_its_trial(tmp_path, faulty, experimen
     starts = _first_requests(config, experiment)
     middle, requests = (len(starts) - 1) // 2, starts[-1]
     # the re-send of the one garbled reply is the first call after every request
-    made = faulty(garble={starts[middle] + 1, requests})
+    faults = faulty(garble={starts[middle] + 1, requests})
     _check_run(config, experiment,
                failed={middle: "failed: response has no ```scores block"})
-    assert made["backend"].calls == requests + 1
+    assert faults.calls == requests + 1
 
 
 @pytest.mark.parametrize("experiment", sorted(RUNNERS))
 def test_transient_failures_are_retried_to_the_clean_result(tmp_path, faulty, experiment):
     config = _fault_config(tmp_path)
     requests = _first_requests(config, experiment)[-1]
-    made = faulty(transient=True)
+    faults = faulty(transient=True)
     _check_run(config, experiment)
-    assert made["backend"].calls == 2 * requests
-    assert made["sleeps"] == [1.0] * requests
+    assert faults.calls == 2 * requests
+    assert faults.sleeps == [1.0] * requests
 
 
 def _reply_weights(config: ExperimentConfig, schema) -> dict[str, float]:
