@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import functools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
@@ -52,7 +53,8 @@ class Dataset:
             raise DatasetError("dataset has no records")
         ids = [r.record_id for r in self.records]
         if len(set(ids)) != len(ids):
-            raise DatasetError("duplicate record ids in dataset")
+            repeated = next(i for i, count in Counter(ids).items() if count > 1)
+            raise DatasetError(f"duplicate record ids in dataset: {repeated}")
 
     def __len__(self) -> int:
         return len(self.records)

@@ -20,22 +20,20 @@ Replies are written by prompting.write_response, with the rule's fixed
 weights when the prompt asks for importances; prompts that read_prompt
 rejects raise MockError.
 
-Each mock owns one prompting.Readings, so it reads each distinct traveler
+Each mock owns one prompting.Blocks, so it reads each distinct traveler
 block once for as long as it lives, which is one run: a few-shot sweep
 sends the same support and query blocks in many prompts. The records and
 the refusals are exactly those of a fresh read_prompt. The client's pool
 threads call complete concurrently and share the cache; that is safe
 because an entry is stored whole and never changed (see prompting), and
-the mock never changes a record it reads.
-
-Beside its Readings the mock keeps each read record's encoded row, keyed
-by the record's identity (the entry holds the record, so no other record
-takes its id, as in prompting.Blocks), and builds the example and query
-matrices of a few-shot prompt from those rows: a record is encoded once
-per run, not once per prompt it appears in. A row is encode_matrix's row
-for that record, whatever records it was encoded with, so the replies do
-not change. The pool threads share these rows as they share the Readings:
-an entry is stored whole, and its row is read-only.
+the mock never changes a record it reads. Beside its Blocks the mock keeps
+each read record's encoded row, keyed by the record's identity (the entry
+holds the record, so no other record takes its id), and builds the example
+and query matrices of a few-shot prompt from those rows: a record is
+encoded once per run, not once per prompt it appears in. A row is
+encode_matrix's row for that record, whatever records it was encoded with,
+so the replies do not change; the threads share the rows as they share the
+Blocks.
 """
 
 from __future__ import annotations
@@ -50,7 +48,7 @@ from .client import LlmParams, LlmResponse
 from .dataset import RespondentRecord
 from .encoding import encode_matrix, encoding_spec
 from .errors import MockError, PromptError, SchemaError
-from .prompting import Prompt, Readings, read_prompt, write_response
+from .prompting import Blocks, Prompt, read_prompt, write_response
 from .rules import REFERENCE_SCALE, clamp, get_rule, misaligned_prior, rule_importance
 from .schema import VariableSchema, default_schema
 from .selection import similarity_matrix
@@ -73,7 +71,7 @@ class ScriptedMock:
             name: REFERENCE_SCALE.get(name, (0.0, 1.0)) for name in self.schema.names})
         self.noise_seed = noise_seed
         self.noise_scale = noise_scale
-        self.readings = Readings()
+        self.blocks = Blocks()
         # id(record) -> (record, its encoded row), for the records read
         self.rows: dict[int, tuple[RespondentRecord, np.ndarray]] = {}
 
@@ -112,7 +110,7 @@ class ScriptedMock:
     def complete(self, prompt: Prompt, params: LlmParams) -> LlmResponse:
         try:
             examples, queries = read_prompt(prompt.user_text, self.schema,
-                                            readings=self.readings)
+                                            blocks=self.blocks)
         except PromptError as exc:
             raise MockError(f"unreadable prompt: {exc}") from exc
         scores = dict(zip((q.record_id for q in queries), self._scores(examples, queries)))

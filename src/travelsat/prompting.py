@@ -2,38 +2,33 @@
 
 Records are serialized as plain text grouped by the four survey dimensions,
 with units and category labels spelled out. One generator, _layout, holds
-that traveler-block format: the renderers write blocks by a write plan
-compiled from it (_write_plan: one %-format template of a whole block, and
-per value its key and, for a category, the label of each code), and
-read_prompt, their inverse (the scripted mock reads prompts with it), reads
-each value back by walking it, by the loader's rule (dataset.parse_value).
-It is strict by one whole-prompt round trip: a prompt reads back only if
-rendering the records read gives exactly its text. No other module writes
-or reads the format. render_zero_shot and render_few_shot are one
-body, _render: it checks the queries, then a few-shot prompt's support, and
-joins the support section, when there is one, and the query section under
-the system template of its kind, read and split around its output-contract
-field once per template.
+that traveler-block format, and one plan per kind of block (labeled or not)
+compiled from it serves both directions (_write_plan: one %-format template
+of a whole block, per value its key and, for a category, the label of each
+code, and the walked layout). The renderers write blocks by the plan's
+template; read_prompt, their inverse (the scripted mock reads prompts with
+it), reads each value back by walking the plan's layout, by the loader's
+rule (dataset.parse_value). It is strict by one whole-prompt round trip: a
+prompt reads back only if rendering the records read gives exactly its
+text. No other module writes or reads the format. render_zero_shot and
+render_few_shot are one body, _render: it checks the queries, then a
+few-shot prompt's support, and joins the support section, when there is
+one, and the query section under the system template of its kind, read and
+split around its output-contract field once per template.
 
-A run writes each traveler block once and compiles each write plan once:
-the renderers take an optional Blocks, owned by the caller for the length
-of one run, that caches each record's block text by (id(record),
-with_label) and each kind of block's write plan, and build every prompt by
-joining cached blocks. Each entry holds its record, so an id in the cache
-cannot be reused by another record while the cache lives.
-
-Reading is cached the same way: read_prompt takes an optional Readings,
-the read-side twin of Blocks, owned by the reader for the length of one
-run. It maps each block's text and kind (labeled or not) to the record
-_read_block made from it, and holds the Blocks through which the round
-trip re-renders those records, so a run reads and writes each distinct
-block once however many prompts carry it. A block's record depends on its
-text and kind alone, so a cached record is exactly what a fresh read
-gives; a refused block is not cached and is refused again, with the same
-message, on every read. Each entry is stored by one dict assignment and
-never changed, so threads may share one Readings: two that miss the same
-block both read it and store equal records, and either serves every later
-read.
+A run writes and reads each traveler block once and compiles each plan once:
+the renderers and read_prompt take an optional Blocks, owned by the caller
+for the length of one run. It caches each record's block text by
+(id(record), with_label), each block text's record by (text, with_label),
+and the two plans; every prompt is built by joining cached blocks, and the
+round trip re-renders the records read through the same Blocks. Each text
+entry holds its record, so an id in the cache cannot be reused by another
+record while the cache lives. A block's record depends on its text and kind
+alone, so a cached record is exactly what a fresh read gives; a refused
+block is not cached and is refused again, with the same message, on every
+read. Each entry is stored by one dict assignment and never changed, so
+threads may share one Blocks: two that miss the same block both make it and
+store equal entries, and either serves every later use.
 
 Replies follow a strict fenced-block contract (docs/output_contract.md),
 and this module alone writes and reads it: write_response writes a
@@ -50,6 +45,7 @@ import functools
 import itertools
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -129,19 +125,22 @@ def _layout(schema: VariableSchema,
         yield f"  {LABEL_LINE} ", schema.label, ""
 
 
-class _WritePlan(NamedTuple):
-    """_layout compiled for writing: a %-format template of a whole block,
-    and per value it takes after the record id, (the values key, or None
-    for the label; each code's label, or None for a number; the variable)."""
+class _Plan(NamedTuple):
+    """_layout compiled for one kind of block: a %-format template of a
+    whole block, and per value it takes after the record id, (the values
+    key, or None for the label; each code's label, or None for a number;
+    the variable), for writing; the walked layout, for reading."""
 
     template: str
     slots: tuple[tuple[str | None, dict[int, str] | None, Variable], ...]
+    layout: tuple[tuple[str, Variable | None, str], ...]
 
 
-def _write_plan(schema: VariableSchema, with_label: bool) -> _WritePlan:
+def _write_plan(schema: VariableSchema, with_label: bool) -> _Plan:
+    layout = tuple(_layout(schema, with_label))
     lines = [_TRAVELER + "%s"]
     slots = []
-    for head, var, tail in _layout(schema, with_label):
+    for head, var, tail in layout:
         if var is None:
             lines.append(head.replace("%", "%%"))
             continue
@@ -153,10 +152,10 @@ def _write_plan(schema: VariableSchema, with_label: bool) -> _WritePlan:
             value, slot = "%.6g", (var.name, None, var)
         lines.append(head.replace("%", "%%") + value + tail.replace("%", "%%"))
         slots.append(slot)
-    return _WritePlan("\n".join(lines), tuple(slots))
+    return _Plan("\n".join(lines), tuple(slots), layout)
 
 
-def _write_block(record: RespondentRecord, plan: _WritePlan) -> str:
+def _write_block(record: RespondentRecord, plan: _Plan) -> str:
     values = record.values
     try:
         return plan.template % (record.record_id, *[
@@ -175,7 +174,8 @@ def _write_block(record: RespondentRecord, plan: _WritePlan) -> str:
         raise
 
 
-def _read_block(block: str, layout, label: Variable) -> RespondentRecord:
+def _read_block(block: str, plan: _Plan, label: Variable) -> RespondentRecord:
+    layout = plan.layout
     lines = block.split("\n")
     record_id = lines[0][len(_TRAVELER):]
     if len(lines) != len(layout) + 1:
@@ -203,66 +203,56 @@ def _read_block(block: str, layout, label: Variable) -> RespondentRecord:
 
 
 class Blocks:
-    """The traveler blocks the renders of one run share, for one schema."""
+    """The traveler blocks the renders and reads of one run share, for one
+    schema."""
 
     def __init__(self):
         # (id(record), with_label) -> (record, block text); the entry keeps
         # the record alive, so no other record takes its id
         self.texts: dict[tuple[int, bool], tuple[RespondentRecord, str]] = {}
-        # with_label -> the write plan, compiled when a block is first missing
-        self.plans: dict[bool, _WritePlan] = {}
+        # (block text, with_label) -> the record _read_block made from it;
+        # a block it refused has no entry
+        self.records: dict[tuple[str, bool], RespondentRecord] = {}
+        # with_label -> the plan, compiled when a block is first missing
+        self.plans: dict[bool, _Plan] = {}
+
+    def plan(self, schema: VariableSchema, with_label: bool) -> _Plan:
+        plan = self.plans.get(with_label)
+        if plan is None:
+            plan = self.plans[with_label] = _write_plan(schema, with_label)
+        return plan
 
 
 def _write_section(records: Sequence[RespondentRecord], schema: VariableSchema,
-                   with_label: bool, blocks: Blocks | None) -> str:
-    blocks = Blocks() if blocks is None else blocks
+                   with_label: bool, blocks: Blocks) -> str:
     cached = blocks.texts
     texts = []
     for record in records:
         key = (id(record), with_label)
         entry = cached.get(key)
         if entry is None:
-            plan = blocks.plans.get(with_label)
-            if plan is None:
-                plan = blocks.plans[with_label] = _write_plan(schema, with_label)
+            plan = blocks.plan(schema, with_label)
             entry = cached[key] = (record, _write_block(record, plan))
         texts.append(entry[1])
     return "\n\n".join(texts)
 
 
-class Readings:
-    """The traveler blocks the reads of one run share, for one schema: the
-    read-side twin of Blocks."""
-
-    def __init__(self):
-        # (block text, with_label) -> the record _read_block made from it;
-        # a block it refused has no entry
-        self.records: dict[tuple[str, bool], RespondentRecord] = {}
-        # with_label -> the layout, walked once
-        self.layouts: dict[bool, tuple] = {}
-        # the whole-prompt round trip re-renders the cached records through
-        # these, so each is written once
-        self.blocks = Blocks()
-
-
-def _read_section(blocks: Sequence[str], schema: VariableSchema, with_label: bool,
-                  readings: Readings) -> list[RespondentRecord]:
-    layout = readings.layouts.get(with_label)
-    if layout is None:
-        layout = readings.layouts[with_label] = tuple(_layout(schema, with_label))
-    cached = readings.records
+def _read_section(texts: Sequence[str], schema: VariableSchema, with_label: bool,
+                  blocks: Blocks) -> list[RespondentRecord]:
+    cached = blocks.records
     records = []
-    for block in blocks:
-        key = (block, with_label)
+    for text in texts:
+        key = (text, with_label)
         record = cached.get(key)
         if record is None:
-            record = cached[key] = _read_block(block, layout, schema.label)
+            plan = blocks.plan(schema, with_label)
+            record = cached[key] = _read_block(text, plan, schema.label)
         records.append(record)
     return records
 
 
 def read_prompt(user_text: str, schema: VariableSchema, *,
-                readings: Readings | None = None
+                blocks: Blocks | None = None
                 ) -> tuple[list[RespondentRecord], list[RespondentRecord]]:
     """Read back the user text of render_zero_shot or render_few_shot.
 
@@ -272,18 +262,18 @@ def read_prompt(user_text: str, schema: VariableSchema, *,
     records read writes exactly that text again; anything else raises
     PromptError, naming the first line that differs.
 
-    readings, when given, caches each traveler block's record, and the
-    blocks those records write, across the reads of one run (one schema);
-    None reads every block. The records and refusals are the same either
-    way, but with readings the same block text gives the same record
-    object on every read, so callers must not change its values.
+    blocks, when given, caches each traveler block's record, and the
+    blocks those records write, across the reads and renders of one run
+    (one schema); None reads every block. The records and refusals are the
+    same either way, but with blocks the same block text gives the same
+    record object on every read, so callers must not change its values.
     """
-    readings = Readings() if readings is None else readings
+    blocks = Blocks() if blocks is None else blocks
     sections = user_text.removesuffix("\n").split("\n\n")
     at = sections.index(QUERY_HEADER) if QUERY_HEADER in sections else len(sections)
-    examples = _read_section(sections[1:at], schema, True, readings)
-    queries = _read_section(sections[at + 1:], schema, False, readings)
-    written = _render(examples or None, queries, schema, False, readings.blocks).user_text
+    examples = _read_section(sections[1:at], schema, True, blocks)
+    queries = _read_section(sections[at + 1:], schema, False, blocks)
+    written = _render(examples or None, queries, schema, False, blocks).user_text
     if written != user_text:
         # zip_longest: a missing or extra last line differs from None
         pairs = itertools.zip_longest(user_text.split("\n"), written.split("\n"))
@@ -342,12 +332,14 @@ def _render(support: Sequence[RespondentRecord] | None, queries: Iterable[Respon
             blocks: Blocks | None) -> Prompt:
     """The one body of render_zero_shot (support None) and render_few_shot."""
     schema = schema or default_schema()
+    blocks = Blocks() if blocks is None else blocks
     queries = list(queries)
     ids = [q.record_id for q in queries]
     if not ids:
         raise PromptError("no query records to render")
     if len(set(ids)) != len(ids):
-        raise PromptError("duplicate query record ids")
+        repeated = next(i for i, count in Counter(ids).items() if count > 1)
+        raise PromptError(f"duplicate query record ids: {repeated}")
     user = QUERY_HEADER + "\n\n"
     template = "zero_shot_system.txt"
     if support is not None:
@@ -374,8 +366,8 @@ def render_zero_shot(queries: Sequence[RespondentRecord],
                      blocks: Blocks | None = None) -> Prompt:
     """Prompt for scoring queries with no labeled examples.
 
-    blocks, when given, caches traveler blocks and their write plans
-    across the renders of one run (one schema); None writes every block.
+    blocks, when given, caches traveler blocks and their plans across the
+    renders and reads of one run (one schema); None writes every block.
     """
     return _render(None, queries, schema, want_importance, blocks)
 
@@ -466,7 +458,7 @@ def _read_pairs(text: str, lf_text: str, kind: str, keys: Sequence[str]) -> dict
         if not low <= value <= high:
             raise ParseError(f"{value_noun} {value} for {key!r} outside "
                              f"[{low:g}, {high:g}]", raw_text=text)
-        pairs[key] = value
+        pairs[key] = value + 0.0  # -0 reads as 0
     expected = set(keys)
     if pairs.keys() != expected:
         missing = [k for k in keys if k not in pairs]
@@ -485,7 +477,8 @@ def parse_response(text: str, expected_ids: Sequence[str],
     (carrying the raw text) when a block is missing or a line unreadable,
     ids or names differ from the expected ones, a score falls outside
     [1, 7], a weight is negative, or the weights sum outside [0.98, 1.02];
-    inside that band they are renormalized to sum exactly 1. CRLF reads as LF.
+    inside that band they are renormalized to sum exactly 1. CRLF reads as
+    LF, and a value written -0 as 0.
     """
     lf_text = text.replace("\r\n", "\n")
     scores = _read_pairs(text, lf_text, "scores", expected_ids)

@@ -200,32 +200,23 @@ def _ks_statistics(samples: np.ndarray, populations: np.ndarray) -> np.ndarray:
     """D of each row of samples against the same row of populations, both
     (rows, size) arrays with every row sorted ascending.
 
-    Each gap |F1(x) - F2(x)| is computed from the counts (#a <= x, #b <= x)
-    at a point x of either row, as count / size. Over a run of b's points
-    between two consecutive points of a, #a <= x is constant and #b <= x
-    rises, so F2 - F1 is largest at the run's last point, and F1 - F2 is
-    never larger than at the point of a that opens the run. D is therefore
-    the largest gap over the points of a and the last point of each run:
-    bit for bit the largest over every point, in time that grows with the
-    sample size and only as the log of the population size.
+    D = sup |F1(x) - F2(x)| by the textbook rule. F1 - F2 rises only at a
+    sample point, so it peaks at one, where both CDFs have stepped
+    (#a <= x, #b <= x); F2 - F1 falls only at a sample point, so it peaks
+    just before one (#a < x, #b < x), or at the end, where it is 0. Four
+    counts per sample point, as count / size, give D in time that grows with
+    the sample size and only as the log of the population size.
     """
     rows, n1 = samples.shape
     n2 = populations.shape[1]
-    # left[j, c]: #b < a_c, where run c + 1 starts; right: #b <= a_c;
-    # own: #a <= a_c
-    left, right, own = (np.empty((rows, n1), dtype=np.intp) for _ in range(3))
+    a_le, a_lt, b_le, b_lt = (np.empty((rows, n1), dtype=np.intp) for _ in range(4))
     for j, (a, b) in enumerate(zip(samples, populations)):
-        left[j] = b.searchsorted(a, side="left")
-        right[j] = b.searchsorted(a, side="right")
-        own[j] = a.searchsorted(a, side="right")
-    # run c holds b[starts[:, c]:ends[:, c]], the points x with #a <= x == c
-    ends = np.concatenate((left, np.full((rows, 1), n2)), axis=1)
-    starts = np.concatenate((np.zeros((rows, 1), dtype=np.intp), left), axis=1)
-    at_points = np.abs(own / n1 - right / n2)
-    at_run_ends = np.abs(np.arange(n1 + 1) / n1 - ends / n2)
-    # an empty run has no point; every gap is at least 0
-    at_run_ends[starts == ends] = 0.0
-    return np.maximum(at_points.max(axis=1), at_run_ends.max(axis=1))
+        a_le[j] = a.searchsorted(a, side="right")
+        a_lt[j] = a.searchsorted(a, side="left")
+        b_le[j] = b.searchsorted(a, side="right")
+        b_lt[j] = b.searchsorted(a, side="left")
+    return np.maximum(np.abs(a_le / n1 - b_le / n2).max(axis=1),
+                      (b_lt / n2 - a_lt / n1).max(axis=1))
 
 
 def _ks_result(variable: str, d: float, n1: int, n2: int) -> KsResult:

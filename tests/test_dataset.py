@@ -145,6 +145,15 @@ def test_repeated_record_id_raises(tmp_path):
         load_survey(path)
 
 
+def test_repeated_record_id_refusal_names_the_id(tmp_path):
+    # row 2 has no id, so the loader names it r0002, as row 1 already is
+    path = tmp_path / "survey.csv"
+    _write_rows(path, [_complete_row("r0002"), _complete_row(""), _complete_row("r3")])
+    with pytest.raises(DatasetError) as excinfo:
+        load_survey(path)
+    assert str(excinfo.value) == "duplicate record ids in dataset: r0002"
+
+
 def test_empty_file_raises(tmp_path):
     path = tmp_path / "survey.csv"
     path.write_bytes(b"")

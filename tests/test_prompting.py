@@ -20,6 +20,7 @@ from travelsat.errors import (
     RowError,
     SchemaError,
 )
+from travelsat import prompting
 from travelsat.mock import ScriptedMock
 from travelsat.prompting import (
     DEFAULT_BATCH_SIZE,
@@ -28,7 +29,6 @@ from travelsat.prompting import (
     LABEL_LINE,
     Prompt,
     QUERY_HEADER,
-    Readings,
     SCORES_OPEN,
     SUPPORT_HEADER,
     _layout,
@@ -135,8 +135,10 @@ def test_templates_are_read_once_per_name(prompt_parts):
 def test_duplicate_query_ids_rejected(prompt_parts):
     schema, _, queries = prompt_parts
     for blocks in (None, Blocks()):
-        with pytest.raises(PromptError):
-            render_zero_shot([queries[0], queries[0]], schema, blocks=blocks)
+        with pytest.raises(PromptError) as excinfo:
+            render_zero_shot([queries[1], queries[0], queries[2], queries[0]], schema,
+                             blocks=blocks)
+        assert str(excinfo.value) == f"duplicate query record ids: {queries[0].record_id}"
 
 
 def test_empty_queries_rejected(prompt_parts):
@@ -697,18 +699,18 @@ def test_read_prompt_rejects_tampered_forms(small_dataset):
     forms = _tampered_forms(small_dataset)
     # no cache, then a cache that already holds every block of every
     # untampered form
-    warm = Readings()
+    warm = Blocks()
     for original, _ in forms.values():
-        read_prompt(original, schema, readings=warm)
-    for readings in (None, warm):
+        read_prompt(original, schema, blocks=warm)
+    for blocks in (None, warm):
         mock = ScriptedMock(rule="linear", mode="nn", schema=schema)
-        if readings is not None:
-            mock.readings = readings
+        if blocks is not None:
+            mock.blocks = blocks
         for name, (original, tampered) in forms.items():
             assert tampered != original, name
             fresh = _refusal(lambda text: read_prompt(text, schema), tampered)
             assert issubclass(fresh[0], PromptError), name
-            got = _refusal(lambda text: read_prompt(text, schema, readings=readings),
+            got = _refusal(lambda text: read_prompt(text, schema, blocks=blocks),
                            tampered)
             assert got == fresh, name
             scored = _refusal(lambda text: mock.complete(Prompt("", text), LlmParams()),
@@ -728,16 +730,16 @@ def test_shared_readings_read_what_a_fresh_read_reads(data):
     schema = default_schema()
     records = data.draw(travelers(schema))
     calls = data.draw(render_calls(len(records)))
-    readings = Readings()
+    blocks = Blocks()
     for _ in range(2):
         for call in calls:
             text = _render(records, call, schema, None).user_text
-            got = read_prompt(text, schema, readings=readings)
+            got = read_prompt(text, schema, blocks=blocks)
             fresh = read_prompt(text, schema)
             assert [_fields(side) for side in got] == [_fields(side) for side in fresh]
     # one entry per distinct block, labeled or not
-    assert len(readings.records) <= 2 * len(records)
-    assert len(readings.layouts) <= 2
+    assert len(blocks.records) <= 2 * len(records)
+    assert len(blocks.plans) <= 2
 
 
 def test_threads_sharing_readings_read_what_a_fresh_read_reads(small_dataset):
@@ -747,44 +749,72 @@ def test_threads_sharing_readings_read_what_a_fresh_read_reads(small_dataset):
              for i in range(0, 30, 3)]
     texts += [render_zero_shot(records[40 + i:44 + i], schema).user_text for i in range(6)]
     expected = {text: [_fields(side) for side in read_prompt(text, schema)] for text in texts}
-    readings = Readings()
+    blocks = Blocks()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=8) as pool:
-            got = list(pool.map(lambda text: read_prompt(text, schema, readings=readings),
+            got = list(pool.map(lambda text: read_prompt(text, schema, blocks=blocks),
                                 texts * 8, timeout=120))
     finally:
         sys.setswitchinterval(interval)
     assert [[_fields(side) for side in sides] for sides in got] == \
         [expected[text] for text in texts * 8]
     # every entry, whichever thread stored it last, is its block's record
-    for (block, with_label), record in readings.records.items():
-        layout = tuple(_layout(schema, with_label))
-        assert _fields([record]) == _fields([_read_block(block, layout, schema.label)])
+    for (block, with_label), record in blocks.records.items():
+        plan = _write_plan(schema, with_label)
+        assert _fields([record]) == _fields([_read_block(block, plan, schema.label)])
 
 
 def test_a_refused_block_is_refused_again(small_dataset):
     schema = small_dataset.schema
     forms = _tampered_forms(small_dataset)
-    readings = Readings()
+    blocks = Blocks()
     for name, block_refused in (("unknown category", True), ("value below the minimum", True),
                                 ("comma in id", True), ("empty value", True),
                                 ("number not as written", False)):
         original, tampered = forms[name]
         expected = _refusal(lambda text: read_prompt(text, schema), tampered)
         for _ in range(2):
-            assert _refusal(lambda text: read_prompt(text, schema, readings=readings),
+            assert _refusal(lambda text: read_prompt(text, schema, blocks=blocks),
                             tampered) == expected, name
         # the one block the edit changed: a block _read_block refuses has no
         # entry; one it reads is cached, and the round trip refuses the prompt
         (edited,) = (set(tampered.removesuffix("\n").split("\n\n"))
                      - set(original.removesuffix("\n").split("\n\n")))
-        cached = {block for block, _ in readings.records}
+        cached = {block for block, _ in blocks.records}
         assert (edited not in cached) is block_refused, name
         # the untampered prompt still reads as a fresh read does
-        assert [_fields(side) for side in read_prompt(original, schema, readings=readings)] \
+        assert [_fields(side) for side in read_prompt(original, schema, blocks=blocks)] \
             == [_fields(side) for side in read_prompt(original, schema)]
+
+
+def test_one_blocks_writes_and_reads_by_the_same_two_plans(small_dataset, monkeypatch):
+    schema = small_dataset.schema
+    records = small_dataset.records
+    forms = _tampered_forms(small_dataset)
+    blocks = Blocks()
+    texts = [render_few_shot(records[i:i + 4], records[20 + i:23 + i], schema,
+                             blocks=blocks).user_text for i in range(0, 12, 4)]
+    texts.append(render_zero_shot(records[30:34], schema, blocks=blocks).user_text)
+    expected = [[_fields(side) for side in read_prompt(text, schema)] for text in texts]
+    refusals = {name: _refusal(lambda text: read_prompt(text, schema), tampered)
+                for name, (_, tampered) in forms.items()}
+    plans = dict(blocks.plans)
+    assert sorted(plans) == [False, True]
+    compiled = []
+    monkeypatch.setattr(prompting, "_write_plan",
+                        lambda *args: compiled.append(args) or _write_plan(*args))
+    for _ in range(2):
+        assert [[_fields(side) for side in read_prompt(text, schema, blocks=blocks)]
+                for text in texts] == expected
+        for name, (_, tampered) in forms.items():
+            assert _refusal(lambda text: read_prompt(text, schema, blocks=blocks),
+                            tampered) == refusals[name], name
+    # every read and round trip went through the two plans the writes compiled
+    assert compiled == []
+    assert blocks.plans.keys() == plans.keys()
+    assert all(blocks.plans[kind] is plans[kind] for kind in plans)
 
 
 def test_round_trip_refusal_names_the_line_that_differs(small_dataset):
