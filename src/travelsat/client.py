@@ -21,11 +21,11 @@ TravelSatError in the job's place.
 
 The HTTP backend speaks the common chat-completions JSON shape. API keys
 come from the environment only (TRAVELSAT_API_KEY, falling back to
-DEEPSEEK_API_KEY); they are never read from config files and never written
-to the cache. Cached responses are content-addressed by a digest of
-(model, temperature, output-token limit, endpoint, prompt bytes, trial
-index), one JSON file per digest, so a cache directory can be renamed or
-copied freely.
+DEEPSEEK_API_KEY, then to OPENAI_API_KEY); they are never read from config
+files and never written to the cache. Cached responses are
+content-addressed by a digest of (model, temperature, output-token limit,
+endpoint, prompt bytes, trial index), one JSON file per digest, so a cache
+directory can be renamed or copied freely.
 
 LlmClient.complete_many looks each job up in the cache in the caller's
 thread, as it pulls the job: a hit goes straight into the result and never

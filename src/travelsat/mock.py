@@ -49,7 +49,8 @@ from .dataset import RespondentRecord
 from .encoding import encode_matrix, encoding_spec
 from .errors import MockError, PromptError, SchemaError
 from .prompting import Blocks, Prompt, read_prompt, write_response
-from .rules import REFERENCE_SCALE, clamp, get_rule, misaligned_prior, rule_importance
+from .rules import (REFERENCE_SCALE, check_schema, clamp, get_rule, misaligned_prior,
+                    rule_importance)
 from .schema import VariableSchema, default_schema
 from .selection import similarity_matrix
 
@@ -66,6 +67,8 @@ class ScriptedMock:
         self.rule = get_rule(rule)
         self.mode = mode
         self.schema = schema or default_schema()
+        # the nn mode never scores by the rule: by misaligned_prior with no examples
+        check_schema(self.schema, rule if mode == "rule" else "misaligned_prior")
         # numerics without a reference scale enter the similarity unscaled
         self.spec = encoding_spec(self.schema, {
             name: REFERENCE_SCALE.get(name, (0.0, 1.0)) for name in self.schema.names})

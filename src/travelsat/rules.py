@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Mapping
 
 from .errors import SchemaError
-from .schema import SCORE_MAX, SCORE_MIN, default_schema
+from .schema import CATEGORICAL, SCORE_MAX, SCORE_MIN, VariableSchema, default_schema
 
 # (center, scale) per numeric variable, in raw units
 REFERENCE_SCALE: dict[str, tuple[float, float]] = {
@@ -125,6 +125,36 @@ def misaligned_prior(values: Mapping[str, float]) -> float:
     if values["commuting_time"] < 15.0:
         score += 0.2
     return clamp(score)
+
+
+# the variables each label rule, and misaligned_prior, reads
+_READS = {
+    "linear": (*_LINEAR_NUMERIC, *_LINEAR_OFFSETS),
+    "threshold": tuple(name for name, _, _ in _THRESHOLD_STEPS),
+    "misaligned_prior": ("commuting_mode", "commuting_time"),
+}
+
+
+def check_schema(schema: VariableSchema, scorer: str) -> None:
+    """Refuse, with SchemaError, a schema with records that scorer, a label
+    rule's name or "misaligned_prior", cannot score: one that lacks a
+    variable scorer reads or, for the linear rule, one where a variable the
+    rule offsets by code is numeric or has a code with no offset."""
+    missing = [name for name in _READS[scorer] if name not in schema.names]
+    if missing:
+        raise SchemaError(f"rule {scorer!r} reads variables the schema lacks: {missing}")
+    if scorer != "linear":
+        return
+    unscored = []
+    for name, offsets in _LINEAR_OFFSETS.items():
+        var = schema.variable(name)
+        extra = [code for code in var.codes if code not in offsets]
+        if var.kind != CATEGORICAL:
+            unscored.append(f"numeric {name}")
+        elif extra:
+            unscored.append(f"{name} codes {extra}")
+    if unscored:
+        raise SchemaError(f"rule 'linear' has no offset for {', '.join(unscored)}")
 
 
 def rule_importance(name: str) -> dict[str, float]:

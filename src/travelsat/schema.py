@@ -118,6 +118,10 @@ class VariableSchema:
             raise SchemaError(f"duplicate variable names: {dupes}")
         if not self.predictors:
             raise SchemaError("schema needs at least one predictor")
+        # the prompts show a predictor under its dimension, and label is none of them
+        unshown = [v.name for v in self.predictors if v.dimension == "label"]
+        if unshown:
+            raise SchemaError(f"predictors in the label dimension: {unshown}")
 
     @property
     def names(self) -> tuple[str, ...]:

@@ -8,11 +8,11 @@ Random draws are screened with two-sample Kolmogorov-Smirnov tests per
 variable against the full dataset.
 
 Nothing here calls BLAS. similarity_matrix counts the 0/1 columns in which
-two encoded records differ by packed-bit XOR and a count of set bits, not by
-a product of matrices. The count is an exact integer either way, but numpy
-hands a product of float matrices to BLAS, whose worker threads spin on
-after it returns and take CPU from the rest of the run, and the offline
-mock calls similarity_matrix for every few-shot prompt.
+two encoded records differ by a byte XOR per column, not by a product of
+matrices. The count is an exact integer either way, but numpy hands a
+product of float matrices to BLAS, whose worker threads spin on after it
+returns and take CPU from the rest of the run, and the offline mock calls
+similarity_matrix for every few-shot prompt.
 """
 
 from __future__ import annotations
@@ -30,43 +30,6 @@ from .errors import DatasetError
 from .evaluation import significance_stars
 
 
-def _count_bits(x: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """Replace each byte of the uint8 array x by its number of set bits, in
-    place: sums of adjacent 1-, 2- and 4-bit fields, through scratch, an
-    array like x. It returns x."""
-    np.right_shift(x, 1, out=scratch)
-    scratch &= 0x55
-    x -= scratch
-    np.right_shift(x, 2, out=scratch)
-    scratch &= 0x33
-    x &= 0x33
-    x += scratch
-    np.right_shift(x, 4, out=scratch)
-    x += scratch
-    x &= 0x0F
-    return x
-
-
-def _differing_bits(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
-    """Write to out, a float (rows of a, rows of b) array, the number of
-    columns in which each row of a differs from each row of b, both of 0/1
-    values.
-
-    The rows are packed 8 columns to a byte and compared a byte at a time:
-    XOR, then a count of the set bits of each byte (np.bitwise_count needs
-    numpy 2, and numpy 1.24 is supported; a 256-entry table indexed by the
-    bytes took 6 times as long, as numpy first casts the indices to intp).
-    """
-    packed_a = np.packbits(a.astype(bool), axis=1)
-    packed_b = np.packbits(b.astype(bool), axis=1)
-    differ = np.empty(out.shape, dtype=np.uint8)
-    scratch = np.empty_like(differ)
-    out.fill(0.0)
-    for column in range(packed_a.shape[1]):
-        np.bitwise_xor(packed_a[:, column, None], packed_b[None, :, column], out=differ)
-        out += _count_bits(differ, scratch)
-
-
 def similarity_matrix(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Pairwise similarities between the rows of A and the rows of B:
     1 / sqrt(||a - b||^2 + 1) for rows a and b.
@@ -77,8 +40,9 @@ def similarity_matrix(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     values in A and B are all 0 or 1, such as one-hot indicators, is added
     at once: a pair's term in such a column is 1 where the two rows differ
     and 0 elsewhere, and adding 0 changes nothing, so the run adds 1 once
-    per differing column, in turn. _differing_bits counts the differing
-    columns into the term buffer, as exact integers.
+    per differing column, in turn. The differing columns are counted into a
+    byte per pair by XOR of the run's columns cast to uint8, one column at
+    a time.
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
@@ -89,6 +53,8 @@ def similarity_matrix(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     d2 = np.zeros((len(A), len(B)))
     term = np.empty_like(d2)
     mask = np.empty(d2.shape, dtype=bool)
+    count = np.empty(d2.shape, dtype=np.uint8)
+    differ = np.empty_like(count)
     j, width = 0, A.shape[1]
     while j < width:
         if not binary[j]:
@@ -97,12 +63,17 @@ def similarity_matrix(A: np.ndarray, B: np.ndarray) -> np.ndarray:
             d2 += term
             j += 1
             continue
+        # a run ends at 255 columns, so that a pair's count fits in a byte
         end = j + 1
-        while end < width and binary[end]:
+        while end < width and end - j < 255 and binary[end]:
             end += 1
-        _differing_bits(A[:, j:end], B[:, j:end], out=term)
-        for count in range(1, int(term.max(initial=0.0)) + 1):
-            d2 += np.greater_equal(term, count, out=mask)
+        a = A[:, j:end].astype(np.uint8)
+        b = B[:, j:end].astype(np.uint8)
+        count.fill(0)
+        for k in range(end - j):
+            count += np.bitwise_xor(a[:, k, None], b[None, :, k], out=differ)
+        for c in range(1, int(count.max(initial=0)) + 1):
+            d2 += np.greater_equal(count, c, out=mask)
         j = end
     d2 += 1.0
     np.sqrt(d2, out=d2)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .dataset import Dataset, RespondentRecord, parse_value
 from .errors import DatasetError, SchemaError
-from .rules import clamp, get_rule
+from .rules import check_schema, clamp, get_rule
 from .schema import (
     CATEGORICAL,
     NUMERIC,
@@ -164,6 +164,7 @@ def synthesize(
     marginals = marginals if marginals is not None else default_marginals()
     _check_marginals(schema, marginals)
     rule = get_rule(label_rule)
+    check_schema(schema, label_rule)
 
     rng = default_rng(seed)
     # column by column in schema order so the draw sequence is reproducible

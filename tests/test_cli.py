@@ -7,6 +7,7 @@ from travelsat.cli import _build_config, build_parser, main
 from travelsat.client import HttpChatBackend
 from travelsat.dataset import load_survey
 from travelsat.experiments import make_client
+from travelsat.mock import ScriptedMock
 from travelsat.schema import default_schema, spec_to_dict
 
 
@@ -189,6 +190,19 @@ def _education_with(category):
     return schema
 
 
+def _gender_with(**spec):
+    schema = _shipped("default_schema.json")
+    schema["predictors"][0].update(spec)
+    return schema
+
+
+def _schema_without_commuting_mode():
+    schema = _shipped("default_schema.json")
+    schema["predictors"] = [v for v in schema["predictors"]
+                            if v["name"] != "commuting_mode"]
+    return schema
+
+
 def _marginals_with(name, **spec):
     marginals = _shipped("default_marginals.json")
     marginals[name].update(spec)
@@ -216,6 +230,10 @@ def _marginals_with(name, **spec):
      "schema.predictors[1]: numeric age must not define categories"),
     ("--schema", {**_shipped("default_schema.json"), "predictors": []},
      "schema needs at least one predictor"),
+    ("--schema", _gender_with(dimension="label"),
+     "schema: predictors in the label dimension: ['gender']"),
+    ("--schema", _schema_without_commuting_mode(),
+     "rule 'linear' reads variables the schema lacks: ['commuting_mode']"),
     ("--marginals", _marginals_with("age", clip_min="12"), "marginals.age.clip_min:"),
     ("--marginals", _marginals_with("age", mena=3), "marginals.age: unknown keys"),
     ("--marginals", _marginals_with("age", std=INF), "marginals.age.std:"),
@@ -243,7 +261,7 @@ def _marginals_with(name, **spec):
 ], ids=["misspelt-key", "string-minimum", "int-flag", "nan-minimum", "no-predictors",
         "collided-label", "duplicate-code", "inverted-range", "empty-range", "narrowed-range",
         "space-in-name", "unknown-variable-kind", "numeric-with-categories",
-        "empty-predictors",
+        "empty-predictors", "predictor-in-label-dimension", "unscorable-schema",
         "string-clip", "misspelt-marginal-key", "infinite-std", "unknown-kind",
         "letter-code", "probs-list", "nan-weight", "negative-weight", "not-an-object",
         "negative-std", "negative-sigma", "negative-lognormal-mean", "inverted-uniform",
@@ -255,6 +273,48 @@ def test_bad_schema_and_marginals_exit_2(tmp_path, capsys, flag, payload, where)
     assert code == 2
     err = capsys.readouterr().err
     assert "error:" in err and where in err
+
+
+@pytest.fixture()
+def no_requests(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a request was sent")
+    monkeypatch.setattr(ScriptedMock, "complete", refuse)
+
+
+@pytest.mark.parametrize("data, mode, where", [
+    (False, "nn", "rule 'linear' reads"),
+    (True, "nn", "rule 'misaligned_prior' reads"),
+    (True, "rule", "rule 'linear' reads"),
+], ids=["synthetic", "nn", "rule"])
+def test_zeroshot_on_a_schema_the_scorer_cannot_read_exits_2(
+        tmp_path, survey_csv, no_requests, capsys, data, mode, where):
+    schema = tmp_path / "schema.json"
+    schema.write_text(json.dumps(_schema_without_commuting_mode()), encoding="utf-8")
+    args = ["--data", str(survey_csv)] if data else []
+    assert main(["zeroshot", *args, "--schema", str(schema), "--mock-mode", mode,
+                 "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and f"{where} variables the schema lacks: ['commuting_mode']" in err
+
+
+def test_code_the_linear_rule_has_no_offset_for_exits_2(tmp_path, survey_csv,
+                                                        no_requests, capsys):
+    schema = tmp_path / "schema.json"
+    schema.write_text(json.dumps(_gender_with(
+        categories=[[0, "male"], [1, "female"], [2, "other"]])), encoding="utf-8")
+    data = tmp_path / "survey.csv"
+    lines = survey_csv.read_text("utf-8").splitlines()
+    header = lines[0].split(",")
+    cells = lines[1].split(",")
+    cells[header.index("gender")] = "2"
+    data.write_text("\n".join([lines[0], ",".join(cells), *lines[2:]]) + "\n",
+                    encoding="utf-8")
+    code = main(["zeroshot", "--data", str(data), "--schema", str(schema),
+                 "--mock-mode", "rule", "--out", str(tmp_path / "x")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "rule 'linear' has no offset for gender codes [2]" in err
 
 
 @pytest.mark.parametrize("command", ["synth", "fewshot", "baseline-sweep"])

@@ -550,13 +550,31 @@ def test_http_backend_success(monkeypatch):
     assert captured["timeout"] == 120.0
 
 
-def test_http_backend_fallback_key(monkeypatch):
-    monkeypatch.delenv(API_KEY_ENV, raising=False)
-    monkeypatch.setenv("DEEPSEEK_API_KEY", "sk-fallback")
+@pytest.mark.parametrize("fallback", ["DEEPSEEK_API_KEY", "OPENAI_API_KEY"])
+def test_http_backend_fallback_key(monkeypatch, fallback):
+    for env in (API_KEY_ENV, "DEEPSEEK_API_KEY", "OPENAI_API_KEY"):
+        monkeypatch.delenv(env, raising=False)
+    monkeypatch.setenv(fallback, "sk-fallback")
     body = {"choices": [{"message": {"content": "ok"}}]}
     captured = _patch_post(monkeypatch, lambda: _FakeHttpResponse(200, body))
     HttpChatBackend().complete(PROMPT, PARAMS)
     assert captured["headers"]["Authorization"] == "Bearer sk-fallback"
+
+
+@pytest.mark.parametrize("present, used", [
+    ((API_KEY_ENV, "DEEPSEEK_API_KEY", "OPENAI_API_KEY"), API_KEY_ENV),
+    ((API_KEY_ENV, "OPENAI_API_KEY"), API_KEY_ENV),
+    (("DEEPSEEK_API_KEY", "OPENAI_API_KEY"), "DEEPSEEK_API_KEY"),
+])
+def test_http_backend_key_order(monkeypatch, present, used):
+    for env in (API_KEY_ENV, "DEEPSEEK_API_KEY", "OPENAI_API_KEY"):
+        monkeypatch.delenv(env, raising=False)
+    for env in present:
+        monkeypatch.setenv(env, f"sk-{env}")
+    body = {"choices": [{"message": {"content": "ok"}}]}
+    captured = _patch_post(monkeypatch, lambda: _FakeHttpResponse(200, body))
+    HttpChatBackend().complete(PROMPT, PARAMS)
+    assert captured["headers"]["Authorization"] == f"Bearer sk-{used}"
 
 
 def test_http_backend_missing_key(monkeypatch):

@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -23,7 +24,7 @@ from travelsat.rules import (
     rule_importance,
     threshold_rule,
 )
-from travelsat.schema import CATEGORICAL, default_schema
+from travelsat.schema import CATEGORICAL, NUMERIC, default_schema
 from travelsat.selection import rank_support
 
 PARAMS = LlmParams()
@@ -270,6 +271,27 @@ def test_unknown_rule_or_mode_rejected():
         ScriptedMock(rule="nonexistent")
     with pytest.raises(SchemaError):
         ScriptedMock(mode="oracle")
+
+
+def test_schema_the_scorer_cannot_read_rejected():
+    schema = default_schema()
+    gender, *rest = schema.predictors
+    wide = dataclasses.replace(schema, predictors=(dataclasses.replace(
+        gender, categories=((0, "male"), (1, "female"), (2, "other"))), *rest))
+    # the nn mode reads no gender code, and the threshold rule reads no gender
+    ScriptedMock(rule="linear", mode="nn", schema=wide)
+    ScriptedMock(rule="threshold", mode="rule", schema=wide)
+    with pytest.raises(SchemaError, match=r"no offset for gender codes \[2\]"):
+        ScriptedMock(rule="linear", mode="rule", schema=wide)
+    numeric = dataclasses.replace(schema, predictors=(dataclasses.replace(
+        gender, kind=NUMERIC, categories=()), *rest))
+    with pytest.raises(SchemaError, match="no offset for numeric gender"):
+        ScriptedMock(rule="linear", mode="rule", schema=numeric)
+    untimed = dataclasses.replace(schema, predictors=tuple(
+        v for v in schema.predictors if v.name != "commuting_time"))
+    for mode in ("nn", "rule"):
+        with pytest.raises(SchemaError, match=r"lacks: \['commuting_time'\]"):
+            ScriptedMock(rule="threshold", mode=mode, schema=untimed)
 
 
 def _tampered(prompt, old, new):

@@ -14,7 +14,6 @@ from travelsat.errors import DatasetError
 from travelsat.schema import CATEGORICAL, NUMERIC, Variable, VariableSchema
 from travelsat.selection import (
     KsResult,
-    _count_bits,
     _kolmogorov_sf,
     ks_two_sample,
     random_support,
@@ -412,10 +411,13 @@ def test_similarity_matrix_with_0_1_columns_equals_cdist_bit_for_bit():
     assert similarity_matrix(A, B).tobytes() == expected.tobytes()
 
 
-def test_count_bits_counts_the_set_bits_of_every_byte():
-    values = np.arange(256, dtype=np.uint8)
-    assert _count_bits(values.copy(), np.empty_like(values)).tolist() == \
-        [bin(v).count("1") for v in range(256)]
+def test_similarity_matrix_counts_0_to_300_differing_columns_of_one_run():
+    # a pair's count of differing 0/1 columns is kept in a byte, so the
+    # counts on either side of 255 must come out as cdist's
+    A = np.zeros((1, 300))
+    B = np.tril(np.ones((301, 300)), k=-1)
+    expected = 1.0 / np.sqrt(cdist(A, B, "sqeuclidean") + 1.0)
+    assert similarity_matrix(A, B).tobytes() == expected.tobytes()
 
 
 def test_similarity_matrix_calls_no_matrix_product(monkeypatch, small_dataset):
