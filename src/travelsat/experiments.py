@@ -1,22 +1,24 @@
 """Experiment orchestration: sweeps, artifacts, and reports.
 
-Every runner hands _run a body that executes its protocol and returns a
-RunResult (summary text, CSV tables in write order, reasoning archive)
-without file I/O. _run, the one writer of a run directory, loads or
-synthesizes the dataset, builds the client, calls the body, and writes each
-table, summary.txt, reasoning/ when there is text to archive, and
-provenance.json with the config and schema hashes. With the scripted mock
-backend, identical configs produce byte-identical artifacts run after run.
+Every runner hands _run a body(config, dataset) that executes its protocol
+and returns a RunResult (summary text, CSV tables in write order, reasoning
+archive) without file I/O. _run, the one writer of a run directory, loads
+or synthesizes the dataset, calls the body, and writes each table,
+summary.txt, reasoning/ when there is text to archive, and provenance.json
+with the config and schema hashes. With the scripted mock backend,
+identical configs produce byte-identical artifacts run after run.
 
-The LLM runners share one path. Plan: list every trial and its requests
-(support, query batch, cache slot) without rendering a prompt; zero-shot is
-the k = 0 plan over the whole dataset, and similarity support is ranked once
-per split, each k taking a prefix. Execute: send all of a run's requests,
-the importance study's too, through one LlmClient.complete_many call that
-renders each prompt as the pool takes it, joining traveler blocks that the
-run writes once each, and re-send replies that fail to parse once, at
-slot + 1. Evaluate: turn each trial's outcomes into metrics,
-a reasoning archive and table rows.
+The LLM runners share one path. Plan: list every trial (support, query
+batches, cache slot) without rendering a prompt; zero-shot is the k = 0
+plan over the whole dataset, similarity support is ranked once per split,
+each k taking a prefix, and the importance study asks one batch per trial.
+Execute: _execute, the one place a run's requests are made, builds the
+client and sends every batch of every trial through one
+LlmClient.complete_many call that renders each prompt as the pool takes it,
+joining traveler blocks that the run writes once each, and re-sends replies
+that fail to parse once, at slot + 1. Evaluate: turn each trial's outcomes
+into metrics, a reasoning archive and table rows. The baseline sweep sends
+nothing, so it builds no client.
 """
 
 from __future__ import annotations
@@ -181,33 +183,29 @@ def make_client(config: ExperimentConfig, schema: VariableSchema) -> LlmClient:
 # -- plan, execute, evaluate ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class Request:
-    """One prompt to send, not yet rendered: support, query batch, cache slot."""
-
-    support: tuple[RespondentRecord, ...]
-    queries: tuple[RespondentRecord, ...]
-    slot: int
-    importance: bool = False
-
-    def render(self, schema: VariableSchema, blocks: Blocks) -> Prompt:
-        """The prompt, its traveler blocks taken from or added to blocks."""
-        if self.support:
-            return render_few_shot(self.support, self.queries, schema,
-                                   want_importance=self.importance, blocks=blocks)
-        return render_zero_shot(self.queries, schema, want_importance=self.importance,
-                                blocks=blocks)
-
-
 @dataclass
 class Trial:
+    """One trial of a plan, not yet rendered: its support, its query batches
+    (one request each) and its cache slot; then its outcome."""
+
     condition: str
     repeat: int
     support: tuple[RespondentRecord, ...]
-    requests: list[Request]
+    batches: list[tuple[RespondentRecord, ...]]
+    slot: int
+    importance: bool = False
     status: str = "ok"
     metrics: MetricPair | None = None
     reasoning: str = ""
+
+    def render(self, queries: Sequence[RespondentRecord], schema: VariableSchema,
+               blocks: Blocks) -> Prompt:
+        """One batch's prompt, its traveler blocks taken from or added to blocks."""
+        if self.support:
+            return render_few_shot(self.support, queries, schema,
+                                   want_importance=self.importance, blocks=blocks)
+        return render_zero_shot(queries, schema, want_importance=self.importance,
+                                blocks=blocks)
 
 
 def _plan_trials(config: ExperimentConfig, support_sizes: Sequence[int],
@@ -215,7 +213,7 @@ def _plan_trials(config: ExperimentConfig, support_sizes: Sequence[int],
                  pick: Callable[[Dataset, Dataset, int, int],
                                 tuple[RespondentRecord, ...]] | None
                  ) -> list[Trial]:
-    """Every (k, repeat) trial and its requests, k-major; renders nothing.
+    """Every (k, repeat) trial and its query batches, k-major; renders nothing.
 
     splits holds one (train, test) pair per repeat; the test records are the
     queries, and pick(train, test, k, repeat) chooses support for k > 0.
@@ -224,51 +222,52 @@ def _plan_trials(config: ExperimentConfig, support_sizes: Sequence[int],
     for k_index, k in enumerate(support_sizes):
         for repeat, (train, test) in enumerate(splits, start=1):
             support = pick(train, test, k, repeat) if k else ()
-            slot = (k_index * 1000 + repeat) * 10
-            trials.append(Trial(_condition_label(k), repeat, support, [
-                Request(support, tuple(batch), slot)
-                for batch in batched(test.records, config.batch_size)]))
+            trials.append(Trial(_condition_label(k), repeat, support,
+                                [tuple(b) for b in batched(test.records, config.batch_size)],
+                                (k_index * 1000 + repeat) * 10))
     return trials
 
 
-def _execute(client: LlmClient, schema: VariableSchema,
-             requests: Sequence[Request]) -> list:
-    """Send all of a run's requests; per request, (response, parsed) or the
-    TravelSatError that failed it.
+def _execute(config: ExperimentConfig, schema: VariableSchema,
+             trials: Sequence[Trial]) -> list[list]:
+    """Send every query batch of every trial; per trial, in plan order, each
+    batch's (response, parsed) or the TravelSatError that failed it.
 
-    One complete_many call takes every request, rendering each prompt only
-    as the pool takes it. Replies that fail to parse are re-sent once, at
-    slot + 1, in a second call whose outcome is final. Both calls build
-    their prompts from one Blocks, so each traveler block is written
-    once.
+    The one place a run's requests are made: it builds the client with
+    make_client, looked up at call time so a caller may substitute its own
+    factory, and hands it every request in one complete_many call, which
+    renders each prompt only as the pool takes it. Replies that fail to
+    parse are re-sent once, at slot + 1, in a second call whose outcome is
+    final. Both calls build their prompts from one Blocks, so each traveler
+    block is written once.
     """
-    outcomes: list = [None] * len(requests)
-    todo = list(range(len(requests)))
+    client = make_client(config, schema)
+    outcomes: list[list] = [[None] * len(trial.batches) for trial in trials]
+    todo = [(t, b) for t, trial in enumerate(trials) for b in range(len(trial.batches))]
     blocks = Blocks()
     for offset in (0, 1):
         if offset:
             logger.warning("%d replies failed to parse, re-sending once", len(todo))
-        jobs = ((requests[i].render(schema, blocks), requests[i].slot + offset)
-                for i in todo)
-        for i, reply in zip(todo, client.complete_many(jobs)):
-            request = requests[i]
+        jobs = ((trials[t].render(trials[t].batches[b], schema, blocks),
+                 trials[t].slot + offset) for t, b in todo)
+        for (t, b), reply in zip(todo, client.complete_many(jobs)):
             if not isinstance(reply, TravelSatError):
-                ids = [q.record_id for q in request.queries]
-                names = schema.names if request.importance else None
+                ids = [q.record_id for q in trials[t].batches[b]]
+                names = schema.names if trials[t].importance else None
                 try:
                     reply = (reply, parse_response(reply.content, ids, names))
                 except ParseError as exc:
                     reply = exc
-            outcomes[i] = reply
-        todo = [i for i in todo if isinstance(outcomes[i], ParseError)]
+            outcomes[t][b] = reply
+        todo = [(t, b) for t, b in todo if isinstance(outcomes[t][b], ParseError)]
         if not todo:
             break
     return outcomes
 
 
 def _evaluate_trial(trial: Trial, outcomes: Sequence, labels: dict[str, float]) -> None:
-    """Score one trial from its requests' outcomes; the earliest failed
-    request fails the trial."""
+    """Score one trial from its batches' outcomes; the earliest failed
+    batch fails the trial."""
     failed = next((o for o in outcomes if isinstance(o, TravelSatError)), None)
     if failed is not None:
         trial.status = f"failed: {failed}"
@@ -301,16 +300,14 @@ class RunResult:
 
 
 def _run(config: ExperimentConfig, experiment: str,
-         body: Callable[[ExperimentConfig, Dataset, LlmClient], RunResult]) -> str:
-    """Load the dataset, build the client, run body, and write its result:
-    the one writer of a run directory. Returns the summary text."""
+         body: Callable[[ExperimentConfig, Dataset], RunResult]) -> str:
+    """Load the dataset, run body, and write its result: the one writer of
+    a run directory. Returns the summary text."""
     dataset = load_dataset(config)
-    # looked up at call time, so a caller may substitute its own factory
-    client = make_client(config, dataset.schema)
     # before the body, so no request is paid for that cannot be written
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    result = body(config, dataset, client)
+    result = body(config, dataset)
     for name, header, rows in result.tables:
         with open(out / name, "w", newline="", encoding="utf-8") as fh:
             # quotes only the cells that need it, such as a status with commas
@@ -395,8 +392,8 @@ def _archive_name(condition: str, repeat: int) -> str:
 # -- runners ---------------------------------------------------------------
 
 
-def _sweep_result(config: ExperimentConfig, dataset: Dataset, client: LlmClient,
-                  title: str, trials: list[Trial], with_ks: bool) -> RunResult:
+def _sweep_result(config: ExperimentConfig, dataset: Dataset, title: str,
+                  trials: list[Trial], with_ks: bool) -> RunResult:
     """Execute and evaluate a plan's trials into the sweep tables.
 
     Trials come k-major, config.repeats per condition. with_ks screens each
@@ -404,10 +401,8 @@ def _sweep_result(config: ExperimentConfig, dataset: Dataset, client: LlmClient,
     column.
     """
     labels = {r.record_id: r.satisfaction for r in dataset}
-    outcomes = iter(_execute(client, dataset.schema,
-                             [r for t in trials for r in t.requests]))
-    for trial in trials:
-        _evaluate_trial(trial, [next(outcomes) for _ in trial.requests], labels)
+    for trial, outcomes in zip(trials, _execute(config, dataset.schema, trials)):
+        _evaluate_trial(trial, outcomes, labels)
     agg_rows: list[list] = []
     table_rows: list[list[str]] = []
     ks_rows: list[Sequence] = []
@@ -451,11 +446,11 @@ def _sweep_result(config: ExperimentConfig, dataset: Dataset, client: LlmClient,
 def run_zero_shot(config: ExperimentConfig) -> str:
     """Score every record in the dataset with no labeled examples: the k = 0
     plan with the whole dataset as the queries."""
-    def body(config, dataset, client):
+    def body(config, dataset):
         # k = 0 never draws support, so the train side of each split is unused
         trials = _plan_trials(config, (0,), [(dataset, dataset)] * config.repeats, None)
-        return _sweep_result(config, dataset, client, "Zero-shot prediction",
-                             trials, with_ks=False)
+        return _sweep_result(config, dataset, "Zero-shot prediction", trials,
+                             with_ks=False)
     return _run(config, "zeroshot", body)
 
 
@@ -467,7 +462,7 @@ def _run_support_sweep(config: ExperimentConfig, selection: str) -> str:
     "random" draws it uniformly per repeat and adds per-variable K-S
     screening against the full dataset.
     """
-    def body(config, dataset, client):
+    def body(config, dataset):
         if config.vary_split:
             splits = [split(dataset, config.train_fraction, seed=config.seed + repeat)
                       for repeat in range(1, config.repeats + 1)]
@@ -489,7 +484,7 @@ def _run_support_sweep(config: ExperimentConfig, selection: str) -> str:
 
             title = "Few-shot sweep (random support)"
         trials = _plan_trials(config, config.support_sizes, splits, pick)
-        return _sweep_result(config, dataset, client, title, trials,
+        return _sweep_result(config, dataset, title, trials,
                              with_ks=selection == "random")
     experiment = "fewshot" if selection == "similarity" else "random-fewshot"
     return _run(config, experiment, body)
@@ -503,8 +498,7 @@ def run_random_sweep(config: ExperimentConfig) -> str:
     return _run_support_sweep(config, "random")
 
 
-def _baseline_result(config: ExperimentConfig, dataset: Dataset,
-                     client: LlmClient) -> RunResult:
+def _baseline_result(config: ExperimentConfig, dataset: Dataset) -> RunResult:
     all_rows: list[Sequence] = []
     agg_rows: list[Sequence] = []
     table_rows: list[Sequence[str]] = []
@@ -532,29 +526,27 @@ def run_baseline_sweep(config: ExperimentConfig) -> str:
     return _run(config, "baseline-sweep", _baseline_result)
 
 
-def _importance_result(config: ExperimentConfig, dataset: Dataset,
-                       client: LlmClient) -> RunResult:
+def _importance_result(config: ExperimentConfig, dataset: Dataset) -> RunResult:
     spec = fit_encoding(dataset)
     train, test = split(dataset, config.train_fraction, seed=config.seed)
     probe = tuple(test.records[:config.batch_size])
     support = rank_support(train, test, spec, config.best_k)
     repeats = range(1, config.repeats + 1)
-    # cache slots repeat * 10 and 100000 + repeat * 10
+    # one single-batch trial per (repeat, prompt kind); cache slots
+    # repeat * 10 and 100000 + repeat * 10
     asked = {"zero_shot": ((), 0), "few_shot": (support, 10000)}
-    requests = [Request(support_set, probe, (base + repeat) * 10, importance=True)
-                for repeat in repeats for support_set, base in asked.values()]
-    outcomes = iter(_execute(client, dataset.schema, requests))
+    trials = [Trial(name, repeat, support_set, [probe], (base + repeat) * 10,
+                    importance=True)
+              for repeat in repeats for name, (support_set, base) in asked.items()]
 
     vectors: dict[str, list[dict[str, float]]] = {
         "zero_shot": [], "few_shot": [], "gbdt": []}
     failures: list[str] = []
-    for repeat in repeats:
-        for name in asked:
-            outcome = next(outcomes)
-            if isinstance(outcome, TravelSatError):
-                failures.append(f"{name} repeat {repeat}: {outcome}")
-            else:
-                vectors[name].append(outcome[1].importances)
+    for trial, (outcome,) in zip(trials, _execute(config, dataset.schema, trials)):
+        if isinstance(outcome, TravelSatError):
+            failures.append(f"{trial.condition} repeat {trial.repeat}: {outcome}")
+        else:
+            vectors[trial.condition].append(outcome[1].importances)
     hyper = dataclasses.replace(config.gbdt, subsample=config.importance_subsample)
     gains = fit_gbdt_repeats(encode_matrix(train, spec), train.labels(),
                              [config.seed + repeat for repeat in repeats], hyper=hyper)

@@ -17,8 +17,8 @@ produce identical bytes on every run. Two scoring modes:
   few-shot vs zero-context contrast.
 
 Replies are written by prompting.write_response, with the rule's fixed
-weights when the prompt asks for importances; prompts that read_prompt
-rejects raise MockError.
+weights over the run's schema when the prompt asks for importances; prompts
+that read_prompt rejects raise MockError.
 
 Each mock owns one prompting.Blocks, so it reads each distinct traveler
 block once for as long as it lives, which is one run: a few-shot sweep
@@ -117,10 +117,8 @@ class ScriptedMock:
         except PromptError as exc:
             raise MockError(f"unreadable prompt: {exc}") from exc
         scores = dict(zip((q.record_id for q in queries), self._scores(examples, queries)))
-        weights = None
-        if prompt.asks_importances:
-            rule_weights = rule_importance(self.rule_name)
-            weights = {name: rule_weights.get(name, 0.0) for name in self.schema.names}
+        weights = (rule_importance(self.rule_name, self.schema)
+                   if prompt.asks_importances else None)
         commentary = ("Scores follow commuting burden and mode comfort relative "
                       "to the presented profiles.")
         return LlmResponse(content=write_response(scores, weights, commentary),

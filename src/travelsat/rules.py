@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Mapping
 
 from .errors import SchemaError
-from .schema import CATEGORICAL, SCORE_MAX, SCORE_MIN, VariableSchema, default_schema
+from .schema import CATEGORICAL, SCORE_MAX, SCORE_MIN, VariableSchema
 
 # (center, scale) per numeric variable, in raw units
 REFERENCE_SCALE: dict[str, tuple[float, float]] = {
@@ -157,8 +157,10 @@ def check_schema(schema: VariableSchema, scorer: str) -> None:
         raise SchemaError(f"rule 'linear' has no offset for {', '.join(unscored)}")
 
 
-def rule_importance(name: str) -> dict[str, float]:
-    """Fixed per-variable weight vector for a rule, normalized to sum 1."""
+def rule_importance(name: str, schema: VariableSchema) -> dict[str, float]:
+    """A rule's fixed weight per predictor of schema, in schema order,
+    normalized to sum 1 over those predictors; a variable the rule does not
+    read weighs 0."""
     get_rule(name)
     if name == "linear":
         raw = {k: abs(w) for k, w in _LINEAR_NUMERIC.items()}
@@ -166,7 +168,6 @@ def rule_importance(name: str) -> dict[str, float]:
             raw[var] = max(offsets.values()) - min(offsets.values())
     else:
         raw = {name: abs(step) for name, _, step in _THRESHOLD_STEPS}
-    schema = default_schema()
     full = {v.name: raw.get(v.name, 0.0) for v in schema.predictors}
     total = sum(full.values())
     return {k: v / total for k, v in full.items()}

@@ -113,7 +113,8 @@ def rank_order(train: Dataset, query: Dataset, spec: EncodingSpec) -> list[int]:
     for start in range(0, len(encoded), _RANK_BLOCK):
         block = slice(start, start + _RANK_BLOCK)
         scores[block] = similarity_matrix(encoded[block], queries).mean(axis=1)
-    return sorted(range(len(train)), key=lambda i: (-scores[i], i))
+    # a stable sort keeps equal scores in training order
+    return np.argsort(-scores, kind="stable").tolist()
 
 
 def _support(train: Dataset, indices: Sequence[int]) -> tuple[RespondentRecord, ...]:

@@ -196,10 +196,9 @@ def _gender_with(**spec):
     return schema
 
 
-def _schema_without_commuting_mode():
+def _schema_without(name):
     schema = _shipped("default_schema.json")
-    schema["predictors"] = [v for v in schema["predictors"]
-                            if v["name"] != "commuting_mode"]
+    schema["predictors"] = [v for v in schema["predictors"] if v["name"] != name]
     return schema
 
 
@@ -232,7 +231,7 @@ def _marginals_with(name, **spec):
      "schema needs at least one predictor"),
     ("--schema", _gender_with(dimension="label"),
      "schema: predictors in the label dimension: ['gender']"),
-    ("--schema", _schema_without_commuting_mode(),
+    ("--schema", _schema_without("commuting_mode"),
      "rule 'linear' reads variables the schema lacks: ['commuting_mode']"),
     ("--marginals", _marginals_with("age", clip_min="12"), "marginals.age.clip_min:"),
     ("--marginals", _marginals_with("age", mena=3), "marginals.age: unknown keys"),
@@ -290,12 +289,37 @@ def no_requests(monkeypatch):
 def test_zeroshot_on_a_schema_the_scorer_cannot_read_exits_2(
         tmp_path, survey_csv, no_requests, capsys, data, mode, where):
     schema = tmp_path / "schema.json"
-    schema.write_text(json.dumps(_schema_without_commuting_mode()), encoding="utf-8")
+    schema.write_text(json.dumps(_schema_without("commuting_mode")), encoding="utf-8")
     args = ["--data", str(survey_csv)] if data else []
     assert main(["zeroshot", *args, "--schema", str(schema), "--mock-mode", mode,
                  "--out", str(tmp_path / "x")]) == 2
     err = capsys.readouterr().err
     assert "error:" in err and f"{where} variables the schema lacks: ['commuting_mode']" in err
+
+
+def test_baseline_sweep_fits_a_schema_the_mock_cannot_read(tmp_path, survey_csv,
+                                                          no_requests):
+    # the baselines send nothing, so the mock's schema check must not refuse them
+    schema = tmp_path / "schema.json"
+    schema.write_text(json.dumps(_schema_without("commuting_mode")), encoding="utf-8")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"fractions": [0.5, 0.8],
+                                  "gbdt": {"n_trees": 20}}), encoding="utf-8")
+    assert main(["baseline-sweep", "--config", str(config), "--data", str(survey_csv),
+                 "--schema", str(schema), *_shared_args(tmp_path, "base")]) == 0
+    assert (tmp_path / "base" / "baseline_aggregate.csv").exists()
+
+
+def test_importance_on_a_schema_without_income_fails_no_request(tmp_path, survey_csv):
+    schema = tmp_path / "schema.json"
+    schema.write_text(json.dumps(_schema_without("income")), encoding="utf-8")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"gbdt": {"n_trees": 20}}), encoding="utf-8")
+    assert main(["importance", "--config", str(config), "--data", str(survey_csv),
+                 "--schema", str(schema), *_shared_args(tmp_path, "imp")]) == 0
+    summary = (tmp_path / "imp" / "summary.txt").read_text("utf-8")
+    assert "Failed importance requests" not in summary
+    assert "insufficient repeats" not in summary
 
 
 def test_code_the_linear_rule_has_no_offset_for_exits_2(tmp_path, survey_csv,

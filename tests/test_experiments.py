@@ -216,6 +216,24 @@ def test_run_writes_exactly_its_manifest(tmp_path, subcommand):
     assert provenance["experiment"] == subcommand
 
 
+@pytest.mark.parametrize("subcommand", sorted(MANIFESTS))
+def test_each_llm_run_builds_one_client_and_the_baseline_sweep_none(
+        tmp_path, monkeypatch, subcommand):
+    import travelsat.experiments as experiments
+
+    built = []
+    build = experiments.make_client
+
+    def counting(config, schema):
+        built.append(schema)
+        return build(config, schema)
+
+    monkeypatch.setattr(experiments, "make_client", counting)
+    run, _ = MANIFESTS[subcommand]
+    run(_fast_config(tmp_path, subcommand))
+    assert len(built) == (0 if subcommand == "baseline-sweep" else 1)
+
+
 def test_run_with_nothing_to_archive_has_no_reasoning_dir(tmp_path, monkeypatch):
     monkeypatch.setattr(ScriptedMock, "complete",
                         lambda self, prompt, params: LlmResponse(content="no scores here"))

@@ -216,14 +216,32 @@ def test_importance_emitted_only_when_requested(small_dataset):
     asked = mock.complete(render_zero_shot(queries, schema, want_importance=True),
                           PARAMS)
     batch = parse_response(asked.content, ids, schema.names)
-    expected = rule_importance("linear")
+    expected = rule_importance("linear", schema)
     assert set(batch.importances) == set(schema.names)
     for name, weight in expected.items():
         assert batch.importances[name] == pytest.approx(weight, abs=1e-5)
 
 
+def test_importance_reply_sums_to_1_over_the_runs_schema(small_dataset):
+    # the nn mode's mock reads a schema without income, which the linear rule
+    # weighs; normalized over the default schema, its weights summed to 0.966
+    full = default_schema()
+    schema = dataclasses.replace(full, predictors=tuple(
+        v for v in full.predictors if v.name != "income"))
+    weights = rule_importance("linear", schema)
+    assert list(weights) == list(schema.names)
+    assert sum(weights.values()) == pytest.approx(1.0, abs=1e-12)
+    mock = ScriptedMock(rule="linear", mode="nn", schema=schema)
+    queries = small_dataset.records[:3]
+    reply = mock.complete(render_zero_shot(queries, schema, want_importance=True),
+                          PARAMS)
+    batch = parse_response(reply.content, [q.record_id for q in queries], schema.names)
+    for name, weight in weights.items():
+        assert batch.importances[name] == pytest.approx(weight, abs=1e-5)
+
+
 def test_threshold_importance_bits_are_pinned():
-    weights = rule_importance("threshold")
+    weights = rule_importance("threshold", default_schema())
     assert list(weights) == list(default_schema().names)
     assert {k: v.hex() for k, v in weights.items() if v} == {
         "income": "0x1.1111111111111p-4",

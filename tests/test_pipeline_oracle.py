@@ -365,7 +365,7 @@ def test_transient_failures_are_retried_to_the_clean_result(tmp_path, faulty, ex
 def _reply_weights(config: ExperimentConfig, schema) -> dict[str, float]:
     """The mock's rule weights as a reply carries them, at six decimals,
     renormalized to sum 1 as the reply reader does."""
-    weights = rule_importance(config.mock.rule)
+    weights = rule_importance(config.mock.rule, schema)
     printed = {var.name: float(f"{weights.get(var.name, 0.0):.6f}")
                for var in schema.predictors}
     total = sum(printed.values())

@@ -324,6 +324,7 @@ FUZZED_REPLY = st.one_of(
                          SUPPORT_HEADER, QUERY_HEADER, LABEL_LINE]),
         st.text(max_size=5),
         st.just(f"{SCORES_OPEN}\nq1,4.5\nq2,1\n```\n"),
+        st.just(f"{IMPORTANCES_OPEN}\nage=0.5\nincome=0.25\ncommuting time=0.25\n```\n"),
         reply_block(SCORES_OPEN, SCORE_LINE),
         reply_block(IMPORTANCES_OPEN, IMPORTANCE_LINE),
     ), max_size=8).map("".join),
@@ -419,6 +420,14 @@ def test_parse_response_reads_as_the_line_by_line_oracle(text, crlf, names):
 
     batch = outcome(parse_response)
     if not isinstance(batch, tuple):
+        # an accepted reply written back in the canonical form reads the same
+        canonical = parse_response(write_response(batch.scores, batch.importances, ""),
+                                   ["q1", "q2"], names)
+        assert repr(canonical.scores) == repr(batch.scores)
+        if names is not None:
+            assert list(canonical.importances) == list(batch.importances)
+            for name, weight in batch.importances.items():
+                assert canonical.importances[name] == pytest.approx(weight, abs=1e-6)
         batch = batch.scores, batch.importances, batch.reasoning
     assert batch == outcome(_parse_line_by_line)
 
