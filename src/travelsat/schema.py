@@ -2,8 +2,8 @@
 
 The default schema describes a household travel survey with 17 predictor
 variables grouped into four dimensions (socioeconomics, built environment,
-travel characteristics, reference points) plus a continuous travel
-satisfaction label on a 1-7 scale. It ships with the package as
+travel characteristics, reference points) plus the travel satisfaction
+label, on the reply contract's 1-7 scale. It ships with the package as
 resources/default_schema.json. The dataclasses define the settings file
 formats: spec_from_dict reads any of them, checked, and spec_to_dict writes.
 """
@@ -16,7 +16,7 @@ import json
 import math
 import re
 import typing
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from importlib import resources
 
 from .errors import SchemaError, TravelSatError
@@ -31,7 +31,7 @@ DIMENSIONS = (
 NUMERIC = "numeric"
 CATEGORICAL = "categorical"
 
-# the satisfaction scale: the default label's range, the label rules' clamp
+# the satisfaction scale: every schema's label range, the label rules' clamp
 # and the reply contract's score bounds
 SCORE_MIN = 1.0
 SCORE_MAX = 7.0
@@ -69,6 +69,11 @@ class Variable:
             dupes = sorted({item for item in items if items.count(item) > 1})
             if dupes:
                 raise SchemaError(f"duplicate category {what} for {self.name}: {dupes}")
+        # a prompt writes one value a line, and the unit or label shares it
+        broken = [text for text in (self.unit, *(label for _, label in self.categories))
+                  if text.splitlines() not in ([], [text])]
+        if broken:
+            raise SchemaError(f"line break in a unit or category label of {self.name}: {broken}")
         if self.minimum is not None and self.maximum is not None:
             if self.minimum > self.maximum:
                 raise SchemaError(
@@ -98,30 +103,29 @@ class Variable:
 
 @dataclass(frozen=True)
 class VariableSchema:
-    """Ordered predictor variables plus the label variable."""
+    """Ordered predictor variables plus the name of the label's column."""
 
     predictors: tuple[Variable, ...]
-    label: Variable = field(
-        default=Variable(
-            name="travel_satisfaction",
-            dimension="label",
-            kind=NUMERIC,
-            minimum=SCORE_MIN,
-            maximum=SCORE_MAX,
-        )
-    )
+    label_name: str = "travel_satisfaction"
 
     def __post_init__(self):
         names = [v.name for v in self.predictors] + [self.label.name]
         if len(set(names)) != len(names):
             dupes = sorted({n for n in names if names.count(n) > 1})
             raise SchemaError(f"duplicate variable names: {dupes}")
+        if "record_id" in names:
+            raise SchemaError("variable name 'record_id' is the survey's id column")
         if not self.predictors:
             raise SchemaError("schema needs at least one predictor")
         # the prompts show a predictor under its dimension, and label is none of them
         unshown = [v.name for v in self.predictors if v.dimension == "label"]
         if unshown:
             raise SchemaError(f"predictors in the label dimension: {unshown}")
+
+    @functools.cached_property
+    def label(self) -> Variable:
+        # built once per schema, so the renderers can tell its line by identity
+        return Variable(self.label_name, "label", NUMERIC, minimum=SCORE_MIN, maximum=SCORE_MAX)
 
     @property
     def names(self) -> tuple[str, ...]:

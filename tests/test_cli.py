@@ -213,7 +213,7 @@ def _marginals_with(name, **spec):
     ("--schema", _schema_with(minimum="zero"), "schema.predictors[1].minimum:"),
     ("--schema", _schema_with(exclusive_minimum=1), "schema.predictors[1].exclusive_minimum:"),
     ("--schema", _schema_with(minimum=NAN), "schema.predictors[1].minimum:"),
-    ("--schema", {"label": _shipped("default_schema.json")["label"]}, "schema:"),
+    ("--schema", {"label_name": "travel_satisfaction"}, "schema:"),
     ("--schema", _education_with([2, "primary school"]),
      "schema.predictors[3]: duplicate category labels for education_level"),
     ("--schema", _education_with([1, "middle school"]),
@@ -223,6 +223,8 @@ def _marginals_with(name, **spec):
     ("--schema", _schema_with(minimum=40.0, maximum=40.0), "schema.predictors[1]:"),
     ("--schema", _schema_with(minimum=40.0, maximum=80.0), "synthesized age:"),
     ("--schema", _schema_with(name="eating out"), "schema.predictors[1]:"),
+    ("--schema", _schema_with(unit="years\n"),
+     "schema.predictors[1]: line break in a unit or category label of age: ['years\\n']"),
     ("--schema", _schema_with(kind="ordinal"),
      "schema.predictors[1]: unknown kind 'ordinal' for age"),
     ("--schema", _schema_with(categories=[[0, "young"], [1, "old"]]),
@@ -259,7 +261,7 @@ def _marginals_with(name, **spec):
      "age: numeric variable needs a numeric marginal"),
 ], ids=["misspelt-key", "string-minimum", "int-flag", "nan-minimum", "no-predictors",
         "collided-label", "duplicate-code", "inverted-range", "empty-range", "narrowed-range",
-        "space-in-name", "unknown-variable-kind", "numeric-with-categories",
+        "space-in-name", "line-break-in-unit", "unknown-variable-kind", "numeric-with-categories",
         "empty-predictors", "predictor-in-label-dimension", "unscorable-schema",
         "string-clip", "misspelt-marginal-key", "infinite-std", "unknown-kind",
         "letter-code", "probs-list", "nan-weight", "negative-weight", "not-an-object",
@@ -320,6 +322,57 @@ def test_importance_on_a_schema_without_income_fails_no_request(tmp_path, survey
     summary = (tmp_path / "imp" / "summary.txt").read_text("utf-8")
     assert "Failed importance requests" not in summary
     assert "insufficient repeats" not in summary
+
+
+@pytest.fixture()
+def clients(monkeypatch):
+    # every client the run builds, so a test can count the requests sent
+    import travelsat.experiments as experiments
+    built = []
+    build = experiments.make_client
+
+    def keeping(config, schema):
+        built.append(build(config, schema))
+        return built[-1]
+
+    monkeypatch.setattr(experiments, "make_client", keeping)
+    return built
+
+
+def test_a_schema_file_with_a_label_object_sends_no_request(tmp_path, survey_csv,
+                                                            clients, capsys):
+    # all labels 0: a label range widened to 0 would reach a MAPE they leave undefined
+    payload = {**_shipped("default_schema.json"),
+               "label": {"name": "travel_satisfaction", "dimension": "label",
+                         "kind": "numeric", "minimum": 0.0, "maximum": 7.0}}
+    schema = tmp_path / "schema.json"
+    schema.write_text(json.dumps(payload), encoding="utf-8")
+    lines = survey_csv.read_text("utf-8").splitlines()
+    data = tmp_path / "survey.csv"
+    zeros = [line.rsplit(",", 1)[0] + ",0" for line in lines[1:]]
+    data.write_text("\n".join([lines[0], *zeros]) + "\n", encoding="utf-8")
+    code = main(["fewshot", "--data", str(data), "--schema", str(schema),
+                 *_shared_args(tmp_path, "fs")])
+    assert code == 2
+    assert "error: schema: unknown keys: ['label']" in capsys.readouterr().err
+    assert sum(client.transport_calls for client in clients) == 0
+
+
+@pytest.mark.parametrize("payload", [
+    {**_shipped("default_schema.json"), "predictors": [
+        *_shipped("default_schema.json")["predictors"],
+        {"name": "record_id", "dimension": "socioeconomics", "kind": "numeric"}]},
+    {**_shipped("default_schema.json"), "label_name": "record_id"},
+], ids=["predictor", "label"])
+def test_a_variable_named_record_id_exits_2(tmp_path, survey_csv, clients, capsys, payload):
+    schema = tmp_path / "schema.json"
+    schema.write_text(json.dumps(payload), encoding="utf-8")
+    code = main(["zeroshot", "--data", str(survey_csv), "--schema", str(schema),
+                 "--out", str(tmp_path / "x")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "error: schema: variable name 'record_id' is the survey's id column" in err
+    assert clients == []
 
 
 def test_code_the_linear_rule_has_no_offset_for_exits_2(tmp_path, survey_csv,

@@ -22,7 +22,7 @@ from travelsat.dataset import (
     split,
 )
 from travelsat.errors import DatasetError, RowError, SchemaError
-from travelsat.schema import CATEGORICAL, default_schema
+from travelsat.schema import CATEGORICAL, VariableSchema, default_schema
 
 
 def _write_rows(path, rows, fieldnames=None):
@@ -187,6 +187,23 @@ def test_label_outside_scale_raises(tmp_path):
     _write_rows(path, [_complete_row("r1", travel_satisfaction="7.5")])
     with pytest.raises(RowError):
         load_survey(path)
+
+
+def test_a_custom_label_name_loads_its_column_on_the_contract_scale(tmp_path):
+    schema = VariableSchema(predictors=default_schema().predictors, label_name="score")
+    fieldnames = ["record_id", *schema.names, "score"]
+    path = tmp_path / "survey.csv"
+    row = _complete_row("r1")
+    row["score"] = row.pop("travel_satisfaction")
+    _write_rows(path, [row], fieldnames=fieldnames)
+    dataset = load_survey(path, schema)
+    assert dataset.labels().tolist() == [4.33]
+    save_survey(dataset, tmp_path / "saved.csv")
+    assert load_survey(tmp_path / "saved.csv", schema) == dataset
+    for label in ("0", "7.5"):
+        _write_rows(path, [{**row, "score": label}], fieldnames=fieldnames)
+        with pytest.raises(RowError, match="^row 1: score: "):
+            load_survey(path, schema)
 
 
 def test_missing_column_raises(tmp_path):

@@ -8,6 +8,8 @@ from travelsat.errors import SchemaError
 from travelsat.schema import (
     CATEGORICAL,
     NUMERIC,
+    SCORE_MAX,
+    SCORE_MIN,
     Variable,
     VariableSchema,
     default_schema,
@@ -44,6 +46,35 @@ def test_label_variable_bounds():
     assert label.name == "travel_satisfaction"
     assert label.kind == NUMERIC
     assert label.minimum == 1.0 and label.maximum == 7.0
+
+
+def test_label_is_a_column_name_on_the_reply_contract_scale():
+    predictors = default_schema().predictors
+    schema = VariableSchema(predictors=predictors, label_name="score")
+    label = schema.label
+    assert (label.name, label.dimension, label.kind) == ("score", "label", NUMERIC)
+    assert (label.minimum, label.maximum, label.exclusive_minimum) == (SCORE_MIN, SCORE_MAX, False)
+    # cached per schema, so the renderers can tell the label's line by identity
+    assert schema.label is label
+    assert [f.name for f in dataclasses.fields(schema)] == ["predictors", "label_name"]
+    assert schema == VariableSchema(predictors=predictors, label_name="score")
+    with pytest.raises(SchemaError, match="'travel satisfaction' is not snake_case"):
+        VariableSchema(predictors=predictors, label_name="travel satisfaction")
+
+
+@pytest.mark.parametrize("kind, unit, labels", [
+    (NUMERIC, "min\n", ()),
+    (NUMERIC, "minutes\non foot", ()),
+    (NUMERIC, "km\r", ()),
+    (NUMERIC, "km\u2028", ()),
+    (CATEGORICAL, "", ("walk", "bus\n")),
+    (CATEGORICAL, "", ("private\r\ncar", "bus")),
+])
+def test_a_line_break_in_a_unit_or_category_label_is_refused(kind, unit, labels):
+    # a prompt writes one value a line, so a break would cut a traveler block
+    with pytest.raises(SchemaError, match="line break in a unit or category label of mode"):
+        Variable("mode", "travel_characteristics", kind, unit=unit,
+                 categories=tuple(enumerate(labels)))
 
 
 def test_mode_category_labels():
@@ -86,7 +117,7 @@ def test_schema_file_round_trip(tmp_path):
     assert load_schema(path) == default_schema()
 
 
-SHIPPED_FINGERPRINT = "7c60faf2b0714575b197f628f9ddc289198158d966fbd2d3e6758daf49630533"
+SHIPPED_FINGERPRINT = "f4814c9d2a69283c7edfbedc4ec98bfdd6b0944b4bb34ba2d9803a3c0aee0824"
 
 
 def test_schema_dict_round_trip_keeps_the_shipped_format():
@@ -101,7 +132,7 @@ def test_schema_dict_round_trip_keeps_the_shipped_format():
                              minimum=0, maximum=2.5, exclusive_minimum=True),
                     Variable("mode", "travel_characteristics", CATEGORICAL,
                              categories=((-1, "none"), (2, "bus")))),
-        label=Variable("score", "label", NUMERIC, minimum=0.0))
+        label_name="score")
     assert schema_from_dict(spec_to_dict(custom)) == custom
     assert type(schema_from_dict(spec_to_dict(custom)).predictors[0].minimum) is int
 
